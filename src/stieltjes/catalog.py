@@ -159,10 +159,9 @@ def _run_entry(e: IdentityEntry, ctx: PrecisionContext) -> EntryOutcome:
 # shared evaluation helpers
 # ---------------------------------------------------------------------------
 
-def _bose(g, ctx, oscillatory=False, note="regular_at_0"):
+def _bose(g, ctx, oscillatory=False):
     return integrate_bose(
-        Integrand1D(eval=g, oscillatory=oscillatory,
-                    singularity_note=note), ctx).value
+        Integrand1D(eval=g, oscillatory=oscillatory), ctx).value
 
 
 def _gam(n, u, ctx):
@@ -381,8 +380,7 @@ def register_builtin_entries() -> None:
 
         def rhs_215(ctx, uv=uv):
             return integrate_laplace(
-                Integrand1D(eval=F.binet_kernel,
-                            singularity_note="removable_at_0"),
+                Integrand1D(eval=F.binet_kernel),
                 mpf(uv), ctx).value
 
         register(E(
@@ -400,8 +398,7 @@ def register_builtin_entries() -> None:
         description="First log moment of the Bose weight equals half the "
                     "zeta derivative at -1.",
         paper_anchor="I-2.18",
-        lhs=lambda ctx: _bose(lambda x: x * mp.log(x), ctx,
-                              note="removable_at_0"),
+        lhs=lambda ctx: _bose(lambda x: x * mp.log(x), ctx),
         rhs=lambda ctx: _zeta(-1, ctx, 1) / 2,
         lhs_route="bose_quadrature", rhs_route="em_zeta",
         tags=Q))
@@ -414,8 +411,8 @@ def register_builtin_entries() -> None:
         paper_anchor="I-2.20",
         lhs=lambda ctx: exp_sinh_0inf(
             Integrand1D(
-                eval=lambda t: -mp.expm1(-t) / (t * t) * F.binet_kernel(t),
-                singularity_note="removable_at_0"), ctx).value,
+                eval=lambda t: -mp.expm1(-t) / (t * t) * F.binet_kernel(t)),
+            ctx).value,
         rhs=lambda ctx: mpf(1) / 4,
         lhs_route="exp_sinh_quadrature", rhs_route="exact_rational",
         tags=Q))
@@ -452,8 +449,7 @@ def register_builtin_entries() -> None:
         paper_anchor="I-2.25",
         lhs=lambda ctx: _bose(lambda x: x * mp.log1p(x * x), ctx),
         rhs=lambda ctx: integrate_laplace(
-            Integrand1D(eval=lambda y: F.exp_square_kernel(y) / y,
-                        singularity_note="removable_at_0"),
+            Integrand1D(eval=lambda y: F.exp_square_kernel(y) / y),
             mpf(1), ctx).value,
         lhs_route="bose_quadrature", rhs_route="laplace_quadrature",
         tags=Q))
@@ -745,8 +741,7 @@ def register_builtin_entries() -> None:
             intg = exp_sinh_0inf(
                 Integrand1D(
                     eval=lambda y: F.binet_kernel(y)
-                    * (-mp.expm1(-t * y)) / (y * y),
-                    singularity_note="removable_at_0"), ctx).value
+                    * (-mp.expm1(-t * y)) / (y * y)), ctx).value
             return main + intg
 
         def rhs_64(ctx, tv=tv):
@@ -794,8 +789,8 @@ def register_builtin_entries() -> None:
         v = mpf("1.5")
         b2 = _frac(series.bernoulli_poly(2, Fraction(3, 2)))
         intg = integrate_laplace(
-            Integrand1D(eval=lambda t: _binet_kernel_tail(t) / (t * t),
-                        singularity_note="removable_at_0"), v, ctx).value
+            Integrand1D(eval=lambda t: _binet_kernel_tail(t) / (t * t)),
+            v, ctx).value
         return (v * F.log_gamma(v, "binet2", ctx).value + v * v / 4
                 - b2 * mp.log(v) / 2 - mpf(1) / 12 + _zeta(-1, ctx, 1)
                 + intg)
@@ -815,8 +810,7 @@ def register_builtin_entries() -> None:
             at = mp.atan2(1, x)
             return (mp.atan(x) / 2 - x / 2 + x * x / 2 * at
                     + x / 2 * mp.log1p(x * x))
-        return mpf(-1) / 72 + 2 * _bose(g, ctx,
-                                        note="log_growth_at_infinity")
+        return mpf(-1) / 72 + 2 * _bose(g, ctx)
 
     def rhs_614(ctx):
         return _zeta(-2, ctx, 1) / 2 + _zeta(3, ctx) / (8 * mp.pi ** 2)

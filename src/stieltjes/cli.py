@@ -6,9 +6,10 @@ Commands:
             number of digits on which the routes agree
   verify    run the identity catalog and render a report
 
-Exit codes: 0 ok, 1 verification failure, 2 usage error, 3 precision
-exhausted.  Output formats: text (default), json, csv; --out redirects the
-rendered report to a file.
+Exit codes: 0 ok, 1 verification failure, 2 usage error, 3 a route cannot
+reach the requested precision (exhausted or not converging).  Output
+formats: text (default), json, csv; --out redirects the rendered report to
+a file.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
-from typing import Optional
 
 from mpmath import mp, mpf
 
@@ -51,15 +50,6 @@ METHOD_ALIASES = {
 }
 
 
-@dataclass
-class CliConfig:
-    digits: int = 30
-    method: Optional[str] = None
-    format: str = "text"
-    out: Optional[str] = None
-    include_slow: bool = False
-
-
 def _fmt(value, digits: int) -> str:
     """Decimal string with `digits` significant digits (round-trip safe).
 
@@ -70,9 +60,9 @@ def _fmt(value, digits: int) -> str:
         return mp.nstr(+mpf(value), digits)
 
 
-def _emit(text: str, cfg: CliConfig) -> None:
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
+def _emit(text: str, out: str | None) -> None:
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -88,74 +78,71 @@ def _usage_error(msg: str) -> int:
 # ---------------------------------------------------------------------------
 
 def _parse_number(text: str, name: str):
+    """The one entry point for --u, --s and --t: NaN and +-inf are refused
+    here, before any route starts work."""
     try:
-        return mpf(text)
+        x = mpf(text)
     except Exception:
         raise ValueError("%s is not a number: %r" % (name, text))
+    if not mp.isfinite(x):
+        raise ValueError("%s must be finite: %r" % (name, text))
+    return x
 
 
-def cmd_compute(args: argparse.Namespace, cfg: CliConfig) -> int:
-    ctx = PrecisionContext.for_digits(cfg.digits)
+def cmd_compute(args: argparse.Namespace) -> int:
+    digits = args.digits
+    ctx = PrecisionContext.for_digits(digits)
     what = args.what
-    try:
-        with ctx.working():
-            u = _parse_number(args.u, "--u")
-            params = {}
-            if what == "gamma_n":
-                method = cfg.method or "limit_euler_maclaurin"
-                method = METHOD_ALIASES.get(method, method)
-                fv = F.stieltjes(args.n, u, method, ctx)
-                params = {"n": args.n, "u": _fmt(u, cfg.digits)}
-            elif what == "digamma":
-                fv = F.digamma(u, ctx, args.route or "bose")
-                params = {"u": _fmt(u, cfg.digits)}
-            elif what == "log_gamma":
-                fv = F.log_gamma(u, args.route or "binet2", ctx)
-                params = {"u": _fmt(u, cfg.digits)}
-            elif what == "hurwitz_zeta":
-                s = _parse_number(args.s if args.s is not None else "2",
-                                  "--s")
-                fv = F.hurwitz_zeta(s, u, ctx)
-                params = {"s": _fmt(s, cfg.digits),
-                          "u": _fmt(u, cfg.digits)}
-            elif what == "barnes_g":
-                t = _parse_number(args.t, "--t")
-                fv = F.barnes_g_log(t, args.route or "integral_6_7", ctx)
-                params = {"t": _fmt(t, cfg.digits)}
-            elif what == "zeta_sderiv":
-                s = _parse_number(args.s if args.s is not None else "0",
-                                  "--s")
-                fv = F.hurwitz_zeta_sderiv(args.order, s, u, ctx)
-                params = {"order": args.order, "s": _fmt(s, cfg.digits),
-                          "u": _fmt(u, cfg.digits)}
-            else:
-                return _usage_error("unknown function %r" % what)
-            value_str = _fmt(fv.value, cfg.digits)
-            diag = {k: (v if isinstance(v, (int, str, type(None)))
-                        else _fmt(v, 8))
-                    for k, v in sorted(fv.diagnostics.items())}
-    except PrecisionExhaustedError as exc:
-        print("precision exhausted: %s" % exc, file=sys.stderr)
-        return EXIT_PRECISION
-    except (ValueError, NonConvergenceError) as exc:
-        return _usage_error(str(exc))
+    with ctx.working():
+        u = _parse_number(args.u, "--u")
+        params = {}
+        if what == "gamma_n":
+            method = args.method or "limit_euler_maclaurin"
+            method = METHOD_ALIASES.get(method, method)
+            fv = F.stieltjes(args.n, u, method, ctx)
+            params = {"n": args.n, "u": _fmt(u, digits)}
+        elif what == "digamma":
+            fv = F.digamma(u, ctx, args.route or "bose")
+            params = {"u": _fmt(u, digits)}
+        elif what == "log_gamma":
+            fv = F.log_gamma(u, args.route or "binet2", ctx)
+            params = {"u": _fmt(u, digits)}
+        elif what == "hurwitz_zeta":
+            s = _parse_number(args.s if args.s is not None else "2", "--s")
+            fv = F.hurwitz_zeta(s, u, ctx)
+            params = {"s": _fmt(s, digits), "u": _fmt(u, digits)}
+        elif what == "barnes_g":
+            t = _parse_number(args.t, "--t")
+            fv = F.barnes_g_log(t, args.route or "integral_6_7", ctx)
+            params = {"t": _fmt(t, digits)}
+        elif what == "zeta_sderiv":
+            s = _parse_number(args.s if args.s is not None else "0", "--s")
+            fv = F.hurwitz_zeta_sderiv(args.order, s, u, ctx)
+            params = {"order": args.order, "s": _fmt(s, digits),
+                      "u": _fmt(u, digits)}
+        else:
+            return _usage_error("unknown function %r" % what)
+        value_str = _fmt(fv.value, digits)
+        diag = {k: (v if isinstance(v, (int, str, type(None)))
+                    else _fmt(v, 8))
+                for k, v in sorted(fv.diagnostics.items())}
 
-    if cfg.format == "json":
+    if args.format == "json":
         payload = {
-            "context": {"digits": cfg.digits},
+            "context": {"digits": digits},
             "function": what,
             "params": params,
             "value": value_str,
             "route": fv.route,
             "diagnostics": diag,
         }
-        _emit(json.dumps(payload, indent=2) + "\n", cfg)
-    elif cfg.format == "csv":
+        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+    elif args.format == "csv":
         buf = io.StringIO()
         w = csv.writer(buf)
         w.writerow(["function", "value", "route"])
         w.writerow([what, value_str, fv.route])
-        _emit(buf.getvalue(), cfg)
+        _emit(buf.getvalue(), args.out)
     else:
         args_txt = ", ".join("%s=%s" % (k, v) for k, v in params.items())
         lines = ["%s(%s) = %s" % (what, args_txt, value_str),
@@ -163,7 +150,7 @@ def cmd_compute(args: argparse.Namespace, cfg: CliConfig) -> int:
         if diag:
             lines.append("diagnostics: " + " ".join(
                 "%s=%s" % (k, v) for k, v in diag.items()))
-        _emit("\n".join(lines) + "\n", cfg)
+        _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
 
@@ -171,48 +158,41 @@ def cmd_compute(args: argparse.Namespace, cfg: CliConfig) -> int:
 # table
 # ---------------------------------------------------------------------------
 
-def cmd_table(args: argparse.Namespace, cfg: CliConfig) -> int:
+def cmd_table(args: argparse.Namespace) -> int:
     if not 1 <= args.first <= 25:
         return _usage_error("--first must be between 1 and 25")
-    ctx = PrecisionContext.for_digits(cfg.digits)
-    try:
-        with ctx.working():
-            rows = []
-            for n in range(args.first):
-                a = series.limit_stieltjes_oracle(n, 1, ctx)
-                b = series.stieltjes_from_altzeta(n, ctx)
-                rows.append((n, _fmt(a, cfg.digits),
-                             agreed_digits(a, b, ctx)))
-    except PrecisionExhaustedError as exc:
-        print("precision exhausted: %s" % exc, file=sys.stderr)
-        return EXIT_PRECISION
-    except (ValueError, NonConvergenceError) as exc:
-        return _usage_error(str(exc))
+    ctx = PrecisionContext.for_digits(args.digits)
+    with ctx.working():
+        rows = []
+        for n in range(args.first):
+            a = series.limit_stieltjes_oracle(n, 1, ctx)
+            b = series.stieltjes_from_altzeta(n, ctx)
+            rows.append((n, _fmt(a, args.digits), agreed_digits(a, b, ctx)))
 
-    if cfg.format == "json":
+    if args.format == "json":
         payload = {
-            "context": {"digits": cfg.digits},
+            "context": {"digits": args.digits},
             "rows": [{"n": n, "value": v, "routes_agreeing_digits": d}
                      for n, v, d in rows],
         }
-        _emit(json.dumps(payload, indent=2) + "\n", cfg)
-    elif cfg.format == "csv":
+        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+    elif args.format == "csv":
         buf = io.StringIO()
         w = csv.writer(buf)
         w.writerow(["n", "value", "routes_agreeing_digits"])
         for n, v, d in rows:
             w.writerow([n, v, d])
-        _emit(buf.getvalue(), cfg)
+        _emit(buf.getvalue(), args.out)
     else:
         width = max(len(v) for _, v, _ in rows)
         lines = ["%3s  %-*s  %s" % ("n", width, "value", "agreed")]
         for n, v, d in rows:
             lines.append("%3d  %-*s  %d" % (n, width, v, d))
-        _emit("\n".join(lines) + "\n", cfg)
+        _emit("\n".join(lines) + "\n", args.out)
 
-    short = [n for n, _, d in rows if d < cfg.digits]
+    short = [n for n, _, d in rows if d < args.digits]
     if short:
-        print("rows below %d agreed digits: %s" % (cfg.digits, short),
+        print("rows below %d agreed digits: %s" % (args.digits, short),
               file=sys.stderr)
         return EXIT_PRECISION
     return EXIT_OK
@@ -222,16 +202,16 @@ def cmd_table(args: argparse.Namespace, cfg: CliConfig) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def _report_payload(rep, cfg: CliConfig) -> dict:
+def _report_payload(rep, digits: int) -> dict:
     entries = []
     for o in rep.outcomes:
         e = {
             "id": o.entry_id,
             "paper_anchor": o.paper_anchor,
             "lhs": None if o.lhs_value is None else _fmt(o.lhs_value,
-                                                         cfg.digits),
+                                                         digits),
             "rhs": None if o.rhs_value is None else _fmt(o.rhs_value,
-                                                         cfg.digits),
+                                                         digits),
             "abs_error": None if o.abs_error is None else _fmt(o.abs_error,
                                                                8),
             "tolerance": _fmt(o.tolerance, 8),
@@ -242,31 +222,27 @@ def _report_payload(rep, cfg: CliConfig) -> dict:
             e["error"] = o.failure
         entries.append(e)
     return {
-        "context": {"digits": cfg.digits},
+        "context": {"digits": digits},
         "entries": entries,
         "summary": {"total": rep.total, "passed": rep.passed,
                     "failed": rep.failed},
     }
 
 
-def cmd_verify(args: argparse.Namespace, cfg: CliConfig) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     if args.id is not None:
         filt = args.id
     elif args.tag is not None:
         filt = args.tag
     else:
         filt = None
-    ctx = PrecisionContext.for_digits(cfg.digits)
-    try:
-        rep = run_catalog(filter=filt, ctx=ctx,
-                          include_slow=cfg.include_slow)
-    except ValueError as exc:
-        return _usage_error(str(exc))
+    ctx = PrecisionContext.for_digits(args.digits)
+    rep = run_catalog(filter=filt, ctx=ctx, include_slow=args.include_slow)
 
-    payload = _report_payload(rep, cfg)
-    if cfg.format == "json":
-        _emit(json.dumps(payload, indent=2) + "\n", cfg)
-    elif cfg.format == "csv":
+    payload = _report_payload(rep, args.digits)
+    if args.format == "json":
+        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+    elif args.format == "csv":
         buf = io.StringIO()
         w = csv.writer(buf)
         w.writerow(["id", "paper_anchor", "lhs", "rhs", "abs_error",
@@ -275,7 +251,7 @@ def cmd_verify(args: argparse.Namespace, cfg: CliConfig) -> int:
             w.writerow([e["id"], e["paper_anchor"], e["lhs"], e["rhs"],
                         e["abs_error"], e["tolerance"], e["pass"],
                         e["elapsed_ms"]])
-        _emit(buf.getvalue(), cfg)
+        _emit(buf.getvalue(), args.out)
     else:
         lines = []
         for e in payload["entries"]:
@@ -288,7 +264,7 @@ def cmd_verify(args: argparse.Namespace, cfg: CliConfig) -> int:
         s = payload["summary"]
         lines.append("total %d  passed %d  failed %d"
                      % (s["total"], s["passed"], s["failed"]))
-        _emit("\n".join(lines) + "\n", cfg)
+        _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK if rep.failed == 0 else EXIT_VERIFY_FAILED
 
 
@@ -363,19 +339,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; a route's refusal to answer becomes exit 3 and a
+    rejected input exit 2, with the reason on stderr."""
     args = build_parser().parse_args(argv)
-    cfg = CliConfig(digits=args.digits,
-                    method=getattr(args, "method", None),
-                    format=args.format,
-                    out=args.out,
-                    include_slow=getattr(args, "include_slow", False))
-    if args.command == "compute":
-        return cmd_compute(args, cfg)
-    if args.command == "table":
-        return cmd_table(args, cfg)
-    if args.command == "verify":
-        return cmd_verify(args, cfg)
-    return _usage_error("unknown command %r" % args.command)
+    command = {"compute": cmd_compute, "table": cmd_table,
+               "verify": cmd_verify}[args.command]
+    try:
+        return command(args)
+    except PrecisionExhaustedError as exc:
+        print("precision exhausted: %s" % exc, file=sys.stderr)
+    except NonConvergenceError as exc:
+        print("no convergence: %s" % exc, file=sys.stderr)
+    except ValueError as exc:
+        return _usage_error(str(exc))
+    return EXIT_PRECISION
 
 
 if __name__ == "__main__":

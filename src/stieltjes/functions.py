@@ -236,8 +236,7 @@ def digamma(u, ctx: PrecisionContext = DEFAULT_CONTEXT,
             val = mp.log(uu) - 1 / (2 * uu) - 2 * res.value
         elif route == "laplace":
             res = integrate_laplace(
-                Integrand1D(eval=binet_kernel,
-                            singularity_note="removable_at_0"),
+                Integrand1D(eval=binet_kernel),
                 uu, ctx)
             val = mp.log(uu) - 1 / (2 * uu) - res.value
         else:
@@ -295,8 +294,7 @@ def log_gamma(u, route: str = "binet2",
                                  "binet2", _quad_diag(res))
         if route == "binet1":
             res = integrate_laplace(
-                Integrand1D(eval=lambda t: binet_kernel(t) / t,
-                            singularity_note="removable_at_0"),
+                Integrand1D(eval=lambda t: binet_kernel(t) / t),
                 uu, ctx)
             return FunctionValue(+(_stirling_main(uu) + res.value),
                                  "binet1", _quad_diag(res))

@@ -1,4 +1,4 @@
-"""Precision policy and elementary multiprecision operations.
+"""Precision policy, digit agreement and the error types.
 
 Everything numerical in this package runs through a PrecisionContext, which
 separates three digit counts:
@@ -15,9 +15,7 @@ ambient ``mp.dps`` happens to be.
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
-from fractions import Fraction
 
 from mpmath import mp, mpf
 
@@ -77,70 +75,13 @@ class PrecisionContext:
         with self.working():
             return mpf(10) ** (5 - self.target_digits)
 
-    @property
-    def eps(self) -> mpf:
-        """Unit roundoff at working precision, 10^-working_digits."""
-        with self.working():
-            return mpf(10) ** (-self.working_digits)
-
     def working(self, extra: int = 0):
         """Context manager pinning mp.dps to working_digits (+ extra)."""
         return mp.workdps(self.working_digits + extra)
 
-    def widened(self, extra: int) -> "PrecisionContext":
-        """Same targets, `extra` more working digits (for inner stages)."""
-        return PrecisionContext(self.working_digits + extra,
-                                self.target_digits, self.guard_digits)
-
 
 #: Module-wide default: 30 trusted digits, 20 guard, 50 working.
 DEFAULT_CONTEXT = PrecisionContext()
-
-
-def to_mp(x, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
-    """Convert int/Fraction/str/mpf to an mpf at working precision.
-
-    Floats are accepted but converted exactly (their binary value), so pass
-    strings for decimal literals that matter.
-    """
-    with ctx.working():
-        if isinstance(x, Fraction):
-            return mpf(x.numerator) / mpf(x.denominator)
-        return mpf(x)
-
-
-def principal_log(z, ctx: PrecisionContext = DEFAULT_CONTEXT):
-    """log z on the principal branch; real positive input gives real output."""
-    with ctx.working():
-        z = mp.mpmathify(z)
-        if mp.im(z) == 0 and mp.re(z) > 0:
-            return mp.log(mp.re(z))
-        return mp.log(z)
-
-
-def arctan_ratio(x, u, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
-    """tan^-1(x/u) for u > 0, x >= 0, always in [0, pi/2).
-
-    Written as atan2 so that tiny u cannot flip the branch.
-    """
-    with ctx.working():
-        x = mpf(x)
-        u = mpf(u)
-        if u <= 0:
-            raise ValueError("arctan_ratio requires u > 0")
-        if x < 0:
-            raise ValueError("arctan_ratio requires x >= 0")
-        return mp.atan2(x, u)
-
-
-def log_power(z, n: int, ctx: PrecisionContext = DEFAULT_CONTEXT):
-    """(log z)^n on the principal branch; n = 0 returns 1 exactly."""
-    if n < 0:
-        raise ValueError("log_power needs n >= 0")
-    with ctx.working():
-        if n == 0:
-            return mpf(1)
-        return principal_log(z, ctx) ** n
 
 
 def agreed_digits(a, b, ctx: PrecisionContext = DEFAULT_CONTEXT) -> int:
@@ -159,9 +100,3 @@ def agreed_digits(a, b, ctx: PrecisionContext = DEFAULT_CONTEXT) -> int:
         d = -mp.log10(diff / scale)
         return max(0, min(ctx.working_digits, int(mp.floor(d))))
 
-
-@contextlib.contextmanager
-def local_dps(dps: int):
-    """Bare mp.dps pin for helpers that take no context."""
-    with mp.workdps(dps):
-        yield

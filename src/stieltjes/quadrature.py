@@ -6,10 +6,12 @@ Two transforms cover everything in this package:
   * exp-sinh on (0,inf):  x(t) = e^((pi/2) sinh t),
 
 each evaluated on a fixed fine grid in t that is cached per working
-precision and shared by every integral at that precision.  A single call
-walks coarse-to-fine strides over the cached grid, reusing integrand
-values across levels, and reports the last level difference as its error
-estimate.
+precision and shared by every integral at that precision.  Every rule,
+1-D and 2-D, hands one driver (_refine) its value on a stride sub-grid of
+the cached grid; the driver halves the stride until two levels agree and
+reports their difference as the error estimate.  The 1-D rules reuse
+integrand values across levels and truncate each level with one outward
+walk (_walk) that stops a side after 3 negligible terms.
 
 The Bose-weight integrator runs two genuinely different evaluations (the
 direct transformed integral, and a mode expansion of the kernel with an
@@ -31,9 +33,6 @@ from .precision import (
 )
 from .series import _bern_mpf
 
-SINGULARITY_NOTES = ("regular_at_0", "removable_at_0", "integrable_at_0",
-                     "log_growth_at_infinity")
-
 
 @dataclass
 class Integrand1D:
@@ -48,13 +47,8 @@ class Integrand1D:
     """
 
     eval: Callable
-    singularity_note: str = "regular_at_0"
     eval_with_complement: Optional[Callable] = None
     oscillatory: bool = False
-
-    def __post_init__(self):
-        if self.singularity_note not in SINGULARITY_NOTES:
-            raise ValueError("unknown singularity_note %r" % self.singularity_note)
 
 
 @dataclass
@@ -156,62 +150,81 @@ def _bose_qs(tab: _NodeTable) -> list:
 
 
 # ---------------------------------------------------------------------------
-# core stride walker
+# refinement driver and outward walk
 # ---------------------------------------------------------------------------
 
-def _level_sum(fvals: list, feval, tab: _NodeTable, stride: int, eps_term):
-    """h*stride * sum f(x_i) w_i over the stride sub-grid, walking outward
-    from the center and stopping a side after 3 negligible terms."""
-    mid = len(tab.xs) // 2
-    total = mpf(0)
-    used = 0
+def _refine(level, strides, tol):
+    """Coarse-to-fine refinement shared by every rule.
 
-    def node_term(i):
-        nonlocal used
-        v = fvals[i]
-        if v is None:
-            v = feval(i)
-            fvals[i] = v
-            used += 1
-        return v * tab.ws[i]
-
-    total += node_term(mid)
-    for direction in (1, -1):
-        small = 0
-        i = mid + direction * stride
-        while 0 <= i < len(tab.xs):
-            term = node_term(i)
-            total += term
-            if abs(term) < eps_term:
-                small += 1
-                if small >= 3:
-                    break
-            else:
-                small = 0
-            i += direction * stride
-    return total * tab.h * stride, used
-
-
-def _integrate_on_table(feval, tab: _NodeTable, tol, dps) -> QuadratureResult:
-    fvals: list = [None] * len(tab.xs)
-    eps_term = tol * mpf(10) ** (-6)
-    stride = 1 << (_finest_level(dps) - 2)
-    prev = None
-    used_total = 0
-    err = None
-    while stride >= 1:
-        val, used = _level_sum(fvals, feval, tab, stride, eps_term)
-        used_total += used
+    level(stride) is the rule's value on one stride sub-grid of a node
+    table; strides run coarse to fine.  Returns (value, error, stride,
+    settled) for the first level whose difference from the level before
+    is below tol (relative once |value| > 1), or for the finest level
+    with settled False when no level gets there.
+    """
+    prev = err = None
+    for stride in strides:
+        val = level(stride)
         if prev is not None:
             err = abs(val - prev)
             if err < tol * max(1, abs(val)):
-                return QuadratureResult(value=+val, error_estimate=+err,
-                                        nodes_used=used_total)
+                return val, err, stride, True
         prev = val
-        stride //= 2
-    raise NonConvergenceError(
+    return val, err, stride, False
+
+
+def _strides(dps: int) -> list:
+    """1-D strides over the finest table: h = 1/4 down to the finest step."""
+    return [1 << k for k in range(_finest_level(dps) - 2, -1, -1)]
+
+
+def _stalled(err, tol) -> NonConvergenceError:
+    return NonConvergenceError(
         "quadrature stalled: level difference %s above tol %s"
-        % (mp.nstr(err, 3) if err is not None else "n/a", mp.nstr(tol, 3)))
+        % (mp.nstr(err, 3), mp.nstr(tol, 3)))
+
+
+def _walk(tab: _NodeTable, stride: int, term, eps) -> list:
+    """Indices of the stride sub-grid, from the center outward: the center,
+    then the right side, then the left, each side stopped after 3
+    consecutive nodes with |term(i)| < eps."""
+    mid = len(tab.xs) // 2
+    idxs = [mid]
+    for step in (stride, -stride):
+        small = 0
+        i = mid + step
+        while 0 <= i < len(tab.xs) and small < 3:
+            idxs.append(i)
+            small = small + 1 if abs(term(i)) < eps else 0
+            i += step
+    return idxs
+
+
+def _integrate_on_table(feval, tab: _NodeTable, tol, dps):
+    """h sum f(x_i) w_i refined over the table; returns the result and the
+    stride it settled on.  Each f value is computed once and reused by
+    every finer level."""
+    terms: list = [None] * len(tab.xs)
+    eps_term = tol * mpf(10) ** (-6)
+
+    def term(i):
+        t = terms[i]
+        if t is None:
+            t = terms[i] = feval(i) * tab.ws[i]
+        return t
+
+    def level(stride):
+        total = mpf(0)
+        for i in _walk(tab, stride, term, eps_term):
+            total += term(i)
+        return total * tab.h * stride
+
+    val, err, stride, settled = _refine(level, _strides(dps), tol)
+    if not settled:
+        raise _stalled(err, tol)
+    used = sum(t is not None for t in terms)
+    return QuadratureResult(value=+val, error_estimate=+err,
+                            nodes_used=used), stride
 
 
 def _default_tol(ctx: PrecisionContext):
@@ -230,7 +243,7 @@ def tanh_sinh_01(f: Integrand1D, ctx: PrecisionContext = DEFAULT_CONTEXT,
             feval = lambda i: f.eval_with_complement(tab.xs[i], tab.xcs[i])
         else:
             feval = lambda i: f.eval(tab.xs[i])
-        return _integrate_on_table(feval, tab, tol, dps)
+        return _integrate_on_table(feval, tab, tol, dps)[0]
 
 
 def exp_sinh_0inf(f: Integrand1D, ctx: PrecisionContext = DEFAULT_CONTEXT,
@@ -241,7 +254,7 @@ def exp_sinh_0inf(f: Integrand1D, ctx: PrecisionContext = DEFAULT_CONTEXT,
         tol = _default_tol(ctx) if tol is None else mpf(tol)
         tab = _get_table("es0inf", dps)
         feval = lambda i: f.eval(tab.xs[i])
-        return _integrate_on_table(feval, tab, tol, dps)
+        return _integrate_on_table(feval, tab, tol, dps)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -251,28 +264,9 @@ def exp_sinh_0inf(f: Integrand1D, ctx: PrecisionContext = DEFAULT_CONTEXT,
 def _bose_direct(g: Integrand1D, tab: _NodeTable, tol, dps):
     """Direct transformed integral; also reports the stride it settled on."""
     two_pi = 2 * mp.pi
-    fvals: list = [None] * len(tab.xs)
-    eps_term = tol * mpf(10) ** (-6)
-
-    def feval(i):
-        x = tab.xs[i]
-        return g.eval(x) / mp.expm1(two_pi * x)
-
-    stride = 1 << (_finest_level(dps) - 2)
-    prev = None
-    used_total = 0
-    while stride >= 1:
-        val, used = _level_sum(fvals, feval, tab, stride, eps_term)
-        used_total += used
-        if prev is not None:
-            err = abs(val - prev)
-            if err < tol * max(1, abs(val)):
-                res = QuadratureResult(value=+val, error_estimate=+err,
-                                       nodes_used=used_total)
-                return res, stride
-        prev = val
-        stride //= 2
-    raise NonConvergenceError("bose direct route stalled")
+    return _integrate_on_table(
+        lambda i: g.eval(tab.xs[i]) / mp.expm1(two_pi * tab.xs[i]),
+        tab, tol, dps)
 
 
 class _BoseKernelSums:
@@ -307,39 +301,18 @@ class _BoseKernelSums:
             self.evals += 1
         return v
 
-    def _window(self, stride: int) -> list:
-        """Active node indices, truncated on the n = 1 mode terms.
-
-        The 1/(2 pi x) factor of the closing integral term is folded into
-        the truncation test so the small-x tail is not cut prematurely.
-        """
-        tab = self.tab
-        mid = len(tab.xs) // 2
-        two_pi = 2 * mp.pi
-        idxs = [mid]
-        for direction in (1, -1):
-            small = 0
-            i = mid + direction * stride
-            while 0 <= i < len(tab.xs):
-                x = tab.xs[i]
-                weight = tab.ws[i] * (1 + 1 / (two_pi * x))
-                term = abs(self._gval(i) * self.qs[i] * weight)
-                idxs.append(i)
-                if term < self.eps_term:
-                    small += 1
-                    if small >= 3:
-                        break
-                else:
-                    small = 0
-                i += direction * stride
-        idxs.sort()
-        return idxs
-
     def value(self, stride: int):
         tab = self.tab
         qs = self.qs
         two_pi = 2 * mp.pi
-        idxs = self._window(stride)
+        # window truncated on the n = 1 mode terms; the 1/(2 pi x) factor
+        # of the closing integral term is folded into the test so the
+        # small-x tail is not cut prematurely
+        idxs = sorted(_walk(
+            tab, stride,
+            lambda i: self._gval(i) * qs[i]
+            * (tab.ws[i] * (1 + 1 / (two_pi * tab.xs[i]))),
+            self.eps_term))
         hs = tab.h * stride
         N = self.n_modes
         acc = mpf(0)
@@ -398,20 +371,10 @@ def integrate_bose(g: Integrand1D, ctx: PrecisionContext = DEFAULT_CONTEXT,
         n_modes = max(20, int(0.8 * ctx.working_digits))
         kern = _BoseKernelSums(g, tab, tol, n_modes)
         if g.oscillatory:
-            stride = 1 << (_finest_level(dps) - 2)
-            prev = None
-            err = None
-            while stride >= 1:
-                val = kern.value(stride)
-                if prev is not None:
-                    err = abs(val - prev)
-                    if err < tol * max(1, abs(val)):
-                        return QuadratureResult(+val, +err, kern.evals)
-                prev = val
-                stride //= 2
-            raise NonConvergenceError(
-                "bose kernel route stalled: level difference %s"
-                % (mp.nstr(err, 3) if err is not None else "n/a"))
+            val, err, _, settled = _refine(kern.value, _strides(dps), tol)
+            if not settled:
+                raise _stalled(err, tol)
+            return QuadratureResult(+val, +err, kern.evals)
         direct, stride = _bose_direct(g, tab, tol, dps)
         kval = kern.value(stride)
         diff = abs(direct.value - kval)
@@ -431,9 +394,7 @@ def integrate_laplace(h: Integrand1D, u, ctx: PrecisionContext = DEFAULT_CONTEXT
         uu = mpf(u)
         if uu <= 0:
             raise ValueError("integrate_laplace requires u > 0")
-        inner = Integrand1D(
-            eval=lambda t: h.eval(t) * mp.exp(-uu * t),
-            singularity_note=h.singularity_note)
+        inner = Integrand1D(eval=lambda t: h.eval(t) * mp.exp(-uu * t))
         return exp_sinh_0inf(inner, ctx, tol)
 
 
@@ -472,6 +433,7 @@ def integrate_unit_square(f2: Integrand2D,
 
         lvl_fin = _finest_level(dps)
         mid = len(tab.xs) // 2
+        used = 0
 
         def window(stride):
             idxs = []
@@ -487,74 +449,31 @@ def integrate_unit_square(f2: Integrand2D,
             return idxs
 
         def level_value(stride):
+            nonlocal used
             idxs = window(stride)
             hs = tab.h * stride
             total = mpf(0)
-            count = 0
             if f2.symmetric:
+                used += len(idxs) * (len(idxs) + 1) // 2
                 for pos, i in enumerate(idxs):
                     xi, xci, wi = tab.xs[i], tab.xcs[i], tab.ws[i]
                     row = mpf(0)
                     for j in idxs[:pos]:
                         row += fxy(xi, tab.xs[j], xci, tab.xcs[j]) * tab.ws[j]
-                        count += 1
                     total += 2 * row * wi
                     total += fxy(xi, xi, xci, xci) * wi * wi
-                    count += 1
-                return total * hs * hs, count
+                return total * hs * hs
+            used += len(idxs) ** 2
             for i in idxs:
                 xi, xci, wi = tab.xs[i], tab.xcs[i], tab.ws[i]
                 row = mpf(0)
                 for j in idxs:
                     row += fxy(xi, tab.xs[j], xci, tab.xcs[j]) * tab.ws[j]
-                    count += 1
                 total += row * wi
-            return total * hs * hs, count
+            return total * hs * hs
 
-        used = 0
-        prev = None
-        err = None
-        val = None
-        for lshift in (5, 6, 7):  # h = 1/32, 1/64, then 1/128 if undecided
-            stride = 1 << (lvl_fin - lshift)
-            val, cnt = level_value(stride)
-            used += cnt
-            if prev is not None:
-                err = abs(val - prev)
-                if err < tol * max(1, abs(val)):
-                    return QuadratureResult(+val, +err, used)
-            prev = val
-        if err is None:
-            raise NonConvergenceError("no 2-D refinement happened")
+        # h = 1/32, 1/64, then 1/128; an undecided 1/128 level is returned
+        # with its difference from 1/64 as the error estimate
+        val, err, _, _ = _refine(
+            level_value, [1 << (lvl_fin - s) for s in (5, 6, 7)], tol)
         return QuadratureResult(+val, +err, used)
-
-
-# ---------------------------------------------------------------------------
-# Abel-Plana
-# ---------------------------------------------------------------------------
-
-def abel_plana_sum(f_at_u, im_f, u, main_integral=None,
-                   f_line: Optional[Integrand1D] = None,
-                   ctx: PrecisionContext = DEFAULT_CONTEXT, tol=None):
-    """sum_{k>=0} f(u+k) = f(u)/2 + int_u^inf f - 2 int_0^inf Im f(u+ix) B(x) dx
-
-    with B the Bose kernel.  im_f is a callable (or Integrand1D) giving
-    Im f(u+ix) as a real function of x.  The middle term is taken from
-    main_integral when the caller has it in closed form (mandatory when
-    the line integral only exists by analytic continuation, e.g. zeta at
-    negative s); otherwise f_line is integrated numerically over (u, inf).
-    """
-    with ctx.working(10):
-        if not isinstance(im_f, Integrand1D):
-            im_f = Integrand1D(eval=im_f)
-        if main_integral is None:
-            if f_line is None:
-                raise ValueError("need main_integral or f_line")
-            shifted = Integrand1D(
-                eval=lambda t: f_line.eval(t + mpf(u)),
-                singularity_note=f_line.singularity_note)
-            main = exp_sinh_0inf(shifted, ctx, tol).value
-        else:
-            main = mpf(main_integral)
-        corr = integrate_bose(im_f, ctx, tol).value
-        return mpf(f_at_u) / 2 + main - 2 * corr

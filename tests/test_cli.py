@@ -10,7 +10,10 @@ import json
 import pytest
 from mpmath import mp, mpf
 
+from stieltjes import catalog
+from stieltjes import functions as F
 from stieltjes.cli import main
+from stieltjes.precision import NonConvergenceError
 
 GAMMA_STR = "0.5772156649015328606065120900824024310421593359399"
 
@@ -70,10 +73,25 @@ class TestCompute:
         assert "precision exhausted" in err
 
     def test_bad_domain_maps_to_exit_2(self, capsys):
-        code, _, err = run(capsys, [
-            "compute", "gamma_n", "--n", "1", "--u", "-1"])
-        assert code == 2
-        assert err.strip()
+        # non-finite numbers are refused before any route starts: a stalled
+        # quadrature would exit 3, not 2
+        for argv in (["gamma_n", "--n", "1", "--u", "-1"],
+                     ["gamma_n", "--u", "nan", "--digits", "15"],
+                     ["gamma_n", "--u", "inf", "--digits", "15"],
+                     ["hurwitz_zeta", "--s", "nan", "--digits", "15"],
+                     ["barnes_g", "--t", "inf", "--digits", "15"]):
+            code, _, err = run(capsys, ["compute"] + argv)
+            assert code == 2, argv
+            assert err.strip(), argv
+
+    def test_non_convergence_maps_to_exit_3(self, capsys, monkeypatch):
+        def stall(*args, **kwargs):
+            raise NonConvergenceError("quadrature stalled: forced")
+        monkeypatch.setattr(F, "digamma", stall)
+        code, out, err = run(capsys, ["compute", "digamma", "--u", "2"])
+        assert code == 3
+        assert out == ""
+        assert "quadrature stalled: forced" in err
 
     def test_unknown_method_maps_to_exit_2(self, capsys):
         code, _, err = run(capsys, [
@@ -151,17 +169,25 @@ class TestVerify:
             payload["entries"][0].pop("elapsed_ms")
         assert outs[0] == outs[1]
 
-    def test_failing_entry_sets_exit_1(self, capsys):
-        # the hasse bridge entry passes at the default tolerance; the check
-        # here is just that a clean run exits 0 and csv parses
+    def test_failing_entry_sets_exit_1(self, capsys, monkeypatch):
+        # a deliberately false entry, 1 = 2, registered for this test only;
+        # the registry is built first so the patch cannot swallow it
+        catalog.all_entries()
+        wrong = catalog.IdentityEntry(
+            id="X-false", description="deliberately false: 1 = 2",
+            paper_anchor="X-false", lhs=lambda ctx: mpf(1),
+            rhs=lambda ctx: mpf(2), lhs_route="one", rhs_route="two",
+            tags=frozenset({"series"}))
+        monkeypatch.setattr(catalog, "_REGISTRY",
+                            catalog._REGISTRY + [wrong])
         code, out, _ = run(capsys, [
-            "verify", "--id", "I-5.1d", "--format", "csv"])
-        assert code == 0
+            "verify", "--id", "X-false", "--format", "csv"])
+        assert code == 1
         rows = list(csv.reader(io.StringIO(out)))
         assert rows[0] == ["id", "paper_anchor", "lhs", "rhs",
                            "abs_error", "tolerance", "pass", "elapsed_ms"]
-        assert rows[1][0] == "I-5.1d"
-        assert rows[1][6] == "True"
+        assert rows[1][0] == "X-false"
+        assert rows[1][6] == "False"
 
     def test_unknown_tag_or_id_maps_to_exit_2(self, capsys):
         code, _, err = run(capsys, ["verify", "--id", "nonsense"])

@@ -294,8 +294,7 @@ class TestSinCosIntegrals:
         with CTX.working():
             Si, _, _ = F.sin_cos_integrals(2, CTX)
             ref = tanh_sinh_01(Integrand1D(
-                eval=lambda v: mp.sin(2 * v) / v,
-                singularity_note="removable_at_0"), CTX).value
+                eval=lambda v: mp.sin(2 * v) / v), CTX).value
             assert abs(Si - ref) < TOL
 
     def test_ci_against_direct_quadrature(self):
@@ -304,8 +303,7 @@ class TestSinCosIntegrals:
         with CTX.working():
             _, _, Ci = F.sin_cos_integrals(2, CTX)
             ref = mpf(GAMMA_STR) + mp.log(2) + tanh_sinh_01(Integrand1D(
-                eval=lambda v: (mp.cos(2 * v) - 1) / v,
-                singularity_note="removable_at_0"), CTX).value
+                eval=lambda v: (mp.cos(2 * v) - 1) / v), CTX).value
             assert abs(Ci - ref) < TOL
 
     def test_si_is_si_minus_half_pi(self):

@@ -7,11 +7,6 @@ from stieltjes.precision import (
     DEFAULT_CONTEXT,
     PrecisionContext,
     agreed_digits,
-    arctan_ratio,
-    local_dps,
-    log_power,
-    principal_log,
-    to_mp,
 )
 
 
@@ -55,47 +50,6 @@ def test_working_context_manager_sets_and_restores():
             assert mp.dps == 60
         assert mp.dps == 50
     assert mp.dps == before
-
-
-def test_widened_keeps_targets():
-    w = DEFAULT_CONTEXT.widened(25)
-    assert w.working_digits == 75
-    assert w.target_digits == DEFAULT_CONTEXT.target_digits
-    assert w.guard_digits == DEFAULT_CONTEXT.guard_digits
-
-
-def test_local_dps_restores():
-    before = mp.dps
-    with local_dps(before + 37):
-        assert mp.dps == before + 37
-    assert mp.dps == before
-
-
-def test_to_mp_parses_strings_exactly():
-    with DEFAULT_CONTEXT.working():
-        assert to_mp("0.5") == mpf(1) / 2
-        assert abs(to_mp("1e-40") - mpf(10) ** -40) < mpf(10) ** -80
-
-
-def test_principal_log():
-    with DEFAULT_CONTEXT.working():
-        assert abs(principal_log(mp.e) - 1) < mpf(10) ** -45
-        v = principal_log(-1)
-        assert abs(mp.im(v) - mp.pi) < mpf(10) ** -45
-
-
-def test_arctan_ratio_matches_atan2():
-    with DEFAULT_CONTEXT.working():
-        for x, u in [(1, 1), (3, 2), (mpf("0.1"), mpf("7"))]:
-            assert abs(arctan_ratio(x, u) - mp.atan2(mpf(x), mpf(u))) \
-                < mpf(10) ** -45
-
-
-def test_log_power():
-    with DEFAULT_CONTEXT.working():
-        v = log_power(mpf(10), 3)
-        assert abs(v - mp.log(10) ** 3) < mpf(10) ** -45
-        assert log_power(mpf(5), 0) == 1
 
 
 class TestAgreedDigits:

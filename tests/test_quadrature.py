@@ -4,14 +4,12 @@ Every rule is exercised on integrals whose values are elementary, so a
 failure points at the rule rather than at the function layer built on it.
 """
 
-import pytest
 from mpmath import mp, mpf
 
 from stieltjes.precision import DEFAULT_CONTEXT as CTX
 from stieltjes.quadrature import (
     Integrand1D,
     Integrand2D,
-    abel_plana_sum,
     exp_sinh_0inf,
     integrate_bose,
     integrate_laplace,
@@ -26,15 +24,13 @@ class TestTanhSinh01:
     def test_inverse_sqrt_endpoint_singularity(self):
         with CTX.working():
             r = tanh_sinh_01(Integrand1D(
-                eval=lambda x: 1 / mp.sqrt(x),
-                singularity_note="integrable_at_0"), CTX)
+                eval=lambda x: 1 / mp.sqrt(x)), CTX)
             assert abs(r.value - 2) < TOL
 
     def test_log_singularity(self):
         with CTX.working():
             r = tanh_sinh_01(Integrand1D(
-                eval=lambda x: mp.log(x),
-                singularity_note="integrable_at_0"), CTX)
+                eval=lambda x: mp.log(x)), CTX)
             assert abs(r.value + 1) < TOL
 
     def test_complement_form_resolves_right_endpoint(self):
@@ -109,8 +105,7 @@ class TestLaplace:
         # int e^-t (1 - e^-t)/t dt = log 2
         with CTX.working():
             r = integrate_laplace(Integrand1D(
-                eval=lambda t: -mp.expm1(-t) / t,
-                singularity_note="removable_at_0"), mpf(1), CTX)
+                eval=lambda t: -mp.expm1(-t) / t), mpf(1), CTX)
             assert abs(r.value - mp.log(2)) < TOL
 
 
@@ -136,21 +131,3 @@ class TestUnitSquare:
                                                   symmetric=True), CTX)
             assert abs(a.value - b.value) < mpf(10) ** -20
             assert abs(a.value - mpf(2) / 3) < mpf(10) ** -10
-
-
-class TestAbelPlana:
-    def test_zeta3(self):
-        # f(z) = 1/z^3 summed from 1: Im f(1+ix) and the closed main term
-        with CTX.working():
-            def im_f(x):
-                d = (1 + x * x) ** 3
-                return (x ** 3 - 3 * x) / d
-            v = abel_plana_sum(
-                f_at_u=1, im_f=im_f, u=1,
-                main_integral=mpf(1) / 2, ctx=CTX)
-            ref = mpf("1.2020569031595942853997381615114499907649862923405")
-            assert abs(v - ref) < TOL
-
-    def test_requires_a_main_term(self):
-        with pytest.raises(ValueError):
-            abel_plana_sum(f_at_u=1, im_f=lambda x: x, u=1, ctx=CTX)

@@ -7,7 +7,11 @@ import pytest
 from mpmath import mp, mpf
 
 from stieltjes.precision import DEFAULT_CONTEXT as CTX
-from stieltjes.precision import agreed_digits
+from stieltjes.precision import (
+    NonConvergenceError,
+    PrecisionContext,
+    agreed_digits,
+)
 from stieltjes import series
 
 # literature values, 40+ digits, used as frozen references
@@ -84,6 +88,17 @@ class TestOracle:
             series.stieltjes_oracle_table(-1, 1, CTX)
         with pytest.raises(ValueError):
             series.limit_stieltjes_oracle(0, -2, CTX)
+        for u in ("nan", "inf"):
+            with pytest.raises(ValueError):
+                series.stieltjes_oracle_table(0, mpf(u), CTX)
+
+    def test_nan_fails_the_self_check(self, monkeypatch):
+        # a NaN at N and 2N must fail the N-vs-2N check, not pass it
+        monkeypatch.setattr(series, "_oracle_correction",
+                            lambda n, u, N, j_cap: mp.nan)
+        ctx = PrecisionContext.for_digits(10)
+        with pytest.raises(NonConvergenceError):
+            series.stieltjes_oracle_table(0, mpf("0.375"), ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -237,9 +252,3 @@ def test_kanemitsu_sum_depth_stable():
         a = series.kanemitsu_sum(CTX, N=40)
         b = series.kanemitsu_sum(CTX, N=80)
         assert abs(a - b) < mpf(10) ** -40
-
-
-def test_plouffe_zeta3_matches_em():
-    with CTX.working():
-        assert abs(series.plouffe_zeta3(CTX)
-                   - series.riemann_zeta_em(3, 0, CTX)) < tol(40)
