@@ -334,9 +334,10 @@ def register_builtin_entries() -> None:
         return mp.log(2 * mp.pi) / 2 - F.log_gamma(1, "binet2", ctx).value
 
     def rhs_22(ctx):
+        gammas = series.stieltjes_oracle_table(26, 1, ctx)
         acc = mpf(1)
         for n in range(0, 26):
-            acc += _gam(n + 1, 1, ctx) / mp.factorial(n)
+            acc += gammas[n + 1] / mp.factorial(n)
         return acc
 
     register(E(

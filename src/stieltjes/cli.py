@@ -163,11 +163,11 @@ def cmd_table(args: argparse.Namespace) -> int:
         return _usage_error("--first must be between 1 and 25")
     ctx = PrecisionContext.for_digits(args.digits)
     with ctx.working():
-        rows = []
-        for n in range(args.first):
-            a = series.limit_stieltjes_oracle(n, 1, ctx)
-            b = series.stieltjes_from_altzeta(n, ctx)
-            rows.append((n, _fmt(a, args.digits), agreed_digits(a, b, ctx)))
+        # one call per route: asking order by order redoes each pass
+        oracle = series.stieltjes_oracle_table(args.first - 1, 1, ctx)
+        altzeta = series.stieltjes_altzeta_table(args.first - 1, ctx)
+        rows = [(n, _fmt(a, args.digits), agreed_digits(a, b, ctx))
+                for n, (a, b) in enumerate(zip(oracle, altzeta))]
 
     if args.format == "json":
         payload = {

@@ -153,8 +153,8 @@ def _stieltjes_coffey(n: int, u, ctx: PrecisionContext) -> FunctionValue:
     """
     with ctx.working(10):
         uu = mpf(u)
-        if uu <= 0:
-            raise ValueError("coffey route requires u > 0")
+        if not 0 < uu < mp.inf:
+            raise ValueError("coffey route requires finite u > 0")
         u2 = uu * uu
 
         def g(x):
@@ -227,8 +227,8 @@ def digamma(u, ctx: PrecisionContext = DEFAULT_CONTEXT,
     """
     with ctx.working(10):
         uu = mpf(u)
-        if uu <= 0:
-            raise ValueError("digamma requires u > 0")
+        if not 0 < uu < mp.inf:
+            raise ValueError("digamma requires finite u > 0")
         if route == "bose":
             u2 = uu * uu
             res = integrate_bose(
@@ -249,8 +249,8 @@ def trigamma(u, ctx: PrecisionContext = DEFAULT_CONTEXT) -> FunctionValue:
     """psi'(u) = 1/u + 1/(2u^2) + 4u int x/((u^2+x^2)^2 B) dx, u > 0."""
     with ctx.working(10):
         uu = mpf(u)
-        if uu <= 0:
-            raise ValueError("trigamma requires u > 0")
+        if not 0 < uu < mp.inf:
+            raise ValueError("trigamma requires finite u > 0")
         u2 = uu * uu
         res = integrate_bose(
             Integrand1D(eval=lambda x: x / (u2 + x * x) ** 2), ctx)
@@ -371,8 +371,8 @@ def hurwitz_zeta(s, u, ctx: PrecisionContext = DEFAULT_CONTEXT) -> FunctionValue
     with ctx.working(10):
         s = mpf(s)
         uu = mpf(u)
-        if uu <= 0:
-            raise ValueError("hurwitz_zeta requires u > 0")
+        if not 0 < uu < mp.inf:
+            raise ValueError("hurwitz_zeta requires finite u > 0")
         if s == 1:
             raise ValueError("pole at s = 1")
         u2 = uu * uu
@@ -402,8 +402,8 @@ def hurwitz_zeta_sderiv(order: int, s, u,
     with ctx.working(10):
         s = mpf(s)
         uu = mpf(u)
-        if uu <= 0:
-            raise ValueError("hurwitz_zeta_sderiv requires u > 0")
+        if not 0 < uu < mp.inf:
+            raise ValueError("hurwitz_zeta_sderiv requires finite u > 0")
         if s == 1:
             raise ValueError("pole at s = 1")
         u2 = uu * uu

@@ -209,7 +209,9 @@ def stieltjes_oracle_table(n_max: int, u,
     high orders.
 
     Results are memoized per (u, working precision); repeated catalog
-    entries asking for gamma or gamma_1 do not redo the 2N-term pass.
+    entries asking for gamma or gamma_1 do not redo the 2N-term pass.  A
+    larger n_max than the cached table is a new pass, so callers that need
+    several orders should ask for the whole range once.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
@@ -622,8 +624,8 @@ def alt_zeta_hasse(s, u=1, ctx: PrecisionContext = DEFAULT_CONTEXT):
     with ctx.working(extra):
         s = mpf(s)
         uu = mpf(u)
-        if uu <= 0:
-            raise ValueError("alt_zeta_hasse requires u > 0")
+        if not 0 < uu < mp.inf:
+            raise ValueError("alt_zeta_hasse requires finite u > 0")
         vals = [mp.power(uu + j, -s) for j in range(depth + 1)]
         total, diag = _altzeta_binomial_sum(vals)
         if diag.tail_estimate is not None and \
@@ -652,28 +654,36 @@ def alt_zeta_log_moment(k: int, ctx: PrecisionContext = DEFAULT_CONTEXT):
         return +total
 
 
-def stieltjes_from_altzeta(n: int, ctx: PrecisionContext = DEFAULT_CONTEXT):
-    """gamma_n (u = 1) from the log-moments S_1..S_{n+1}.
+def stieltjes_altzeta_table(n_max: int,
+                            ctx: PrecisionContext = DEFAULT_CONTEXT) -> list:
+    """gamma_0 .. gamma_nmax (u = 1) from the log-moments S_1..S_{nmax+1}.
 
     Solves the triangular relation
 
       S_{m+1} = log^{m+2} 2/(m+2)
                 - sum_{k<=m} C(m+1,k) gamma_k log^{m+1-k} 2
 
-    upward from m = 0; each step divides by (m+1) log 2.
+    upward from m = 0; each step divides by (m+1) log 2.  Every moment is
+    computed once, so callers that need several orders should ask for the
+    whole range here rather than order by order.
     """
-    if n < 0:
-        raise ValueError("stieltjes_from_altzeta needs n >= 0")
+    if n_max < 0:
+        raise ValueError("stieltjes_altzeta_table needs n_max >= 0")
     with ctx.working(10):
         l2 = mp.log(2)
         gammas: list = []
-        for m in range(n + 1):
+        for m in range(n_max + 1):
             S = alt_zeta_log_moment(m + 1, ctx)
             rhs = l2 ** (m + 2) / (m + 2) - S
             for k in range(m):
                 rhs -= math.comb(m + 1, k) * gammas[k] * l2 ** (m + 1 - k)
             gammas.append(rhs / ((m + 1) * l2))
-        return +gammas[n]
+        return gammas
+
+
+def stieltjes_from_altzeta(n: int, ctx: PrecisionContext = DEFAULT_CONTEXT):
+    """gamma_n (u = 1), single value; see stieltjes_altzeta_table."""
+    return stieltjes_altzeta_table(n, ctx)[n]
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from mpmath import mp, mpf
 
 from stieltjes import catalog
 from stieltjes import functions as F
+from stieltjes import series
 from stieltjes.cli import main
 from stieltjes.precision import NonConvergenceError
 
@@ -133,6 +134,40 @@ class TestTable:
         code, _, err = run(capsys, ["table", "--first", "26"])
         assert code == 2
         assert err.strip()
+
+    def test_each_route_runs_once_for_the_whole_table(self, capsys,
+                                                      monkeypatch):
+        # one oracle pass (a correction at N and at 2N per order) and one
+        # moment per order; asking row by row makes 20 and 10
+        counts = {"correction": 0, "moment": 0}
+
+        def counting(key, fn):
+            def wrapped(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+        monkeypatch.setattr(series, "_ORACLE_CACHE", {})
+        monkeypatch.setattr(series, "_oracle_correction",
+                            counting("correction", series._oracle_correction))
+        monkeypatch.setattr(series, "alt_zeta_log_moment",
+                            counting("moment", series.alt_zeta_log_moment))
+        code, _, _ = run(capsys, ["table", "--first", "4", "--digits", "15"])
+        assert code == 0
+        assert counts == {"correction": 8, "moment": 4}
+
+    def test_routes_disagreeing_maps_to_exit_3(self, capsys, monkeypatch):
+        table = series.stieltjes_altzeta_table
+
+        def shifted(n_max, ctx):
+            rows = table(n_max, ctx)
+            rows[2] += mpf("1e-10")
+            return rows
+        monkeypatch.setattr(series, "stieltjes_altzeta_table", shifted)
+        code, out, err = run(capsys, [
+            "table", "--first", "3", "--digits", "15", "--format", "csv"])
+        assert code == 3
+        assert len(out.splitlines()) == 4
+        assert "rows below 15 agreed digits: [2]" in err
 
 
 # ---------------------------------------------------------------------------

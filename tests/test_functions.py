@@ -374,6 +374,28 @@ class TestStieltjesDispatch:
             F.stieltjes(0, 1, "bogus", CTX)
 
 
+def test_non_finite_u_is_rejected_before_any_quadrature(monkeypatch):
+    # NaN passes a bare `u <= 0` check and would run the whole Bose
+    # quadrature before stalling; every entry point must refuse it up front
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("quadrature reached with a non-finite u")
+    monkeypatch.setattr(F, "integrate_bose", no_quadrature)
+    monkeypatch.setattr(F, "integrate_laplace", no_quadrature)
+    calls = (
+        lambda u: F.digamma(u, CTX),
+        lambda u: F.digamma(u, CTX, "laplace"),
+        lambda u: F.trigamma(u, CTX),
+        lambda u: F.hurwitz_zeta(2, u, CTX),
+        lambda u: F.hurwitz_zeta_sderiv(1, 0, u, CTX),
+        lambda u: F.stieltjes(0, u, "coffey_integral", CTX),
+        lambda u: series.alt_zeta_hasse(1, u, CTX),
+    )
+    for call in calls:
+        for u in (mp.nan, mp.inf):
+            with pytest.raises(ValueError):
+                call(u)
+
+
 def test_polylog_bose_matches_direct_sum():
     with CTX.working():
         ref = sum(1 / (mpf(n) ** 2 * mp.expm1(2 * mp.pi * n))

@@ -83,6 +83,17 @@ class TestOracle:
         b = series.stieltjes_oracle_table(3, 1, CTX)
         assert a == b
 
+    def test_larger_table_extends_smaller(self, monkeypatch):
+        # a larger n_max runs at more working digits; the shared orders
+        # must still agree to the working precision
+        monkeypatch.setattr(series, "_ORACLE_CACHE", {})
+        big = series.stieltjes_oracle_table(5, 1, CTX)
+        monkeypatch.setattr(series, "_ORACLE_CACHE", {})
+        small = series.stieltjes_oracle_table(2, 1, CTX)
+        with CTX.working():
+            for a, b in zip(big[:3], small):
+                assert abs(a - b) <= mpf(10) ** -CTX.working_digits
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             series.stieltjes_oracle_table(-1, 1, CTX)
@@ -217,6 +228,12 @@ class TestAltZeta:
                            (2, GAMMA2_STR)):
                 v = series.stieltjes_from_altzeta(n, CTX)
                 assert abs(v - mpf(ref)) < tol(40)
+
+    def test_table_is_bit_identical_to_single_orders(self):
+        table = series.stieltjes_altzeta_table(5, CTX)
+        assert len(table) == 6
+        for k in range(6):
+            assert table[k] == series.stieltjes_from_altzeta(k, CTX)
 
     def test_rejects_bad_u(self):
         with pytest.raises(ValueError):
