@@ -1008,11 +1008,15 @@ def register_builtin_entries() -> None:
         tags=S))
 
     def lhs_92(ctx):
-        def f92(x, y, xc, yc):
-            R = F.one_over_log_kernel(y, yc)
+        def node(x, xc):
+            return x, xc, mp.log(x), F.one_over_log_kernel(x, xc)
+
+        def pair(p, q):
+            _, xc, lx, _ = p
+            y, yc, _, R = q
             den = 1 - xc * y
-            return mp.log(x) * yc * R / (den * den)
-        return integrate_unit_square(Integrand2D(eval_full=f92), ctx,
+            return lx * yc * R / (den * den)
+        return integrate_unit_square(Integrand2D(node, pair), ctx,
                                      tol=mpf("1e-9")).value
 
     register(E(
@@ -1047,17 +1051,20 @@ def register_builtin_entries() -> None:
         tags=Q))
 
     def lhs_94a(ctx):
-        def f94(x, y, xc, yc):
-            a, b = xc, yc
-            den = a + b - a * b
-            la, lb = mp.log1p(-a), mp.log1p(-b)
+        def node(x, xc):
+            la = mp.log1p(-xc)
+            return xc, la, la + xc, F.one_over_log_kernel(x, xc)
+
+        def pair(p, q):
+            a, la, pa, Rx = p
+            b, lb, pb, Ry = q
+            ab = a * b
+            den = a + b - ab
             Qv = (la + lb) / den
-            Qp1 = ((la + a) + (lb + b) - a * b) / den
-            Rx = F.one_over_log_kernel(x, a)
-            Ry = F.one_over_log_kernel(y, b)
-            return Qp1 / (a * b) - Qv * (Rx / b + Ry / a) + (Qv - 1) * Rx * Ry
+            Qp1 = (pa + pb - ab) / den
+            return Qp1 / ab - Qv * (Rx / b + Ry / a) + (Qv - 1) * Rx * Ry
         return integrate_unit_square(
-            Integrand2D(eval_full=f94, symmetric=True), ctx).value / 2
+            Integrand2D(node, pair, symmetric=True), ctx).value / 2
 
     register(E(
         id="I-9.4a",
@@ -1074,11 +1081,15 @@ def register_builtin_entries() -> None:
                        "form measures many orders tighter"))
 
     def lhs_95a(ctx):
-        def f95(x, y, xc, yc):
+        def node(x, xc):
+            return xc, mp.log1p(-xc)
+
+        def pair(p, q):
+            (xc, lx), (yc, ly) = p, q
             om = xc + yc - xc * yc
-            lg = mp.log1p(-xc) + mp.log1p(-yc)
+            lg = lx + ly
             return -xc / (om * lg)
-        return integrate_unit_square(Integrand2D(eval_full=f95), ctx).value
+        return integrate_unit_square(Integrand2D(node, pair), ctx).value
 
     register(E(
         id="I-9.5a",

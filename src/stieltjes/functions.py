@@ -454,8 +454,8 @@ def barnes_g_log(t, route: str = "integral_6_7",
         raise ValueError("unknown barnes_g route %r" % route)
     with ctx.working(10):
         tt = mpf(t)
-        if tt <= 0:
-            raise ValueError("barnes_g_log requires t > 0")
+        if not 0 < tt < mp.inf:
+            raise ValueError("barnes_g_log requires finite t > 0")
         zp1 = series.riemann_zeta_em(-1, 1, ctx)
         if route == "integral_6_7":
             t2 = tt * tt
@@ -538,8 +538,8 @@ def sin_cos_integrals(x, ctx: PrecisionContext = DEFAULT_CONTEXT):
     """
     with ctx.working(10):
         x = mpf(x)
-        if x <= 0:
-            raise ValueError("sin_cos_integrals requires x > 0")
+        if not 0 < x < mp.inf:
+            raise ValueError("sin_cos_integrals requires finite x > 0")
         if x <= _SICI_SERIES_MAX:
             eps = mpf(10) ** (-(mp.dps + 2))
             si_acc = mpf(0)

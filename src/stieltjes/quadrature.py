@@ -9,9 +9,9 @@ each evaluated on a fixed fine grid in t that is cached per working
 precision and shared by every integral at that precision.  Every rule,
 1-D and 2-D, hands one driver (_refine) its value on a stride sub-grid of
 the cached grid; the driver halves the stride until two levels agree and
-reports their difference as the error estimate.  The 1-D rules reuse
-integrand values across levels and truncate each level with one outward
-walk (_walk) that stops a side after 3 negligible terms.
+reports their difference as the error estimate.  Every rule reuses
+integrand values across levels; the 1-D rules truncate each level with one
+outward walk (_walk) that stops a side after 3 negligible terms.
 
 The Bose-weight integrator runs two genuinely different evaluations (the
 direct transformed integral, and a mode expansion of the kernel with an
@@ -53,19 +53,17 @@ class Integrand1D:
 
 @dataclass
 class Integrand2D:
-    """Real integrand on the open unit square.
+    """Real integrand on the open unit square, f(x, y) = pair(p, q) with
+    p = node(x, 1-x) and q = node(y, 1-y).
 
-    eval(x, y); eval_full(x, y, xc, yc) with exact complements wins when
-    present.  symmetric=True promises f(x,y) = f(y,x) and halves the work.
+    node gets each abscissa with its exact complement and returns whatever
+    one-variable factors pair needs; it runs once per node.
+    symmetric=True promises pair(p, q) = pair(q, p) and halves the work.
     """
 
-    eval: Optional[Callable] = None
-    eval_full: Optional[Callable] = None
+    node: Callable
+    pair: Callable
     symmetric: bool = False
-
-    def __post_init__(self):
-        if self.eval is None and self.eval_full is None:
-            raise ValueError("Integrand2D needs eval or eval_full")
 
 
 @dataclass
@@ -392,8 +390,8 @@ def integrate_laplace(h: Integrand1D, u, ctx: PrecisionContext = DEFAULT_CONTEXT
     """int_0^inf e^(-u t) h(t) dt for u > 0."""
     with ctx.working(10):
         uu = mpf(u)
-        if uu <= 0:
-            raise ValueError("integrate_laplace requires u > 0")
+        if not 0 < uu < mp.inf:
+            raise ValueError("integrate_laplace requires finite u > 0")
         inner = Integrand1D(eval=lambda t: h.eval(t) * mp.exp(-uu * t))
         return exp_sinh_0inf(inner, ctx, tol)
 
@@ -402,78 +400,69 @@ def integrate_laplace(h: Integrand1D, u, ctx: PrecisionContext = DEFAULT_CONTEXT
 # 2-D unit square
 # ---------------------------------------------------------------------------
 
-#: Clip distance from the square's edges.  The excluded sliver contributes
-#: O(delta log^2 delta) ~ 8e-10 worst case for the integrands here, which
-#: is why the 2-D entries carry 1e-8..1e-10 tolerances, never the default.
-CLIP_DELTA = mpf("1e-12")
-
-
 def integrate_unit_square(f2: Integrand2D,
                           ctx: PrecisionContext = DEFAULT_CONTEXT,
                           tol=None) -> QuadratureResult:
-    """Tensor tanh-sinh over (0,1)^2 with edge clipping.
+    """Tensor tanh-sinh over (0,1)^2, clipped 1e-30 from the edges.
 
-    Working precision is capped near 45 digits (the 2-D entries target
-    1e-8..1e-10, not 1e-25); rows share the y-nodes innermost so the
-    per-row cancellations stay inside one partial sum.
+    Always works at min(ctx.working_digits, 45) digits, however many ctx
+    asks for: the 2-D entries verify to 1e-8..1e-15, and tol defaults to
+    1e-11.  The levels h = 1/32, 1/64, 1/128 are nested: each adds to one
+    running sum only the pairs that no coarser level summed, and
+    f2.node runs once per node for all of them.  Rows keep the y-nodes
+    innermost so the per-row cancellations stay inside one partial sum.
+    An undecided 1/128 level is returned with its difference from 1/64 as
+    the error estimate.  nodes_used counts f2.pair evaluations.
     """
     dps = min(ctx.working_digits, 45)
     with mp.workdps(dps + 10):
         tol = mpf("1e-11") if tol is None else mpf(tol)
         tab = _get_table("ts01", dps)
-        if f2.eval_full is not None:
-            fxy = f2.eval_full
-            # complement-aware integrands stay finite arbitrarily close to
-            # the edges, so the stripped band only needs to sit below the
-            # 2-D tolerance floor, not below working precision
-            delta = mpf("1e-30")
-        else:
-            fxy = lambda x, y, xc, yc: f2.eval(x, y)
-            delta = CLIP_DELTA
-
-        lvl_fin = _finest_level(dps)
+        # node records see exact complements and so stay finite arbitrarily
+        # close to the edges; the stripped band only needs to sit below the
+        # 2-D tolerance floor, not below working precision
+        delta = mpf("1e-30")
         mid = len(tab.xs) // 2
+        recs: dict = {}     # node records of the last level's window
+        total = mpf(0)
         used = 0
 
         def window(stride):
-            idxs = []
-            i = mid
-            while i >= 0 and tab.xs[i] > delta:
-                idxs.append(i)
-                i -= stride
-            idxs.reverse()
-            i = mid + stride
-            while i < len(tab.xs) and tab.xcs[i] > delta:
-                idxs.append(i)
-                i += stride
-            return idxs
+            lo = mid
+            while lo - stride >= 0 and tab.xs[lo - stride] > delta:
+                lo -= stride
+            hi = mid
+            while hi + stride < len(tab.xs) and tab.xcs[hi + stride] > delta:
+                hi += stride
+            return range(lo, hi + 1, stride)
 
         def level_value(stride):
-            nonlocal used
+            nonlocal recs, total, used
             idxs = window(stride)
-            hs = tab.h * stride
-            total = mpf(0)
-            if f2.symmetric:
-                used += len(idxs) * (len(idxs) + 1) // 2
-                for pos, i in enumerate(idxs):
-                    xi, xci, wi = tab.xs[i], tab.xcs[i], tab.ws[i]
-                    row = mpf(0)
-                    for j in idxs[:pos]:
-                        row += fxy(xi, tab.xs[j], xci, tab.xcs[j]) * tab.ws[j]
-                    total += 2 * row * wi
-                    total += fxy(xi, xi, xci, xci) * wi * wi
-                return total * hs * hs
-            used += len(idxs) ** 2
-            for i in idxs:
-                xi, xci, wi = tab.xs[i], tab.xcs[i], tab.ws[i]
+            new = [i not in recs for i in idxs]
+            ps = [f2.node(tab.xs[i], tab.xcs[i]) if nw else recs[i]
+                  for i, nw in zip(idxs, new)]
+            recs = dict(zip(idxs, ps))
+            ws = [tab.ws[i] for i in idxs]
+            for a, p in enumerate(ps):
+                cols = range(a) if f2.symmetric else range(len(ps))
+                if not new[a]:
+                    cols = [b for b in cols if new[b]]
                 row = mpf(0)
-                for j in idxs:
-                    row += fxy(xi, tab.xs[j], xci, tab.xcs[j]) * tab.ws[j]
-                total += row * wi
+                for b in cols:
+                    row += f2.pair(p, ps[b]) * ws[b]
+                used += len(cols)
+                if f2.symmetric:
+                    total += 2 * row * ws[a]
+                    if new[a]:
+                        total += f2.pair(p, p) * ws[a] * ws[a]
+                        used += 1
+                else:
+                    total += row * ws[a]
+            hs = tab.h * stride
             return total * hs * hs
 
-        # h = 1/32, 1/64, then 1/128; an undecided 1/128 level is returned
-        # with its difference from 1/64 as the error estimate
+        lvl_fin = _finest_level(dps)
         val, err, _, _ = _refine(
             level_value, [1 << (lvl_fin - s) for s in (5, 6, 7)], tol)
         return QuadratureResult(+val, +err, used)

@@ -439,8 +439,8 @@ def psi_asymptotic(x, ctx: PrecisionContext = DEFAULT_CONTEXT):
     """
     with ctx.working(10):
         x = mpf(x)
-        if x <= 0:
-            raise ValueError("psi_asymptotic needs x > 0")
+        if not 0 < x < mp.inf:
+            raise ValueError("psi_asymptotic requires finite x > 0")
         shift_to = mpf(0.4) * mp.dps + 8
         m = int(max(0, mp.ceil(shift_to - x)))
         acc = mpf(0)
@@ -469,8 +469,8 @@ def trigamma_asymptotic(x, ctx: PrecisionContext = DEFAULT_CONTEXT):
     """psi'(x) by recurrence-shift plus Stirling series; x > 0."""
     with ctx.working(10):
         x = mpf(x)
-        if x <= 0:
-            raise ValueError("trigamma_asymptotic needs x > 0")
+        if not 0 < x < mp.inf:
+            raise ValueError("trigamma_asymptotic requires finite x > 0")
         shift_to = mpf(0.4) * mp.dps + 8
         m = int(max(0, mp.ceil(shift_to - x)))
         acc = mpf(0)

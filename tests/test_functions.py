@@ -389,6 +389,10 @@ def test_non_finite_u_is_rejected_before_any_quadrature(monkeypatch):
         lambda u: F.hurwitz_zeta_sderiv(1, 0, u, CTX),
         lambda u: F.stieltjes(0, u, "coffey_integral", CTX),
         lambda u: series.alt_zeta_hasse(1, u, CTX),
+        lambda u: F.barnes_g_log(u, ctx=CTX),
+        lambda u: F.sin_cos_integrals(u, CTX),
+        lambda u: series.psi_asymptotic(u, CTX),
+        lambda u: series.trigamma_asymptotic(u, CTX),
     )
     for call in calls:
         for u in (mp.nan, mp.inf):

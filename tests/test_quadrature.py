@@ -4,12 +4,14 @@ Every rule is exercised on integrals whose values are elementary, so a
 failure points at the rule rather than at the function layer built on it.
 """
 
+import pytest
 from mpmath import mp, mpf
 
 from stieltjes.precision import DEFAULT_CONTEXT as CTX
 from stieltjes.quadrature import (
     Integrand1D,
     Integrand2D,
+    _get_table,
     exp_sinh_0inf,
     integrate_bose,
     integrate_laplace,
@@ -101,6 +103,11 @@ class TestLaplace:
                                   mpf(2), CTX)
             assert abs(r.value - mpf(1) / 2) < TOL
 
+    def test_non_finite_u_is_rejected(self):
+        for u in (mp.nan, mp.inf):
+            with pytest.raises(ValueError):
+                integrate_laplace(Integrand1D(eval=lambda t: mpf(1)), u, CTX)
+
     def test_shifted_frullani_piece(self):
         # int e^-t (1 - e^-t)/t dt = log 2
         with CTX.working():
@@ -113,21 +120,66 @@ class TestUnitSquare:
     def test_product_polynomial(self):
         with CTX.working():
             r = integrate_unit_square(Integrand2D(
-                eval=lambda x, y: x * y), CTX)
+                node=lambda x, xc: x, pair=lambda p, q: p * q), CTX)
             assert abs(r.value - mpf(1) / 4) < mpf(10) ** -10
 
     def test_full_form_with_complements(self):
         with CTX.working():
             r = integrate_unit_square(Integrand2D(
-                eval_full=lambda x, y, xc, yc: xc * yc), CTX)
+                node=lambda x, xc: xc, pair=lambda p, q: p * q), CTX)
             assert abs(r.value - mpf(1) / 4) < mpf(10) ** -10
 
     def test_symmetric_flag_consistency(self):
-        def f(x, y, xc, yc):
-            return x * x + y * y
+        def node(x, xc):
+            return x * x
+
+        def pair(p, q):
+            return p + q
         with CTX.working():
-            a = integrate_unit_square(Integrand2D(eval_full=f), CTX)
-            b = integrate_unit_square(Integrand2D(eval_full=f,
+            a = integrate_unit_square(Integrand2D(node, pair), CTX)
+            b = integrate_unit_square(Integrand2D(node, pair,
                                                   symmetric=True), CTX)
             assert abs(a.value - b.value) < mpf(10) ** -20
             assert abs(a.value - mpf(2) / 3) < mpf(10) ** -10
+
+    @pytest.mark.parametrize("symmetric, tol, stride", [
+        # tol 1 settles on the second level, 1e-60 runs all three
+        (False, 1, 4),
+        (True, mpf(10) ** -60, 2),
+    ], ids=["two-levels", "three-levels-symmetric"])
+    def test_nested_levels_evaluate_each_node_and_pair_once(
+            self, symmetric, tol, stride):
+        def f(x, xc, y, yc):
+            return min(x, y) if symmetric else min(x, yc)
+
+        nodes, pairs = [], []
+
+        def node(x, xc):
+            nodes.append(x)
+            return x, xc
+
+        def pair(p, q):
+            pairs.append(None)
+            return f(*p, *q)
+        with CTX.working():
+            r = integrate_unit_square(Integrand2D(node, pair, symmetric),
+                                      CTX, tol=tol)
+        dps = min(CTX.working_digits, 45)
+        tab = _get_table("ts01", dps)
+        index = {x: i for i, x in enumerate(tab.xs)}
+        idxs = sorted(index[x] for x in nodes)
+        n = len(idxs)
+        assert len(set(idxs)) == n
+        assert idxs == list(range(idxs[0], idxs[-1] + 1, stride))
+        assert len(pairs) == (n * (n + 1) // 2 if symmetric else n * n)
+        assert r.nodes_used == len(pairs)
+        with mp.workdps(dps + 10):
+            flat = mpf(0)
+            for i in idxs:
+                row = mpf(0)
+                for j in idxs:
+                    row += f(tab.xs[i], tab.xcs[i],
+                             tab.xs[j], tab.xcs[j]) * tab.ws[j]
+                flat += row * tab.ws[i]
+            flat *= (tab.h * stride) ** 2
+            assert abs(r.value - flat) < mpf(10) ** -40
