@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -181,17 +181,7 @@ def _binet_kernel_tail(t):
     t = mpf(t)
     if abs(t) > 3:
         return F.binet_kernel(t) - t / 12
-    acc = mpf(0)
-    t2 = t * t
-    tp = t * t2
-    eps = mpf(10) ** (-(mp.dps + 4))
-    for k in range(2, 300):
-        term = series._bern_mpf(2 * k) / mp.factorial(2 * k) * tp
-        acc += term
-        if abs(term) < eps:
-            break
-        tp *= t2
-    return acc
+    return F._binet_series(t, 2)
 
 
 _ZETA_INT_CACHE: dict = {}
@@ -232,24 +222,21 @@ def _psi_plus(x, ctx):
     return w, wp
 
 
-def _psi_series_tail_sum(N: int, ctx):
-    """sum_{n>N} psi(n)/n^2 through the gamma-free asymptotic expansion of
-    psi and closed Euler-Maclaurin tails for each resulting power series."""
-    acc = series.em_log_power_tail(2, 1, N, 0, ctx)
-    acc -= series.em_log_power_tail(3, 0, N, 0, ctx) / 2
-    for k in range(1, 40):
-        b = series._bern_mpf(2 * k)
-        term = b / (2 * k) * series.em_log_power_tail(2 * k + 2, 0, N, 0, ctx)
-        acc -= term
-        if abs(term) < mpf(10) ** (-(mp.dps + 4)):
-            break
-    return acc
+def _stirling_tail(acc, N: int, ctx):
+    """acc - sum_{k>=1} B_2k/(2k) sum_{n>N} n^-(2k+2): the Bernoulli part of
+    the Stirling series of psi(n) and H_n, summed against 1/n^2 over n > N."""
+    eps = mpf(10) ** (-(mp.dps + 4))
+    terms = (-(series._bern_mpf(2 * k) / (2 * k)
+               * series.em_log_power_tail(2 * k + 2, 0, N, 0, ctx))
+             for k in range(1, 40))
+    return series._sum_terms(terms, acc, lambda t, _: t < eps)[0]
 
 
-def _psi_over_square_series(ctx, n_quad: int = 0, N: int = 40):
+def _psi_over_square_series(ctx, n_quad: int = 0):
     """sum_{n>=1} psi(n)/n^2; the first n_quad terms may come from the
     digamma quadrature web, the rest from shifted asymptotics, the tail
-    from _psi_series_tail_sum."""
+    from psi's gamma-free asymptotic expansion."""
+    N = 40
     acc = mpf(0)
     for n in range(1, N + 1):
         if n == 1:
@@ -260,12 +247,15 @@ def _psi_over_square_series(ctx, n_quad: int = 0, N: int = 40):
         else:
             pv = series.psi_asymptotic(mpf(n), ctx)
         acc += pv / mpf(n) ** 2
-    return acc + _psi_series_tail_sum(N, ctx)
+    tail = series.em_log_power_tail(2, 1, N, 0, ctx)
+    tail -= series.em_log_power_tail(3, 0, N, 0, ctx) / 2
+    return acc + _stirling_tail(tail, N, ctx)
 
 
-def _sici_sum_85(x, ctx, N: int = 1500):
+def _sici_sum_85(x, ctx):
     """sum_{n>=1} [cos Ci + sin si](2 n pi x)/n^2, using the exact identity
     cos(z)Ci(z) + sin(z)si(z) = -g(z) beyond the first block of terms."""
+    N = 1500
     x = mpf(x)
     acc = mpf(0)
     for n in range(1, N + 1):
@@ -278,20 +268,15 @@ def _sici_sum_85(x, ctx, N: int = 1500):
     # n > N via g(z) ~ sum_k (-1)^k (2k+1)!/z^(2k+2) and zeta tails
     z0 = 2 * mp.pi * x
     eps = mpf(10) ** (-(mp.dps - 2))
-    prev = None
-    for k in range(0, 30):
-        coef = (-1) ** k * mp.factorial(2 * k + 1) / z0 ** (2 * k + 2)
-        term = coef * series.em_log_power_tail(2 * k + 4, 0, N, 0, ctx)
-        acc -= term
-        t = abs(term)
-        if t < eps or (prev is not None and t > prev):
-            break
-        prev = t
-    return acc
+    terms = (-((-1) ** k * mp.factorial(2 * k + 1) / z0 ** (2 * k + 2)
+               * series.em_log_power_tail(2 * k + 4, 0, N, 0, ctx))
+             for k in range(30))
+    return series._sum_terms(terms, acc, lambda t, _: t < eps)[0]
 
 
-def _harmonic_sum_over_squares(ctx, N: int = 40):
+def _harmonic_sum_over_squares(ctx):
     """sum_{n>=1} H_n/n^2 with asymptotic-plus-EM tail closure."""
+    N = 40
     acc = mpf(0)
     for n in range(1, N + 1):
         h = series.harmonic(n)
@@ -301,13 +286,7 @@ def _harmonic_sum_over_squares(ctx, N: int = 40):
     tail += g * series.em_log_power_tail(2, 0, N, 0, ctx)
     tail += series.em_log_power_tail(3, 0, N, 0, ctx) / 2
     # H_n = log n + gamma + 1/(2n) - sum B_2k/(2k n^2k)
-    for k in range(1, 40):
-        b = series._bern_mpf(2 * k)
-        term = b / (2 * k) * series.em_log_power_tail(2 * k + 2, 0, N, 0, ctx)
-        tail -= term
-        if abs(term) < mpf(10) ** (-(mp.dps + 4)):
-            break
-    return acc + tail
+    return acc + _stirling_tail(tail, N, ctx)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from .precision import (
     NonConvergenceError,
     PrecisionContext,
 )
-from .series import _bern_mpf
+from .series import _bern_mpf, _sum_terms
 
 
 @dataclass
@@ -333,23 +333,18 @@ class _BoseKernelSums:
                          * tab.ws[i])
         integral *= hs
         acc += integral + TN / 2
-        prev = None
-        for j in range(1, 25):
-            m = 2 * j - 1
-            D = mpf(0)
-            for i in idxs:
-                D += (self._gval(i) * pv[i] * (two_pi * tab.xs[i]) ** m
-                      * tab.ws[i])
-            D *= hs
-            term = _bern_mpf(2 * j) / mp.factorial(2 * j) * D
-            acc += term
-            t = abs(term)
-            if t < self.eps_term:
-                break
-            if prev is not None and t > prev:
-                break
-            prev = t
-        return acc
+
+        def terms():
+            for j in range(1, 25):
+                m = 2 * j - 1
+                D = mpf(0)
+                for i in idxs:
+                    D += (self._gval(i) * pv[i] * (two_pi * tab.xs[i]) ** m
+                          * tab.ws[i])
+                D *= hs
+                yield _bern_mpf(2 * j) / mp.factorial(2 * j) * D
+
+        return _sum_terms(terms(), acc, lambda t, _: t < self.eps_term)[0]
 
 
 def integrate_bose(g: Integrand1D, ctx: PrecisionContext = DEFAULT_CONTEXT,

@@ -14,6 +14,10 @@ N-versus-2N self-check.
 Cancellation-heavy binomial sums (the Hasse route, the alternating-zeta
 moments) widen their working precision by ~0.302 digits per term of outer
 depth before summing; see SumDiagnostics for what they report back.
+
+_sum_terms truncates the package's Stirling, Bernoulli and Euler-Maclaurin
+series and says why it stopped: "small" (a term fell below the threshold),
+"floor" (a term grew: an asymptotic floor) or "cap" (the terms ran out).
 """
 
 from __future__ import annotations
@@ -93,6 +97,34 @@ def _bern_mpf(n: int) -> mpf:
 
 
 # ---------------------------------------------------------------------------
+# truncation of term-by-term series
+# ---------------------------------------------------------------------------
+
+def _sum_terms(terms, acc, small):
+    """Add the terms of an iterable to acc, in order, until one stops it.
+
+    Returns (sum, terms_added, reason, last_term).  The term that stops
+    the sum is counted and included.  reason is
+      "small"  small(|term|, sum) held, sum including the term;
+      "floor"  |term| grew past the one before: an asymptotic series
+               reached its smallest term;
+      "cap"    the iterable ran out; its length is the cap.
+    Callers that subtract yield negated terms, which is exact.
+    """
+    prev = last = None
+    n = 0
+    for n, last in enumerate(terms, 1):
+        acc += last
+        t = abs(last)
+        if small(t, acc):
+            return acc, n, "small", last
+        if prev is not None and t > prev:
+            return acc, n, "floor", last
+        prev = t
+    return acc, n, "cap", last
+
+
+# ---------------------------------------------------------------------------
 # diagnostics for cancellation-prone sums
 # ---------------------------------------------------------------------------
 
@@ -166,27 +198,21 @@ def _oracle_correction(n: int, u, N: int, j_cap: int) -> mpf:
     for _ in range(n):
         Lp.append(Lp[-1] * L)
     rows = _log_power_coeffs(n, 2 * j_cap - 1)
-    corr = Lp[n] / w / 2
     eps = mpf(10) ** (-(mp.dps + 2))
-    prev = None
-    winv = 1 / w
-    wpow = winv * winv  # w^-(2j) at j=1 starts as w^-2
-    for j in range(1, j_cap + 1):
-        row = rows[2 * j - 1]
-        poly = mpf(0)
-        for k in range(n + 1):
-            if row[k]:
-                poly += row[k] * Lp[k]
-        term = _bern_mpf(2 * j) / mp.factorial(2 * j) * poly * wpow
-        corr -= term
-        t = abs(term)
-        if t < eps:
-            break
-        if prev is not None and t > prev:
-            break
-        prev = t
-        wpow *= winv * winv
-    return corr
+
+    def terms():
+        winv = 1 / w
+        wpow = winv * winv  # w^-(2j) at j=1 starts as w^-2
+        for j in range(1, j_cap + 1):
+            row = rows[2 * j - 1]
+            poly = mpf(0)
+            for k in range(n + 1):
+                if row[k]:
+                    poly += row[k] * Lp[k]
+            yield -(_bern_mpf(2 * j) / mp.factorial(2 * j) * poly * wpow)
+            wpow *= winv * winv
+
+    return _sum_terms(terms(), Lp[n] / w / 2, lambda t, _: t < eps)[0]
 
 
 _ORACLE_CACHE: dict = {}
@@ -335,30 +361,24 @@ def riemann_zeta_em(s, r: int = 0, ctx: PrecisionContext = DEFAULT_CONTEXT):
                 acc += -L * Ns / 2
             else:
                 acc += L ** 2 * Ns / 2
-            ok = False
-            Nj = Ns / N  # N^(-s-2j+1) at j=1
-            prev = None
-            for j in range(1, 80):
-                coeffs = _pochhammer_coeffs(2 * j - 1)
-                P, P1, P2 = _poly_eval_with_derivs(coeffs, s)
-                bfac = _bern_mpf(2 * j) / mp.factorial(2 * j)
-                if r == 0:
-                    term = bfac * P * Nj
-                elif r == 1:
-                    term = bfac * (P1 - L * P) * Nj
-                else:
-                    term = bfac * (P2 - 2 * L * P1 + L ** 2 * P) * Nj
-                acc += term
-                t = abs(term)
-                if t < eps * max(1, abs(acc)):
-                    ok = True
-                    break
-                if prev is not None and t > prev:
-                    acc -= term  # drop the growing term, floor reached
-                    break
-                prev = t
-                Nj /= N * N
-            if ok:
+
+            def terms():
+                Nj = Ns / N  # N^(-s-2j+1) at j=1
+                for j in range(1, 80):
+                    coeffs = _pochhammer_coeffs(2 * j - 1)
+                    P, P1, P2 = _poly_eval_with_derivs(coeffs, s)
+                    bfac = _bern_mpf(2 * j) / mp.factorial(2 * j)
+                    if r == 0:
+                        yield bfac * P * Nj
+                    elif r == 1:
+                        yield bfac * (P1 - L * P) * Nj
+                    else:
+                        yield bfac * (P2 - 2 * L * P1 + L ** 2 * P) * Nj
+                    Nj /= N * N
+
+            acc, _, reason, _ = _sum_terms(
+                terms(), acc, lambda t, a: t < eps * max(1, abs(a)))
+            if reason == "small":
                 return +acc
             N *= 2
         raise NonConvergenceError("riemann_zeta_em: floor above target at s=%s"
@@ -393,37 +413,31 @@ def em_log_power_tail(s, r: int, N: int, u=0,
         for _ in range(r):
             Lp.append(Lp[-1] * A)
         gN = Lp[r] * mp.power(w0, -s)
-        acc = integral - gN / 2
         eps = mpf(10) ** (-(mp.dps - 2))
-        cur = [mpf(0)] * (r + 1)
-        cur[r] = mpf(1)
-        j = 0
-        prev = None
-        wpow = mp.power(w0, -s - 1)
-        while j < 2 * 48:
-            nxt = [mpf(0)] * (r + 1)
-            for k in range(r + 1):
-                v = -(s + j) * cur[k]
-                if k + 1 <= r:
-                    v += (k + 1) * cur[k + 1]
-                nxt[k] = v
-            cur = nxt
-            j += 1
-            if j % 2 == 1:
-                jj = (j + 1) // 2  # correction index: uses g^(2jj-1)
-                poly = mpf(0)
+        tiny = mpf(10) ** (-mp.dps)
+
+        def terms():
+            cur = [mpf(0)] * r + [mpf(1)]
+            wpow = mp.power(w0, -s - 1)
+            for j in range(2 * 48):
+                nxt = [mpf(0)] * (r + 1)
                 for k in range(r + 1):
-                    poly += cur[k] * Lp[k]
-                term = _bern_mpf(2 * jj) / mp.factorial(2 * jj) * poly * wpow
-                acc -= term
-                t = abs(term)
-                if t < eps * max(abs(acc), mpf(10) ** (-mp.dps)):
-                    break
-                if prev is not None and t > prev:
-                    break
-                prev = t
-            wpow /= w0
-        return +acc
+                    v = -(s + j) * cur[k]
+                    if k + 1 <= r:
+                        v += (k + 1) * cur[k + 1]
+                    nxt[k] = v
+                cur = nxt  # g^(j+1) coefficients
+                if j % 2 == 0:
+                    jj = j // 2 + 1  # correction index: uses g^(2jj-1)
+                    poly = mpf(0)
+                    for k in range(r + 1):
+                        poly += cur[k] * Lp[k]
+                    yield -(_bern_mpf(2 * jj) / mp.factorial(2 * jj)
+                            * poly * wpow)
+                wpow /= w0
+
+        return +_sum_terms(terms(), integral - gN / 2,
+                           lambda t, a: t < eps * max(abs(a), tiny))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -449,20 +463,15 @@ def psi_asymptotic(x, ctx: PrecisionContext = DEFAULT_CONTEXT):
         A = x + m
         acc += mp.log(A) - 1 / (2 * A)
         A2 = A * A
-        apow = A2
         eps = mpf(10) ** (-(mp.dps - 2))
-        prev = None
-        for j in range(1, 120):
-            term = _bern_mpf(2 * j) / (2 * j) / apow
-            acc -= term
-            t = abs(term)
-            if t < eps:
-                break
-            if prev is not None and t > prev:
-                break
-            prev = t
-            apow *= A2
-        return +acc
+
+        def terms():
+            apow = A2
+            for j in range(1, 120):
+                yield -(_bern_mpf(2 * j) / (2 * j) / apow)
+                apow *= A2
+
+        return +_sum_terms(terms(), acc, lambda t, _: t < eps)[0]
 
 
 def trigamma_asymptotic(x, ctx: PrecisionContext = DEFAULT_CONTEXT):
@@ -479,20 +488,15 @@ def trigamma_asymptotic(x, ctx: PrecisionContext = DEFAULT_CONTEXT):
         A = x + m
         acc += 1 / A + 1 / (2 * A * A)
         A2 = A * A
-        apow = A2 * A
         eps = mpf(10) ** (-(mp.dps - 2))
-        prev = None
-        for j in range(1, 120):
-            term = _bern_mpf(2 * j) / apow
-            acc += term
-            t = abs(term)
-            if t < eps:
-                break
-            if prev is not None and t > prev:
-                break
-            prev = t
-            apow *= A2
-        return +acc
+
+        def terms():
+            apow = A2 * A
+            for j in range(1, 120):
+                yield _bern_mpf(2 * j) / apow
+                apow *= A2
+
+        return +_sum_terms(terms(), acc, lambda t, _: t < eps)[0]
 
 
 # ---------------------------------------------------------------------------

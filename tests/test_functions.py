@@ -273,6 +273,14 @@ class TestBarnesG:
             assert abs(vals[0] - vals[1]) < TOL
             assert abs(vals[0] - vals[2]) < TOL
 
+    def test_weierstrass_diagnostics(self):
+        # K = max(60, 4t + 40) product terms, then zeta-tail terms for
+        # m = 3 .. tail_m, the first below 10^-(dps-2) included
+        assert F.barnes_g_log(mpf("1.5"), "weierstrass_6_5", CTX) \
+            .diagnostics == {"product_terms": 60, "tail_m": 37}
+        assert F.barnes_g_log(mpf("0.25"), "weierstrass_6_5", CTX) \
+            .diagnostics["tail_m"] == 25
+
     def test_gamma_recurrence(self):
         # G(2+t) = Gamma(1+t) G(1+t)
         with CTX.working():

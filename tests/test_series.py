@@ -1,6 +1,7 @@
 """Series engine: exact rationals, the limit oracle, Euler-Maclaurin
 tails, and the binomial (alternating and non-alternating) machinery."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -49,6 +50,42 @@ def test_bernoulli_poly_exact():
 def test_harmonic_numbers():
     assert series.harmonic(1) == 1
     assert series.harmonic(5) == Fraction(137, 60)
+
+
+# ---------------------------------------------------------------------------
+# truncation helper (exact Fractions, so sums compare exactly)
+# ---------------------------------------------------------------------------
+
+class TestSumTerms:
+    def test_convergent_series_stops_small_with_the_small_term_added(self):
+        terms = (Fraction(1, 2 ** k) for k in range(100))
+        total, n, reason, last = series._sum_terms(
+            terms, Fraction(10), lambda t, _: t < Fraction(1, 1000))
+        # 2^-10 is the first term below 1/1000: counted and included
+        assert (n, reason, last) == (11, "small", Fraction(1, 1024))
+        assert total == 10 + 2 - Fraction(1, 1024)
+
+    def test_small_sees_the_sum_including_the_term(self):
+        seen = []
+        series._sum_terms([Fraction(1), Fraction(2)], Fraction(5),
+                          lambda t, acc: seen.append(acc))
+        assert seen == [6, 8]
+
+    def test_divergent_asymptotic_series_stops_on_floor(self):
+        # sum (-1)^k k!/5^k: |terms| fall to k = 4, 5 (equal) and grow at 6
+        terms = [(-1) ** k * Fraction(math.factorial(k), 5 ** k)
+                 for k in range(20)]
+        total, n, reason, last = series._sum_terms(
+            iter(terms), Fraction(0), lambda t, _: t == 0)
+        assert (n, reason, last) == (7, "floor", terms[6])
+        assert total == sum(terms[:7])
+
+    def test_short_iterable_stops_on_cap(self):
+        terms = [Fraction(1), Fraction(1, 2), Fraction(1, 4)]
+        assert series._sum_terms(terms, Fraction(1), lambda t, _: False) \
+            == (Fraction(11, 4), 3, "cap", Fraction(1, 4))
+        assert series._sum_terms([], Fraction(3), lambda t, _: False) \
+            == (3, 0, "cap", None)
 
 
 # ---------------------------------------------------------------------------
