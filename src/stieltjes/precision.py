@@ -38,6 +38,10 @@ class NonConvergenceError(Exception):
     """
 
 
+#: Guard digits of every context: headroom above the target digits.
+_GUARD_DIGITS = 20
+
+
 @dataclass(frozen=True)
 class PrecisionContext:
     """Immutable bundle of digit budgets.
@@ -49,7 +53,7 @@ class PrecisionContext:
 
     working_digits: int = 50
     target_digits: int = 30
-    guard_digits: int = 20
+    guard_digits: int = _GUARD_DIGITS
 
     def __post_init__(self) -> None:
         if self.target_digits < 1:
@@ -63,11 +67,9 @@ class PrecisionContext:
             )
 
     @classmethod
-    def for_digits(cls, digits: int, guard: int = 20) -> "PrecisionContext":
+    def for_digits(cls, digits: int) -> "PrecisionContext":
         """Context that trusts `digits` digits with the default guard."""
-        guard = max(10, guard)
-        return cls(working_digits=digits + guard, target_digits=digits,
-                   guard_digits=guard)
+        return cls(working_digits=digits + _GUARD_DIGITS, target_digits=digits)
 
     @property
     def tolerance(self) -> mpf:

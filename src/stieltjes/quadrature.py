@@ -335,7 +335,7 @@ class _BoseKernelSums:
         acc += integral + TN / 2
 
         def terms():
-            for j in range(1, 25):
+            for j in range(1, tab.dps):
                 m = 2 * j - 1
                 D = mpf(0)
                 for i in idxs:

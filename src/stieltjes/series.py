@@ -11,6 +11,10 @@ matching Euler-Maclaurin zeta evaluator; these are the reference values the
 independent integral routes are judged against, so they carry their own
 N-versus-2N self-check.
 
+Every Euler-Maclaurin closure of a sum of g(w) = log^r(w) w^-s (the oracle
+correction, riemann_zeta_em, em_log_power_tail) runs on one engine: one
+derivative recursion in _em_terms, closed by _em_tail.
+
 Cancellation-heavy binomial sums (the Hasse route, the alternating-zeta
 moments) widen their working precision by ~0.302 digits per term of outer
 depth before summing; see SumDiagnostics for what they report back.
@@ -161,58 +165,121 @@ class SumDiagnostics:
 
 
 # ---------------------------------------------------------------------------
-# Euler-Maclaurin oracle for gamma_n(u)
+# Euler-Maclaurin closure of log-power sums: zeta and tails
 # ---------------------------------------------------------------------------
 
-def _log_power_coeffs(n: int, m: int) -> list[list[int]]:
-    """Derivative coefficients for f(t) = log^n(w)/w, w = t + u.
+def _em_terms(s, r: int, w0, j_max: int):
+    """Yield -B_2j/(2j)! g^(2j-1)(w0), j = 1..j_max, for g(w) = log^r(w) w^-s.
 
-    Returns rows c[0..m] with f^(j)(t) = w^-(j+1) * sum_k c[j][k] log^k(w).
-    Row update: c[j+1][k] = (k+1) c[j][k+1] - (j+1) c[j][k].  All exact ints.
+    g^(m)(w) = w^(-s-m) sum_k c[m][k] log^k(w), with c[0][r] = 1 and
+
+        c[m+1][k] = (k+1) c[m][k+1] - (s+m) c[m][k],
+
+    so the rows stay exact ints when s is an int.  Each term after the
+    first advances the recursion two orders.
     """
-    rows = []
-    cur = [0] * (n + 1)
-    cur[n] = 1
-    rows.append(cur)
-    for j in range(m):
-        nxt = [0] * (n + 1)
-        for k in range(n + 1):
-            v = -(j + 1) * cur[k]
-            if k + 1 <= n:
-                v += (k + 1) * cur[k + 1]
-            nxt[k] = v
-        rows.append(nxt)
-        cur = nxt
-    return rows
+    A = mp.log(w0)
+    Lp = [mpf(1)]
+    for _ in range(r):
+        Lp.append(Lp[-1] * A)
+    c = [0] * r + [1]
+    m = 0
+    winv = 1 / mpf(w0)
+    winv2 = winv * winv
+    wpow = mp.power(w0, 1 - s)
+    for j in range(1, j_max + 1):
+        wpow *= winv2  # w0^(-s-2j+1)
+        while m < 2 * j - 1:
+            sm = s + m
+            c = [(k + 1) * c[k + 1] - sm * c[k] for k in range(r)] \
+                + [-sm * c[r]]
+            m += 1
+        poly = sum(ck * lk for ck, lk in zip(c, Lp) if ck)
+        yield -(_bern_mpf(2 * j) / mp.factorial(2 * j) * poly * wpow)
 
+
+def _em_tail(s, r: int, w0, acc, small, j_max: int):
+    """(acc + sum_{k>=1} g(w0+k), stop reason) for g(w) = log^r(w) w^-s.
+
+    Euler-Maclaurin at w0: the integral of g over (w0, inf) in closed form,
+
+        I = w0^-a sum_{i<=r} r!/(r-i)! A^(r-i) / a^(i+1),
+        a = s-1,  A = log w0,
+
+    which for s < 1 is its analytic continuation, then -g(w0)/2 and the
+    _em_terms, cut by small(|term|, sum) or after j_max terms.
+    """
+    A = mp.log(w0)
+    a = s - 1
+    integral = sum(mp.factorial(r) / mp.factorial(r - i)
+                   * A ** (r - i) / a ** (i + 1)
+                   for i in range(r + 1)) * mp.power(w0, -a)
+    g0 = A ** r * mp.power(w0, -s)
+    total, _, reason, _ = _sum_terms(_em_terms(s, r, w0, j_max),
+                                     acc + integral - g0 / 2, small)
+    return total, reason
+
+
+def riemann_zeta_em(s, r: int = 0, ctx: PrecisionContext = DEFAULT_CONTEXT):
+    """zeta^(r)(s) for r in {0,1,2} by Euler-Maclaurin, valid for s != 1.
+
+    zeta^(r)(s) = (-1)^r [ sum_{k<=N} log^r(k) k^-s + sum_{k>N} ... ],
+
+    the tail from _em_tail at w0 = N.  Every piece is differentiated
+    analytically in s, so no finite differences enter, and the integral
+    is continued to s <= 0; expect ~3 log10 N digits of cancellation
+    there, which the guard covers.  N doubles, at most twice, while the
+    tail stops on anything but a small term.
+    """
+    if r not in (0, 1, 2):
+        raise ValueError("riemann_zeta_em supports r in {0,1,2}")
+    with ctx.working(10):
+        s = mpf(s)
+        if s == 1:
+            raise ValueError("pole at s = 1")
+        N = max(40, ctx.working_digits + 15)
+        eps = mpf(10) ** (-(mp.dps - 3))
+        for _attempt in range(3):
+            acc = sum(mp.log(k) ** r * mpf(k) ** (-s) for k in range(1, N + 1))
+            acc, reason = _em_tail(s, r, N, acc,
+                                   lambda t, a: t < eps * max(1, abs(a)), 79)
+            if reason == "small":
+                return (-1) ** r * acc
+            N *= 2
+        raise NonConvergenceError("riemann_zeta_em: floor above target at s=%s"
+                                  % mp.nstr(s, 8))
+
+
+def em_log_power_tail(s, r: int, N: int, u=0,
+                      ctx: PrecisionContext = DEFAULT_CONTEXT):
+    """sum_{k>N} log^r(k+u)/(k+u)^s by Euler-Maclaurin, Re(s) > 1.
+
+    The public face of _em_tail at w0 = N+u, cut at 48 terms.
+    """
+    with ctx.working(10):
+        s = mpf(s)
+        if s <= 1:
+            raise ValueError("tail needs Re(s) > 1")
+        eps = mpf(10) ** (-(mp.dps - 2))
+        tiny = mpf(10) ** (-mp.dps)
+        return +_em_tail(s, r, N + mpf(u), 0,
+                         lambda t, a: t < eps * max(abs(a), tiny), 48)[0]
+
+
+# ---------------------------------------------------------------------------
+# Euler-Maclaurin oracle for gamma_n(u)
+# ---------------------------------------------------------------------------
 
 def _oracle_correction(n: int, u, N: int, j_cap: int) -> mpf:
     """f(N)/2 - sum_j B_2j/(2j)! f^(2j-1)(N) for f = log^n(.+u)/(.+u).
 
-    The j-sum is cut adaptively: stop when terms fall under the working
-    epsilon or start growing (the expansion is asymptotic).
+    The j-sum stops when a term falls under the working epsilon, starts
+    growing (the expansion is asymptotic) or reaches j_cap.
     """
     w = mpf(N) + u
-    L = mp.log(w)
-    Lp = [mpf(1)]
-    for _ in range(n):
-        Lp.append(Lp[-1] * L)
-    rows = _log_power_coeffs(n, 2 * j_cap - 1)
     eps = mpf(10) ** (-(mp.dps + 2))
-
-    def terms():
-        winv = 1 / w
-        wpow = winv * winv  # w^-(2j) at j=1 starts as w^-2
-        for j in range(1, j_cap + 1):
-            row = rows[2 * j - 1]
-            poly = mpf(0)
-            for k in range(n + 1):
-                if row[k]:
-                    poly += row[k] * Lp[k]
-            yield -(_bern_mpf(2 * j) / mp.factorial(2 * j) * poly * wpow)
-            wpow *= winv * winv
-
-    return _sum_terms(terms(), Lp[n] / w / 2, lambda t, _: t < eps)[0]
+    return _sum_terms(_em_terms(1, n, w, j_cap), mp.log(w) ** n / w / 2,
+                      lambda t, _: t < eps)[0]
 
 
 _ORACLE_CACHE: dict = {}
@@ -286,158 +353,6 @@ def stieltjes_oracle_table(n_max: int, u,
 def limit_stieltjes_oracle(n: int, u, ctx: PrecisionContext = DEFAULT_CONTEXT):
     """gamma_n(u), single value; see stieltjes_oracle_table."""
     return stieltjes_oracle_table(n, u, ctx)[n]
-
-
-# ---------------------------------------------------------------------------
-# Euler-Maclaurin zeta and log-power tails
-# ---------------------------------------------------------------------------
-
-def _pochhammer_coeffs(m: int) -> list[int]:
-    """Integer coefficients of s(s+1)...(s+m-1) in powers of s; m >= 1."""
-    coeffs = [0, 1]  # polynomial s
-    for i in range(1, m):
-        # multiply by (s + i)
-        nxt = [0] * (len(coeffs) + 1)
-        for p, c in enumerate(coeffs):
-            nxt[p] += c * i
-            nxt[p + 1] += c
-        coeffs = nxt
-    return coeffs
-
-
-def _poly_eval_with_derivs(coeffs: list[int], s) -> tuple:
-    """P(s), P'(s), P''(s) by Horner on an integer coefficient list."""
-    p = mpf(0)
-    d1 = mpf(0)
-    d2 = mpf(0)
-    for c in reversed(coeffs):
-        d2 = d2 * s + 2 * d1
-        d1 = d1 * s + p
-        p = p * s + c
-    return p, d1, d2
-
-
-def riemann_zeta_em(s, r: int = 0, ctx: PrecisionContext = DEFAULT_CONTEXT):
-    """zeta^(r)(s) for r in {0,1,2} by Euler-Maclaurin, valid for s != 1.
-
-    zeta(s) = sum_{k<N} k^-s + N^(1-s)/(s-1) + N^-s/2
-              + sum_j B_2j/(2j)! (s)_{2j-1} N^(-s-2j+1)
-
-    and the r-derivatives differentiate every piece analytically in s, so
-    no finite differences enter.  Works on the continuation (s <= 0) too;
-    expect ~3 log10 N digits of cancellation there, which the guard covers.
-    """
-    if r not in (0, 1, 2):
-        raise ValueError("riemann_zeta_em supports r in {0,1,2}")
-    with ctx.working(10):
-        s = mpf(s)
-        if s == 1:
-            raise ValueError("pole at s = 1")
-        N = max(40, ctx.working_digits + 15)
-        eps = mpf(10) ** (-(mp.dps - 3))
-        for _attempt in range(3):
-            L = mp.log(N)
-            acc = mpf(0)
-            for k in range(1, N):
-                if r and k == 1:
-                    continue  # log 1 = 0 kills the term
-                kt = mpf(k) ** (-s)
-                if r:
-                    kt *= (-mp.log(k)) ** r
-                acc += kt
-            s1 = s - 1
-            Npow = mpf(N) ** (-s1)  # N^(1-s)
-            if r == 0:
-                acc += Npow / s1
-            elif r == 1:
-                acc += -L * Npow / s1 - Npow / s1 ** 2
-            else:
-                acc += (L ** 2 * Npow / s1 + 2 * L * Npow / s1 ** 2
-                        + 2 * Npow / s1 ** 3)
-            Ns = mpf(N) ** (-s)
-            if r == 0:
-                acc += Ns / 2
-            elif r == 1:
-                acc += -L * Ns / 2
-            else:
-                acc += L ** 2 * Ns / 2
-
-            def terms():
-                Nj = Ns / N  # N^(-s-2j+1) at j=1
-                for j in range(1, 80):
-                    coeffs = _pochhammer_coeffs(2 * j - 1)
-                    P, P1, P2 = _poly_eval_with_derivs(coeffs, s)
-                    bfac = _bern_mpf(2 * j) / mp.factorial(2 * j)
-                    if r == 0:
-                        yield bfac * P * Nj
-                    elif r == 1:
-                        yield bfac * (P1 - L * P) * Nj
-                    else:
-                        yield bfac * (P2 - 2 * L * P1 + L ** 2 * P) * Nj
-                    Nj /= N * N
-
-            acc, _, reason, _ = _sum_terms(
-                terms(), acc, lambda t, a: t < eps * max(1, abs(a)))
-            if reason == "small":
-                return +acc
-            N *= 2
-        raise NonConvergenceError("riemann_zeta_em: floor above target at s=%s"
-                                  % mp.nstr(s, 8))
-
-
-def em_log_power_tail(s, r: int, N: int, u=0,
-                      ctx: PrecisionContext = DEFAULT_CONTEXT):
-    """sum_{k>N} log^r(k+u)/(k+u)^s by Euler-Maclaurin, Re(s) > 1.
-
-    Tail = I - g(N)/2 - sum_j B_2j/(2j)! g^(2j-1)(N), with the integral
-    I = int_N^inf log^r(t+u) (t+u)^-s dt in closed form via w = log(t+u):
-
-        I = e^(-aA) * sum_{i<=r} r!/(r-i)! A^(r-i) / a^(i+1),
-        a = s-1,  A = log(N+u).
-    """
-    with ctx.working(10):
-        s = mpf(s)
-        uu = mpf(u)
-        if s <= 1:
-            raise ValueError("tail needs Re(s) > 1")
-        w0 = N + uu
-        A = mp.log(w0)
-        a = s - 1
-        integral = mpf(0)
-        for i in range(r + 1):
-            integral += (mp.factorial(r) / mp.factorial(r - i)
-                         * A ** (r - i) / a ** (i + 1))
-        integral *= mp.power(w0, -a)
-        # g and derivatives: g^(j) = (t+u)^(-s-j) sum_k c[j][k] log^k(t+u)
-        Lp = [mpf(1)]
-        for _ in range(r):
-            Lp.append(Lp[-1] * A)
-        gN = Lp[r] * mp.power(w0, -s)
-        eps = mpf(10) ** (-(mp.dps - 2))
-        tiny = mpf(10) ** (-mp.dps)
-
-        def terms():
-            cur = [mpf(0)] * r + [mpf(1)]
-            wpow = mp.power(w0, -s - 1)
-            for j in range(2 * 48):
-                nxt = [mpf(0)] * (r + 1)
-                for k in range(r + 1):
-                    v = -(s + j) * cur[k]
-                    if k + 1 <= r:
-                        v += (k + 1) * cur[k + 1]
-                    nxt[k] = v
-                cur = nxt  # g^(j+1) coefficients
-                if j % 2 == 0:
-                    jj = j // 2 + 1  # correction index: uses g^(2jj-1)
-                    poly = mpf(0)
-                    for k in range(r + 1):
-                        poly += cur[k] * Lp[k]
-                    yield -(_bern_mpf(2 * jj) / mp.factorial(2 * jj)
-                            * poly * wpow)
-                wpow /= w0
-
-        return +_sum_terms(terms(), integral - gN / 2,
-                           lambda t, a: t < eps * max(abs(a), tiny))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from mpmath import mp, mpf
 
 from stieltjes.precision import DEFAULT_CONTEXT as CTX
-from stieltjes.precision import PrecisionExhaustedError
+from stieltjes.precision import PrecisionContext, PrecisionExhaustedError
 from stieltjes import functions as F
 from stieltjes import series
 
@@ -406,6 +406,19 @@ def test_non_finite_u_is_rejected_before_any_quadrature(monkeypatch):
         for u in (mp.nan, mp.inf):
             with pytest.raises(ValueError):
                 call(u)
+
+
+def test_bose_closure_holds_at_60_digits():
+    # the Euler-Maclaurin closure of the Bose mode sum needs more terms as
+    # the digits grow; with a fixed cap the two Bose routes part near 1e-69
+    ctx = PrecisionContext.for_digits(60)
+    half = mpf("0.5")
+    psi = F.digamma(half, ctx, "bose").value
+    zeta = F.hurwitz_zeta(2, half, ctx).value
+    with mp.workdps(90):
+        assert abs(psi - mp.psi(0, half)) <= ctx.tolerance
+        ref = mp.zeta(2, half)
+        assert abs(zeta - ref) <= ctx.tolerance * ref
 
 
 def test_polylog_bose_matches_direct_sum():

@@ -187,6 +187,16 @@ class TestZetaEm:
             dv = series.riemann_zeta_em(s, 2, CTX)
             assert abs(fd - dv) < mpf(10) ** -12
 
+    @pytest.mark.parametrize("digits", [15, 30, 60])
+    def test_matches_mpmath_including_the_continuation(self, digits):
+        ctx = PrecisionContext.for_digits(digits)
+        for r in (0, 1, 2):
+            for s in ("-3", "-1", "-0.5", "0", "0.5", "1.5", "2", "3", "40"):
+                v = series.riemann_zeta_em(mpf(s), r, ctx)
+                with mp.workdps(digits + 30):
+                    ref = mp.zeta(mpf(s), 1, r)
+                    assert abs(v - ref) <= ctx.tolerance * abs(ref), (r, s)
+
 
 class TestLogPowerTails:
     def test_plain_tail_matches_zeta_minus_partial(self):
@@ -213,6 +223,20 @@ class TestLogPowerTails:
             tail = series.em_log_power_tail(2, 0, N, half, CTX)
             # zeta(2, 3/2) = pi^2/2 - 4
             assert abs(total + tail - (mp.pi ** 2 / 2 - 4)) < tol(40)
+
+    @pytest.mark.parametrize("digits", [15, 30, 60])
+    def test_matches_mpmath_hurwitz_derivatives(self, digits):
+        # sum_{k>N} log^r(k+u)/(k+u)^s = (-1)^r zeta^(r)(s, N+1+u)
+        ctx = PrecisionContext.for_digits(digits)
+        N = 40
+        for u in ("0", "0.5"):
+            for r in (0, 1, 3):
+                for s in ("1.5", "2", "6", "12"):
+                    v = series.em_log_power_tail(mpf(s), r, N, mpf(u), ctx)
+                    with mp.workdps(digits + 30):
+                        ref = (-1) ** r * mp.zeta(mpf(s), N + 1 + mpf(u), r)
+                        assert abs(v - ref) <= ctx.tolerance * abs(ref), \
+                            (u, r, s)
 
 
 # ---------------------------------------------------------------------------

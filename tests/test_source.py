@@ -1,6 +1,7 @@
 """Static checks on the package source that no installed linter makes."""
 
 import ast
+import collections
 import pathlib
 
 import pytest
@@ -46,3 +47,56 @@ def test_unused_import_is_reported():
            "__all__ = ['Callable']\n"
            "print(sys.argv)\n")
     assert unused_imports(src) == [(2, "os"), (3, "Opt")]
+
+
+def unreferenced_definitions(sources: dict) -> list:
+    """Module-level functions and classes that no module references.
+
+    sources maps module names to their text.  A reference is a Name, an
+    Attribute (``series.riemann_zeta_em``), an imported name or a string
+    in a module-level __all__, in any module and outside the definition's
+    own body, so a function that only calls itself counts as unused.
+    """
+    trees = {mod: ast.parse(text) for mod, text in sources.items()}
+    refs = collections.defaultdict(list)
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                refs[node.id].append(node)
+            elif isinstance(node, ast.Attribute):
+                refs[node.attr].append(node)
+            elif isinstance(node, ast.alias):
+                refs[node.name.split(".")[-1]].append(node)
+            elif isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__"
+                    for t in node.targets):
+                for e in node.value.elts:
+                    refs[e.value].append(e)
+    unused = []
+    for mod, tree in sorted(trees.items()):
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef)):
+                continue
+            inside = {id(n) for n in ast.walk(node)}
+            if all(id(r) in inside for r in refs[node.name]):
+                unused.append((mod, node.name))
+    return unused
+
+
+def test_every_definition_is_referenced():
+    sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert unreferenced_definitions(sources) == []
+
+
+def test_unreferenced_definition_is_reported():
+    sources = {
+        "a": ("def used():\n    return 1\n"
+              "def _dead(m):\n    return [0, 1] * m\n"
+              "def _recursive(n):\n    return _recursive(n - 1)\n"
+              "class Exported:\n    pass\n"
+              "__all__ = ['Exported']\n"),
+        "b": "from .a import used\nprint(used())\n",
+    }
+    assert unreferenced_definitions(sources) == [("a", "_dead"),
+                                                 ("a", "_recursive")]
