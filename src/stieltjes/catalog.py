@@ -253,25 +253,16 @@ def _psi_over_square_series(ctx, n_quad: int = 0):
 
 
 def _sici_sum_85(x, ctx):
-    """sum_{n>=1} [cos Ci + sin si](2 n pi x)/n^2, using the exact identity
-    cos(z)Ci(z) + sin(z)si(z) = -g(z) beyond the first block of terms."""
-    N = 1500
+    """sum_{n>=1} [cos Ci + sin si](2 n pi x)/n^2: the first block through
+    the sine and cosine integrals, the rest through the exact identity
+    cos(z)Ci(z) + sin(z)si(z) = -g(z) and the lattice closure of g."""
     x = mpf(x)
-    acc = mpf(0)
-    for n in range(1, N + 1):
+    acc = -F._aux_lattice_sum(1, 2, 2 * mp.pi * x, ctx, first=13)[0]
+    for n in range(1, 13):
         z = 2 * n * mp.pi * x
-        if n <= 12:
-            Si, si, Ci = F.sin_cos_integrals(z, ctx)
-            acc += (mp.cos(z) * Ci + mp.sin(z) * si) / mpf(n) ** 2
-        else:
-            acc -= F._si_ci_aux(z, ctx)[1] / mpf(n) ** 2
-    # n > N via g(z) ~ sum_k (-1)^k (2k+1)!/z^(2k+2) and zeta tails
-    z0 = 2 * mp.pi * x
-    eps = mpf(10) ** (-(mp.dps - 2))
-    terms = (-((-1) ** k * mp.factorial(2 * k + 1) / z0 ** (2 * k + 2)
-               * series.em_log_power_tail(2 * k + 4, 0, N, 0, ctx))
-             for k in range(30))
-    return series._sum_terms(terms, acc, lambda t, _: t < eps)[0]
+        _, si, Ci = F.sin_cos_integrals(z, ctx)
+        acc += (mp.cos(z) * Ci + mp.sin(z) * si) / mpf(n) ** 2
+    return acc
 
 
 def _harmonic_sum_over_squares(ctx):
@@ -904,16 +895,7 @@ def register_builtin_entries() -> None:
         lhs=lambda ctx: F.log_gamma(mpf("0.25"), "bourguet", ctx).value,
         rhs=lambda ctx: F.log_gamma(mpf("0.25"), "binet2", ctx).value,
         lhs_route="trig_series", rhs_route="bose_quadrature",
-        tags=S | frozenset({"slow"}),
-        tolerance="1e-6",
-        tolerance_note="pinned verification target for the slow "
-                       "trigonometric route; the measured agreement is "
-                       "far tighter"))
-
-    def rhs_83(ctx):
-        N = 2000
-        return (F.log_gamma_bourguet_terms(1, N, ctx)
-                + F._bourguet_smooth_tail(mpf(1), N, ctx))
+        tags=S | frozenset({"slow"})))
 
     register(E(
         id="I-8.3",
@@ -922,7 +904,7 @@ def register_builtin_entries() -> None:
                     "asymptotic tail closure.",
         paper_anchor="I-8.3",
         lhs=lambda ctx: 2 * _bose(lambda x: mp.atan(x), ctx),
-        rhs=rhs_83,
+        rhs=lambda ctx: F._aux_lattice_sum(0, 1, 2 * mp.pi, ctx)[0] / mp.pi,
         lhs_route="bose_quadrature", rhs_route="trig_series",
         tags=S))
 
@@ -942,11 +924,7 @@ def register_builtin_entries() -> None:
         lhs=lambda ctx: F.hurwitz_zeta_sderiv(1, -1, mpf("0.25"), ctx).value,
         rhs=rhs_85,
         lhs_route="bose_quadrature", rhs_route="trig_series",
-        tags=S | frozenset({"slow"}),
-        tolerance="1e-6",
-        tolerance_note="pinned verification target for the slow "
-                       "cosine-integral series; the measured agreement "
-                       "is far tighter"))
+        tags=S | frozenset({"slow"})))
 
     # --- digamma lattice sums ----------------------------------------
     register(E(

@@ -274,8 +274,9 @@ def log_gamma(u, route: str = "binet2",
 
     binet2          Stirling main term + 2 int atan(x/u)/B dx
     binet1          Stirling main term + int e^(-ut) K(t)/t dt
-    bourguet        Stirling main term + trigonometric series, partial
-                    sums closed with the smooth asymptotic tail
+    bourguet        Stirling main term + sum_n f(2 pi n u)/(pi n), f the
+                    sine/cosine-integral auxiliary function: the lattice
+                    sum of _aux_lattice_sum, its length from the digits
     binomial_series Lerch form zeta'(0,u) + log(2pi)/2 with zeta'(0,u)
                     from Hasse's binomial double sum, shifted to u + M
                     like the hasse_sum route; raises
@@ -300,10 +301,8 @@ def log_gamma(u, route: str = "binet2",
             return FunctionValue(+(_stirling_main(uu) + res.value),
                                  "binet1", _quad_diag(res))
         if route == "bourguet":
-            N = 10000
-            part = log_gamma_bourguet_terms(uu, N, ctx)
-            tail = _bourguet_smooth_tail(uu, N, ctx)
-            return FunctionValue(+(_stirling_main(uu) + part + tail),
+            part, N = _aux_lattice_sum(0, 1, 2 * mp.pi * uu, ctx)
+            return FunctionValue(+(_stirling_main(uu) + part / mp.pi),
                                  "bourguet",
                                  {"terms": N, "tail_route": "asymptotic"})
         # binomial_series: Hasse's sum of x log x - x is zeta'(0,x), and
@@ -313,38 +312,6 @@ def log_gamma(u, route: str = "binet2",
         _refuse_above_tolerance("binomial_series", diag, ctx)
         return FunctionValue(+(zeta_p0 + mp.log(2 * mp.pi) / 2),
                              "binomial_series", diag.__dict__)
-
-
-def _bourguet_smooth_tail(uu, N: int, ctx: PrecisionContext):
-    """sum_{n>N} f(2 pi n u)/(pi n) with f the auxiliary cosine-transform
-    function, via its asymptotic series and zeta tails:
-
-      f(z) ~ sum_k (-1)^k (2k)!/z^(2k+1)
-      tail = sum_k (-1)^k (2k)!/(pi (2 pi u)^(2k+1)) * sum_{n>N} n^(-2k-2)
-    """
-    z0 = 2 * mp.pi * uu
-    eps = mpf(10) ** (-(mp.dps - 2))
-    terms = ((-1) ** k * mp.factorial(2 * k) / (mp.pi * z0 ** (2 * k + 1))
-             * series.em_log_power_tail(2 * k + 2, 0, N, 0, ctx)
-             for k in range(30))
-    return series._sum_terms(terms, mpf(0), lambda t, _: t < eps)[0]
-
-
-def log_gamma_bourguet_terms(u, N: int,
-                             ctx: PrecisionContext = DEFAULT_CONTEXT):
-    """Partial trigonometric series sum_{n<=N} f(2 pi n u)/(pi n).
-
-    Each term is the closed form of (1/(pi n)) int sin(2 pi n x)/(x+u) dx,
-    namely [Ci(z) sin(z) - si(z) cos(z)]/(pi n) = f(z)/(pi n) at
-    z = 2 pi n u, evaluated through the auxiliary function directly.
-    """
-    with ctx.working(10):
-        uu = mpf(u)
-        acc = mpf(0)
-        for n in range(1, N + 1):
-            z = 2 * mp.pi * n * uu
-            acc += _si_ci_aux(z, ctx)[0] / (mp.pi * n)
-        return +acc
 
 
 # ---------------------------------------------------------------------------
@@ -482,49 +449,76 @@ def barnes_g_log(t, route: str = "integral_6_7",
 # sine and cosine integrals
 # ---------------------------------------------------------------------------
 
-#: Tier boundaries: power series to 8, auxiliary-function quadrature to 100,
-#: truncated asymptotics beyond.  The asymptotic floor is not below every
-#: tolerance: against mpmath, f is off by a relative 4.7e-43 (g by 4.8e-41)
-#: at z = 100 at 15, 30 and 60 digits alike, and f by 7.6e-56 at z = 130.
+#: Power series up to here; auxiliary functions f and g beyond.
 _SICI_SERIES_MAX = 8
-_SICI_ASYM_MIN = 100
 
 
-def _si_ci_aux(z, ctx: PrecisionContext):
-    """(f, g) with Ci = f sin - g cos and si = -f cos - g sin.
+def _aux_boundary():
+    """Tier boundary Z of f and g at the working precision: the smallest
+    term of their asymptotic series is about e^-z, below 10^-dps from Z."""
+    return mpf("2.31") * mp.dps + 10
 
-    f(z) = int e^(-zt)/(1+t^2) dt,  g(z) = int t e^(-zt)/(1+t^2) dt.
-    Quadrature mid-range, asymptotic series for z >= _SICI_ASYM_MIN.
+
+def _aux_terms(delta: int, z):
+    """Terms (-1)^k (2k+delta)!/z^(2k+1+delta), k = 0 .. Z/2, of the
+    asymptotic series of f (delta = 0) or g (delta = 1) at z.  They shrink
+    while 2k < z, so for z >= Z they reach 10^-dps within the cap."""
+    term = 1 / z ** (1 + delta)
+    for k in range(int(_aux_boundary()) // 2 + 1):
+        yield term
+        term *= -(2 * k + 1 + delta) * (2 * k + 2 + delta) / (z * z)
+
+
+def _si_ci_aux(delta: int, z, ctx: PrecisionContext):
+    """f(z) (delta = 0) or g(z) (delta = 1) for z > 0, with
+    Ci = f sin - g cos and si = -f cos - g sin:
+
+      f(z) = int e^(-zt)/(1+t^2) dt,  g(z) = int t e^(-zt)/(1+t^2) dt.
+
+    Laplace quadrature below the tier boundary _aux_boundary(), the
+    asymptotic series of _aux_terms from it on.
     """
-    z = mpf(z)
-    if z >= _SICI_ASYM_MIN:
-        z2 = z * z
-        f = mpf(0)
-        g = mpf(0)
-        fk = mpf(1) / z
-        gk = mpf(1) / z2
-        for k in range(0, 60):
-            f += fk if k % 2 == 0 else -fk
-            g += gk if k % 2 == 0 else -gk
-            ratio = (2 * k + 1) * (2 * k + 2) / z2
-            nf = fk * ratio
-            if nf > fk:
-                break
-            fk = nf
-            gk = gk * (2 * k + 2) * (2 * k + 3) / z2
-        return f, g
-    fres = integrate_laplace(
-        Integrand1D(eval=lambda t: 1 / (1 + t * t)), z, ctx)
-    gres = integrate_laplace(
-        Integrand1D(eval=lambda t: t / (1 + t * t)), z, ctx)
-    return fres.value, gres.value
+    with ctx.working(10):
+        z = mpf(z)
+        if z >= _aux_boundary():
+            eps = mpf(10) ** -mp.dps
+            return series._sum_terms(_aux_terms(delta, z), mpf(0),
+                                     lambda t, _: t < eps)[0]
+        return integrate_laplace(
+            Integrand1D(eval=lambda t: t ** delta / (1 + t * t)), z,
+            ctx).value
+
+
+def _aux_lattice_sum(delta: int, p: int, z0, ctx: PrecisionContext,
+                     first: int = 1):
+    """(sum_{n>=first} phi(n z0)/n^p, N), phi = f (delta = 0) or g
+    (delta = 1), p >= 1: terms n <= N one by one, where (N+1) z0 reaches
+    the tier boundary, and the rest through the asymptotic series of phi
+    against zeta tails,
+
+      sum_k (-1)^k (2k+delta)!/z0^(2k+1+delta) sum_{n>N} n^-(2k+1+delta+p).
+
+    N is at least psi_asymptotic's shift 0.4 dps + 8, which keeps those
+    tails clear of the Euler-Maclaurin floor of em_log_power_tail.
+    """
+    with ctx.working(10):
+        N = max(int(mp.ceil(_aux_boundary() / z0)) - 1,
+                int(mp.ceil(mpf("0.4") * mp.dps)) + 8)
+        acc = mpf(0)
+        for n in range(first, N + 1):
+            acc += _si_ci_aux(delta, n * z0, ctx) / mpf(n) ** p
+        eps = mpf(10) ** -mp.dps
+        terms = (c * series.em_log_power_tail(2 * k + 1 + delta + p, 0, N,
+                                              0, ctx)
+                 for k, c in enumerate(_aux_terms(delta, z0)))
+        return series._sum_terms(terms, acc, lambda t, _: t < eps)[0], N
 
 
 def sin_cos_integrals(x, ctx: PrecisionContext = DEFAULT_CONTEXT):
     """(Si(x), si(x), Ci(x)) for x > 0; si = Si - pi/2.
 
-    Power series at small argument (with the oracle's Euler constant in
-    Ci), auxiliary functions beyond; see the tier notes above.
+    Power series up to _SICI_SERIES_MAX (with the oracle's Euler constant
+    in Ci), the auxiliary functions of _si_ci_aux beyond.
     """
     with ctx.working(10):
         x = mpf(x)
@@ -555,7 +549,7 @@ def sin_cos_integrals(x, ctx: PrecisionContext = DEFAULT_CONTEXT):
             Si = +si_acc
             Ci = +(g + mp.log(x) + ci_acc)
             return Si, +(Si - mp.pi / 2), Ci
-        f, g = _si_ci_aux(x, ctx)
+        f, g = _si_ci_aux(0, x, ctx), _si_ci_aux(1, x, ctx)
         s, c = mp.sin(x), mp.cos(x)
         Ci = f * s - g * c
         si = -f * c - g * s

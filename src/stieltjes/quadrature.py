@@ -11,7 +11,8 @@ precision and shared by every integral at that precision.  Every rule,
 the cached grid; the driver halves the stride until two levels agree and
 reports their difference as the error estimate.  Every rule reuses
 integrand values across levels; the 1-D rules truncate each level with one
-outward walk (_walk) that stops a side after 3 negligible terms.
+outward walk (_walk) that stops a side after 3 negligible terms past the
+last non-negligible one of the level before.
 
 The Bose-weight integrator runs two genuinely different evaluations (the
 direct transformed integral, and a mode expansion of the kernel with an
@@ -182,28 +183,37 @@ def _stalled(err, tol) -> NonConvergenceError:
         % (mp.nstr(err, 3), mp.nstr(tol, 3)))
 
 
-def _walk(tab: _NodeTable, stride: int, term, eps) -> list:
-    """Indices of the stride sub-grid, from the center outward: the center,
-    then the right side, then the left, each side stopped after 3
-    consecutive nodes with |term(i)| < eps."""
+def _walk(tab: _NodeTable, stride: int, term, eps, reach):
+    """Indices of the stride sub-grid from the center outward (the center,
+    the right side, the left) and, per side, the offset of the last term
+    with |term(i)| >= eps.  A side stops after 3 consecutive smaller terms
+    past its offset in reach, a coarser level's: a finer level never stops
+    in a negligible band that the coarse level stepped over to find mass."""
     mid = len(tab.xs) // 2
     idxs = [mid]
-    for step in (stride, -stride):
-        small = 0
-        i = mid + step
-        while 0 <= i < len(tab.xs) and small < 3:
+    reached = []
+    for side, r in zip((1, -1), reach):
+        small = last = 0
+        off = stride
+        while off <= mid and (small < 3 or off <= r):
+            i = mid + side * off
             idxs.append(i)
-            small = small + 1 if abs(term(i)) < eps else 0
-            i += step
-    return idxs
+            if abs(term(i)) < eps:
+                small += 1
+            else:
+                small, last = 0, off
+            off += stride
+        reached.append(last)
+    return idxs, reached
 
 
 def _integrate_on_table(feval, tab: _NodeTable, tol, dps):
-    """h sum f(x_i) w_i refined over the table; returns the result and the
-    stride it settled on.  Each f value is computed once and reused by
-    every finer level."""
+    """h sum f(x_i) w_i refined over the table; returns the result, the
+    stride it settled on and the walk's reach there.  Each f value is
+    computed once and reused by every finer level."""
     terms: list = [None] * len(tab.xs)
     eps_term = tol * mpf(10) ** (-6)
+    reach = (0, 0)
 
     def term(i):
         t = terms[i]
@@ -212,8 +222,10 @@ def _integrate_on_table(feval, tab: _NodeTable, tol, dps):
         return t
 
     def level(stride):
+        nonlocal reach
+        idxs, reach = _walk(tab, stride, term, eps_term, reach)
         total = mpf(0)
-        for i in _walk(tab, stride, term, eps_term):
+        for i in idxs:
             total += term(i)
         return total * tab.h * stride
 
@@ -222,7 +234,7 @@ def _integrate_on_table(feval, tab: _NodeTable, tol, dps):
         raise _stalled(err, tol)
     used = sum(t is not None for t in terms)
     return QuadratureResult(value=+val, error_estimate=+err,
-                            nodes_used=used), stride
+                            nodes_used=used), stride, reach
 
 
 def _default_tol(ctx: PrecisionContext):
@@ -260,7 +272,7 @@ def exp_sinh_0inf(f: Integrand1D, ctx: PrecisionContext = DEFAULT_CONTEXT,
 # ---------------------------------------------------------------------------
 
 def _bose_direct(g: Integrand1D, tab: _NodeTable, tol, dps):
-    """Direct transformed integral; also reports the stride it settled on."""
+    """Direct transformed integral; also reports its stride and reach."""
     two_pi = 2 * mp.pi
     return _integrate_on_table(
         lambda i: g.eval(tab.xs[i]) / mp.expm1(two_pi * tab.xs[i]),
@@ -290,6 +302,7 @@ class _BoseKernelSums:
         self.eps_term = tol * mpf(10) ** (-6)
         self.gvals: list = [None] * len(tab.xs)
         self.evals = 0
+        self.reach = (0, 0)     # of the last walk, the next one's start
 
     def _gval(self, i):
         v = self.gvals[i]
@@ -306,11 +319,12 @@ class _BoseKernelSums:
         # window truncated on the n = 1 mode terms; the 1/(2 pi x) factor
         # of the closing integral term is folded into the test so the
         # small-x tail is not cut prematurely
-        idxs = sorted(_walk(
+        idxs, self.reach = _walk(
             tab, stride,
             lambda i: self._gval(i) * qs[i]
             * (tab.ws[i] * (1 + 1 / (two_pi * tab.xs[i]))),
-            self.eps_term))
+            self.eps_term, self.reach)
+        idxs.sort()
         hs = tab.h * stride
         N = self.n_modes
         acc = mpf(0)
@@ -368,7 +382,7 @@ def integrate_bose(g: Integrand1D, ctx: PrecisionContext = DEFAULT_CONTEXT,
             if not settled:
                 raise _stalled(err, tol)
             return QuadratureResult(+val, +err, kern.evals)
-        direct, stride = _bose_direct(g, tab, tol, dps)
+        direct, stride, kern.reach = _bose_direct(g, tab, tol, dps)
         kval = kern.value(stride)
         diff = abs(direct.value - kval)
         if diff > 10 * tol * max(1, abs(direct.value)):

@@ -16,7 +16,7 @@ import pytest
 from mpmath import mp, mpf
 
 from stieltjes.precision import DEFAULT_CONTEXT as CTX
-from stieltjes.precision import agreed_digits
+from stieltjes.precision import PrecisionContext, agreed_digits
 from stieltjes import functions as F
 from stieltjes import series
 from stieltjes.catalog import all_entries, run_catalog
@@ -142,10 +142,21 @@ class TestCatalogGate:
     def test_slow_entries_pass_their_pinned_tolerances(self):
         report = run_catalog("slow", ctx=CTX)
         assert report.total == 3
-        pinned = {"I-2.2": "1e-5", "I-8.2": "1e-6", "I-8.5": "1e-6"}
+        pinned = {"I-2.2": mpf("1e-5"), "I-8.2": CTX.tolerance,
+                  "I-8.5": CTX.tolerance}
         for o in report.outcomes:
             assert o.failure is None, o.failure
-            assert o.abs_error < mpf(pinned[o.entry_id]), o.entry_id
+            assert o.abs_error < pinned[o.entry_id], o.entry_id
+
+    @pytest.mark.parametrize("entry_id", ["I-8.2", "I-8.3", "I-8.5"])
+    def test_trig_series_entries_pass_at_15_digits(self, entry_id):
+        # only 30 digits was gated before, and these entries were off by
+        # up to 7e-4 at 15 while green at 30
+        ctx = PrecisionContext.for_digits(15)
+        (out,) = run_catalog(entry_id, ctx=ctx).outcomes
+        assert out.failure is None, out.failure
+        assert out.tolerance == ctx.tolerance
+        assert out.passed, out.abs_error
 
 
 # ---------------------------------------------------------------------------

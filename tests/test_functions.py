@@ -148,6 +148,31 @@ class TestLogGamma:
             b = F.log_gamma(mpf("0.25"), "binet2", CTX).value
             assert abs(a - b) < mpf(10) ** -30
 
+    @pytest.mark.parametrize("digits", [15, 60])
+    @pytest.mark.parametrize("u", ["0.73", "10"])
+    def test_bourguet_matches_mpmath(self, digits, u):
+        # the lattice length and the si/ci tier boundary follow the
+        # digits; fixed ones left 7e-4 at 15 digits and 5e-47 at 60
+        ctx = PrecisionContext.for_digits(digits)
+        uu = mpf(u)
+        val = F.log_gamma(uu, "bourguet", ctx).value
+        with mp.workdps(digits + 30):
+            assert abs(val - mp.loggamma(uu)) <= ctx.tolerance
+
+    @pytest.mark.parametrize("what,u", [
+        ("digamma", 84), ("digamma", 200), ("log_gamma", 84)])
+    def test_laplace_routes_keep_their_mass_at_large_u(self, what, u):
+        # e^(-ut) puts the mass near t = 1/u behind a negligible band
+        # around t = 1; the finer levels used to stop in that band
+        ctx = PrecisionContext.for_digits(15)
+        if what == "digamma":
+            val = F.digamma(u, ctx, "laplace").value
+        else:
+            val = F.log_gamma(u, "binet1", ctx).value
+        with mp.workdps(45):
+            ref = mp.psi(0, u) if what == "digamma" else mp.loggamma(u)
+            assert abs(val - ref) <= ctx.tolerance * abs(ref)
+
     def test_binomial_series_honest_within_its_own_tail(self):
         # the route reports its truncation tail, returns a value only when
         # that tail is inside the tolerance, and stays within it
@@ -320,15 +345,36 @@ class TestSinCosIntegrals:
                 Si, si, _ = F.sin_cos_integrals(x, CTX)
                 assert abs(si - (Si - mp.pi / 2)) < TOL
 
-    @pytest.mark.parametrize("seam", ["8", "100"])
+    @pytest.mark.parametrize("seam", ["8", "100", "boundary"])
     def test_tier_seams_are_continuous(self, seam):
+        with CTX.working(10):
+            Z = F._aux_boundary()
         with CTX.working():
             eps = mpf("1e-25")
-            x = mpf(seam)
+            x = Z if seam == "boundary" else mpf(seam)
             lo = F.sin_cos_integrals(x - eps, CTX)
             hi = F.sin_cos_integrals(x + eps, CTX)
             for a, b in zip(lo, hi):
                 assert abs(a - b) < mpf(10) ** -20
+
+    @pytest.mark.parametrize("digits", [6, 15, 30, 60])
+    def test_aux_functions_match_mpmath_across_the_tiers(self, digits):
+        # f = Ci sin - si cos and g = -Ci cos - si sin from z = 20 to 30
+        # past the tier boundary Z, which grows with the digits; a fixed
+        # Z = 100 left a floor of 5e-43, and a truncated Laplace walk
+        # returned ~0 from z = 68 at 6 digits
+        ctx = PrecisionContext.for_digits(digits)
+        with ctx.working(10):
+            Z = F._aux_boundary()
+            zs = [mpf(z) for z in range(20, int(Z) + 31, 8)] + [Z]
+        for z in zs:
+            f, g = F._si_ci_aux(0, z, ctx), F._si_ci_aux(1, z, ctx)
+            with mp.workdps(digits + 40):
+                ci, si = mp.ci(z), mp.si(z) - mp.pi / 2
+                s, c = mp.sin(z), mp.cos(z)
+                for val, ref in ((f, ci * s - si * c),
+                                 (g, -ci * c - si * s)):
+                    assert abs(val - ref) <= mpf(10) ** -(digits + 10) * ref
 
     def test_large_argument_envelope(self):
         # Ci(x) ~ sin(x)/x: bounded by ~1/x

@@ -12,6 +12,7 @@ from stieltjes.quadrature import (
     Integrand1D,
     Integrand2D,
     _get_table,
+    _walk,
     exp_sinh_0inf,
     integrate_bose,
     integrate_laplace,
@@ -183,3 +184,27 @@ class TestUnitSquare:
                 flat += row * tab.ws[i]
             flat *= (tab.h * stride) ** 2
             assert abs(r.value - flat) < mpf(10) ** -40
+
+
+def test_walk_counts_small_terms_only_past_the_coarser_reach():
+    # u e^(-ux) on exp-sinh at u = 100 has its mass near x = 1e-2 and is
+    # negligible around x = 1: a fine walk from the center alone stops in
+    # that band and sums about 0; started from the coarse level's reach
+    # it keeps the mass
+    tab = _get_table("es0inf", 35)
+    with mp.workdps(45):
+        eps = mpf("1e-31")
+
+        def term(i):
+            return 100 * mp.exp(-100 * tab.xs[i]) * tab.ws[i]
+
+        def level(stride, reach):
+            idxs, reach = _walk(tab, stride, term, eps, reach)
+            return sum(term(i) for i in idxs) * tab.h * stride, reach
+
+        coarse, reach = level(16, (0, 0))
+        assert abs(coarse - 1) < mpf("1e-30")
+        assert level(1, (0, 0))[0] < mpf("1e-30")
+        fine, fine_reach = level(1, reach)
+        assert abs(fine - 1) < mpf("1e-30")
+        assert all(f >= r for f, r in zip(fine_reach, reach))
