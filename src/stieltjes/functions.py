@@ -71,7 +71,7 @@ def _binet_series(t, k_min: int):
     def terms():
         tp = t * t2 ** (k_min - 1)
         for k in range(k_min, 300):
-            yield series._bern_mpf(2 * k) / mp.factorial(2 * k) * tp
+            yield series._bern_coef(k) * tp
             tp *= t2
 
     return series._sum_terms(terms(), mpf(0), lambda a, _: a < eps)[0]
@@ -92,8 +92,7 @@ def exp_square_kernel(y):
     def terms():
         yp = y2
         for k in range(2, 200):
-            yield -(series._bern_mpf(2 * k) * (2 * k - 1)
-                    / mp.factorial(2 * k) * yp)
+            yield -(series._bern_coef(k) * (2 * k - 1) * yp)
             yp *= y2
 
     return series._sum_terms(terms(), mpf(0), lambda a, _: a < eps)[0]

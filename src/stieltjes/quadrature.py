@@ -32,7 +32,7 @@ from .precision import (
     NonConvergenceError,
     PrecisionContext,
 )
-from .series import _bern_mpf, _sum_terms
+from .series import _bern_coef, _sum_terms
 
 
 @dataclass
@@ -69,6 +69,10 @@ class Integrand2D:
 
 @dataclass
 class QuadratureResult:
+    """A rule's value, its error estimate and how many integrand values it
+    took: distinct g.eval calls for integrate_bose, f2.pair calls for
+    integrate_unit_square, the nodes summed for the other rules."""
+
     value: object
     error_estimate: object
     nodes_used: int
@@ -271,12 +275,12 @@ def exp_sinh_0inf(f: Integrand1D, ctx: PrecisionContext = DEFAULT_CONTEXT,
 # Bose-weight integrals, two ways
 # ---------------------------------------------------------------------------
 
-def _bose_direct(g: Integrand1D, tab: _NodeTable, tol, dps):
-    """Direct transformed integral; also reports its stride and reach."""
+def _bose_direct(gval, tab: _NodeTable, tol, dps):
+    """Direct transformed integral of gval(i) = g(x_i); also reports its
+    stride and reach."""
     two_pi = 2 * mp.pi
     return _integrate_on_table(
-        lambda i: g.eval(tab.xs[i]) / mp.expm1(two_pi * tab.xs[i]),
-        tab, tol, dps)
+        lambda i: gval(i) / mp.expm1(two_pi * tab.xs[i]), tab, tol, dps)
 
 
 class _BoseKernelSums:
@@ -290,73 +294,52 @@ class _BoseKernelSums:
       tail = int_N^inf T + T(N)/2 + sum_j B_2j/(2j)! D_{2j-1}(N),
       D_m(N) = int g(x) (2 pi x)^m e^(-2 pi N x) dx = (-1)^m T^(m)(N).
 
-    One g value per node, cached across strides; the mode factors are
-    running products of the cached e^(-2 pi x) base values.
+    On a level's nodes, T(n) sums a_i = g_i w_i q_i^n with q_i = e^(-2 pi
+    x_i), carried as a running product (one multiply per node and mode);
+    the moments D_m sum a_i y_i^m at n = N with y_i = 2 pi x_i, advanced
+    by y_i^2 per term.  gval(i) = g(x_i) is the call's shared node cache.
     """
 
-    def __init__(self, g: Integrand1D, tab: _NodeTable, tol, n_modes: int):
-        self.g = g
+    def __init__(self, gval, tab: _NodeTable, tol, n_modes: int):
+        self.gval = gval
         self.tab = tab
         self.qs = _bose_qs(tab)
         self.n_modes = n_modes
         self.eps_term = tol * mpf(10) ** (-6)
-        self.gvals: list = [None] * len(tab.xs)
-        self.evals = 0
         self.reach = (0, 0)     # of the last walk, the next one's start
-
-    def _gval(self, i):
-        v = self.gvals[i]
-        if v is None:
-            v = self.g.eval(self.tab.xs[i])
-            self.gvals[i] = v
-            self.evals += 1
-        return v
 
     def value(self, stride: int):
         tab = self.tab
         qs = self.qs
+        gval = self.gval
         two_pi = 2 * mp.pi
         # window truncated on the n = 1 mode terms; the 1/(2 pi x) factor
         # of the closing integral term is folded into the test so the
         # small-x tail is not cut prematurely
         idxs, self.reach = _walk(
             tab, stride,
-            lambda i: self._gval(i) * qs[i]
+            lambda i: gval(i) * qs[i]
             * (tab.ws[i] * (1 + 1 / (two_pi * tab.xs[i]))),
             self.eps_term, self.reach)
         idxs.sort()
         hs = tab.h * stride
-        N = self.n_modes
+        q = [qs[i] for i in idxs]
+        a = [gval(i) * tab.ws[i] * qs[i] for i in idxs]
         acc = mpf(0)
-        pv = {i: qs[i] for i in idxs}
-        TN = mpf(0)
-        for n in range(1, N + 1):
-            Tn = mpf(0)
-            for i in idxs:
-                Tn += self._gval(i) * pv[i] * tab.ws[i]
-            Tn *= hs
-            if n < N:
-                acc += Tn
-                for i in idxs:
-                    pv[i] *= qs[i]
-            else:
-                TN = Tn
-        integral = mpf(0)
-        for i in idxs:
-            integral += (self._gval(i) * pv[i] / (two_pi * tab.xs[i])
-                         * tab.ws[i])
-        integral *= hs
-        acc += integral + TN / 2
+        for _ in range(1, self.n_modes):
+            acc += mp.fsum(a) * hs
+            a = [ai * qi for ai, qi in zip(a, q)]
+        # a is now g w q^N: the integral over n > N and T(N)/2
+        y = [two_pi * tab.xs[i] for i in idxs]
+        acc += (mp.fsum([ai / yi for ai, yi in zip(a, y)])
+                + mp.fsum(a) / 2) * hs
 
         def terms():
+            b = [ai * yi for ai, yi in zip(a, y)]
+            y2 = [yi * yi for yi in y]
             for j in range(1, tab.dps):
-                m = 2 * j - 1
-                D = mpf(0)
-                for i in idxs:
-                    D += (self._gval(i) * pv[i] * (two_pi * tab.xs[i]) ** m
-                          * tab.ws[i])
-                D *= hs
-                yield _bern_mpf(2 * j) / mp.factorial(2 * j) * D
+                yield _bern_coef(j) * (mp.fsum(b) * hs)
+                b = [bi * y2i for bi, y2i in zip(b, y2)]
 
         return _sum_terms(terms(), acc, lambda t, _: t < self.eps_term)[0]
 
@@ -369,29 +352,38 @@ def integrate_bose(g: Integrand1D, ctx: PrecisionContext = DEFAULT_CONTEXT,
     agree within 10x the requested tolerance or NonConvergenceError is
     raised; the direct value (usually the more accurate one) is returned.
     Oscillatory integrands skip the direct route and refine the mode
-    expansion on its own.
+    expansion on its own.  Both routes read g from one cache of node
+    values, so nodes_used counts distinct evaluations of g.eval.
     """
     with ctx.working(10):
         dps = ctx.working_digits
         tol = _default_tol(ctx) if tol is None else mpf(tol)
         tab = _get_table("es0inf", dps)
+        gvals: list = [None] * len(tab.xs)
+
+        def gval(i):
+            v = gvals[i]
+            if v is None:
+                v = gvals[i] = g.eval(tab.xs[i])
+            return v
+
         n_modes = max(20, int(0.8 * ctx.working_digits))
-        kern = _BoseKernelSums(g, tab, tol, n_modes)
+        kern = _BoseKernelSums(gval, tab, tol, n_modes)
         if g.oscillatory:
             val, err, _, settled = _refine(kern.value, _strides(dps), tol)
             if not settled:
                 raise _stalled(err, tol)
-            return QuadratureResult(+val, +err, kern.evals)
-        direct, stride, kern.reach = _bose_direct(g, tab, tol, dps)
-        kval = kern.value(stride)
-        diff = abs(direct.value - kval)
-        if diff > 10 * tol * max(1, abs(direct.value)):
-            raise NonConvergenceError(
-                "bose routes disagree: |direct-kernel| = %s" % mp.nstr(diff, 3))
-        return QuadratureResult(
-            value=direct.value,
-            error_estimate=max(direct.error_estimate, diff),
-            nodes_used=direct.nodes_used + kern.evals)
+        else:
+            direct, stride, kern.reach = _bose_direct(gval, tab, tol, dps)
+            kval = kern.value(stride)
+            diff = abs(direct.value - kval)
+            if diff > 10 * tol * max(1, abs(direct.value)):
+                raise NonConvergenceError(
+                    "bose routes disagree: |direct-kernel| = %s"
+                    % mp.nstr(diff, 3))
+            val, err = direct.value, max(direct.error_estimate, diff)
+        used = sum(v is not None for v in gvals)
+        return QuadratureResult(+val, +err, used)
 
 
 def integrate_laplace(h: Integrand1D, u, ctx: PrecisionContext = DEFAULT_CONTEXT,

@@ -100,6 +100,18 @@ def _bern_mpf(n: int) -> mpf:
     return mpf(b.numerator) / b.denominator
 
 
+_BERN_COEF_CACHE: dict = {}
+
+
+def _bern_coef(k: int) -> mpf:
+    """B_2k/(2k)! at the working precision, cached per (k, mp.prec)."""
+    key = (k, mp.prec)
+    c = _BERN_COEF_CACHE.get(key)
+    if c is None:
+        c = _BERN_COEF_CACHE[key] = _bern_mpf(2 * k) / mp.factorial(2 * k)
+    return c
+
+
 # ---------------------------------------------------------------------------
 # truncation of term-by-term series
 # ---------------------------------------------------------------------------
@@ -195,7 +207,7 @@ def _em_terms(s, r: int, w0, j_max: int):
                 + [-sm * c[r]]
             m += 1
         poly = sum(ck * lk for ck, lk in zip(c, Lp) if ck)
-        yield -(_bern_mpf(2 * j) / mp.factorial(2 * j) * poly * wpow)
+        yield -(_bern_coef(j) * poly * wpow)
 
 
 def _em_tail(s, r: int, w0, acc, small, j_max: int):

@@ -8,9 +8,12 @@ import pytest
 from mpmath import mp, mpf
 
 from stieltjes.precision import DEFAULT_CONTEXT as CTX
+from stieltjes.precision import NonConvergenceError, PrecisionContext
 from stieltjes.quadrature import (
     Integrand1D,
     Integrand2D,
+    _BoseKernelSums,
+    _default_tol,
     _get_table,
     _walk,
     exp_sinh_0inf,
@@ -95,6 +98,48 @@ class TestBose:
         with CTX.working():
             r = integrate_bose(Integrand1D(eval=mp.atan), CTX)
             assert abs(2 * r.value - (1 - mp.log(2 * mp.pi) / 2)) < TOL
+
+    def test_each_node_evaluated_once_across_both_routes(self):
+        xs = []
+
+        def g(x):
+            xs.append(x)
+            return mp.atan(x)
+        with CTX.working():
+            r = integrate_bose(Integrand1D(eval=g), CTX)
+        assert len(xs) == len(set(xs)) == r.nodes_used
+
+    @pytest.mark.parametrize("digits", [15, 30, 60])
+    @pytest.mark.parametrize("name", ["x", "atan"])
+    def test_kernel_route_agrees_with_direct_route(self, monkeypatch, name,
+                                                   digits):
+        kernel = []
+        value = _BoseKernelSums.value
+
+        def recorded(self, stride):
+            kernel.append(value(self, stride))
+            return kernel[-1]
+        monkeypatch.setattr(_BoseKernelSums, "value", recorded)
+        ctx = PrecisionContext.for_digits(digits)
+        g = {"x": lambda x: x, "atan": mp.atan}[name]
+        exact = {"x": lambda: mpf(1) / 24,
+                 "atan": lambda: (1 - mp.log(2 * mp.pi) / 2) / 2}[name]
+        with ctx.working(10):
+            r = integrate_bose(Integrand1D(eval=g), ctx)
+            tol = _default_tol(ctx)
+            assert len(kernel) == 1
+            assert abs(kernel[0] - r.value) < tol
+            assert abs(r.value - exact()) < tol
+
+    def test_disagreeing_routes_raise(self, monkeypatch):
+        value = _BoseKernelSums.value
+        monkeypatch.setattr(_BoseKernelSums, "value",
+                            lambda self, stride: value(self, stride)
+                            + mpf("1e-20"))
+        with CTX.working():
+            with pytest.raises(NonConvergenceError,
+                               match="bose routes disagree"):
+                integrate_bose(Integrand1D(eval=mp.atan), CTX)
 
 
 class TestLaplace:
