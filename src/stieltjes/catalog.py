@@ -868,9 +868,10 @@ def register_builtin_entries() -> None:
 
     def rhs_72(ctx):
         s1 = mpf("0.5")
+        gammas = series.stieltjes_oracle_table(13, 1, ctx)
         acc = 1 / s1 ** 2
         for n in range(0, 13):
-            acc += (-1) ** n / mp.factorial(n) * s1 ** n * _gam(n + 1, 1, ctx)
+            acc += (-1) ** n / mp.factorial(n) * s1 ** n * gammas[n + 1]
         return acc
 
     register(E(

@@ -99,17 +99,26 @@ def exp_square_kernel(y):
 
 
 _GREGORY: list[Fraction] = [Fraction(1)]
+_GREGORY_MPF: dict = {}
 
 
-def _gregory(n: int) -> Fraction:
-    """Coefficients of e/log(1+e): G_0=1, G_1=1/2, G_2=-1/12, ..."""
-    while len(_GREGORY) <= n:
-        m = len(_GREGORY)
-        acc = Fraction(0)
-        for k in range(m):
-            acc += _GREGORY[k] * Fraction((-1) ** (m - k), m - k + 1)
-        _GREGORY.append(-acc)
-    return _GREGORY[n]
+def _gregory(n: int) -> mpf:
+    """Coefficient G_n of e/log(1+e): G_0=1, G_1=1/2, G_2=-1/12, ...
+
+    Exact Fractions are built once; the mpf is cached per (n, mp.prec).
+    """
+    key = (n, mp.prec)
+    c = _GREGORY_MPF.get(key)
+    if c is None:
+        while len(_GREGORY) <= n:
+            m = len(_GREGORY)
+            acc = Fraction(0)
+            for k in range(m):
+                acc += _GREGORY[k] * Fraction((-1) ** (m - k), m - k + 1)
+            _GREGORY.append(-acc)
+        g = _GREGORY[n]
+        c = _GREGORY_MPF[key] = mpf(g.numerator) / g.denominator
+    return c
 
 
 def one_over_log_kernel(y, yc=None):
@@ -130,8 +139,7 @@ def one_over_log_kernel(y, yc=None):
     ep = mpf(1)
     eps = mpf(10) ** (-(mp.dps + 4))
     for k in range(1, 400):
-        g = _gregory(k)
-        term = mpf(g.numerator) / g.denominator * ep
+        term = _gregory(k) * ep
         acc += term
         if abs(term) < eps and k > 3:
             break
@@ -495,14 +503,14 @@ def _aux_lattice_sum(delta: int, p: int, z0, ctx: PrecisionContext,
     the tier boundary, and the rest through the asymptotic series of phi
     against zeta tails,
 
-      sum_k (-1)^k (2k+delta)!/z0^(2k+1+delta) sum_{n>N} n^-(2k+1+delta+p).
+      sum_k (-1)^k (2k+delta)!/z0^(2k+1+delta) sum_{n>N} n^-(2k+1+delta+p),
 
-    N is at least psi_asymptotic's shift 0.4 dps + 8, which keeps those
-    tails clear of the Euler-Maclaurin floor of em_log_power_tail.
+    each from em_log_power_tail, which adds terms past N as far as its
+    remainder bound needs.  N is at least first - 1, so that the tails
+    never count a term below first.
     """
     with ctx.working(10):
-        N = max(int(mp.ceil(_aux_boundary() / z0)) - 1,
-                int(mp.ceil(mpf("0.4") * mp.dps)) + 8)
+        N = max(int(mp.ceil(_aux_boundary() / z0)) - 1, first - 1)
         acc = mpf(0)
         for n in range(first, N + 1):
             acc += _si_ci_aux(delta, n * z0, ctx) / mpf(n) ** p

@@ -13,15 +13,19 @@ N-versus-2N self-check.
 
 Every Euler-Maclaurin closure of a sum of g(w) = log^r(w) w^-s (the oracle
 correction, riemann_zeta_em, em_log_power_tail) runs on one engine: one
-derivative recursion in _em_terms, closed by _em_tail.
+derivative recursion in _em_terms, closed by _em_tail.  How many terms to
+add directly before closing, and how many Euler-Maclaurin terms to take,
+is decided in one place, _em_plan, from a rigorous bound on the remainder
+(_em_bound) and the accuracy the caller aims at; a bound that cannot be
+met raises PrecisionExhaustedError.
 
 Cancellation-heavy binomial sums (the Hasse route, the alternating-zeta
 moments) widen their working precision by ~0.302 digits per term of outer
 depth before summing; see SumDiagnostics for what they report back.
 
-_sum_terms truncates the package's Stirling, Bernoulli and Euler-Maclaurin
-series and says why it stopped: "small" (a term fell below the threshold),
-"floor" (a term grew: an asymptotic floor) or "cap" (the terms ran out).
+_sum_terms truncates the package's Stirling and Bernoulli series and says
+why it stopped: "small" (a term fell below the threshold), "floor" (a term
+grew: an asymptotic floor) or "cap" (the terms ran out).
 """
 
 from __future__ import annotations
@@ -180,8 +184,14 @@ class SumDiagnostics:
 # Euler-Maclaurin closure of log-power sums: zeta and tails
 # ---------------------------------------------------------------------------
 
-def _em_terms(s, r: int, w0, j_max: int):
-    """Yield -B_2j/(2j)! g^(2j-1)(w0), j = 1..j_max, for g(w) = log^r(w) w^-s.
+def _em_step(c: list, sm) -> list:
+    """c[m] -> c[m+1] of the derivative recursion of _em_terms, sm = s+m."""
+    r = len(c) - 1
+    return [(k + 1) * c[k + 1] - sm * c[k] for k in range(r)] + [-sm * c[r]]
+
+
+def _em_terms(s, r: int, w0, M: int):
+    """Yield -B_2j/(2j)! g^(2j-1)(w0), j = 1..M, for g(w) = log^r(w) w^-s.
 
     g^(m)(w) = w^(-s-m) sum_k c[m][k] log^k(w), with c[0][r] = 1 and
 
@@ -199,49 +209,136 @@ def _em_terms(s, r: int, w0, j_max: int):
     winv = 1 / mpf(w0)
     winv2 = winv * winv
     wpow = mp.power(w0, 1 - s)
-    for j in range(1, j_max + 1):
+    for j in range(1, M + 1):
         wpow *= winv2  # w0^(-s-2j+1)
         while m < 2 * j - 1:
-            sm = s + m
-            c = [(k + 1) * c[k + 1] - sm * c[k] for k in range(r)] \
-                + [-sm * c[r]]
+            c = _em_step(c, s + m)
             m += 1
         poly = sum(ck * lk for ck, lk in zip(c, Lp) if ck)
         yield -(_bern_coef(j) * poly * wpow)
 
 
-def _em_tail(s, r: int, w0, acc, small, j_max: int):
-    """(acc + sum_{k>=1} g(w0+k), stop reason) for g(w) = log^r(w) w^-s.
+def _em_bound(s, r: int, m_max: int):
+    """log_bound(M, w0): the log of a bound on the Euler-Maclaurin remainder
+    of sum_{k>=0} g(w0+k), g(x) = log^r(x) x^-s, after M <= m_max terms of
+    _em_terms, for w0 >= 1.
 
-    Euler-Maclaurin at w0: the integral of g over (w0, inf) in closed form,
+    After M terms the remainder is at most (Johansson, arXiv 1309.2877)
+
+        |B_2M|/(2M)! int_w0^inf |g^(2M)(x)| dx
+          <= |B_2M|/(2M)! sum_k d_k int_w0^inf x^-(a+1) log^k(x) dx,
+
+    a = s+2M-1.  d is the _em_terms recursion run with -|s+m| for s+m,
+    which majorizes |c[2M]| (and equals it when s > 0).  The integrals
+    have the closed form of _em_tail: w0^-a J_k with J_0 = 1/a and
+    J_k = (log^k(w0) + k J_(k-1))/a.  All of it is evaluated in
+    floating-point logarithms.  The bound only falls as w0 grows.
+    """
+    sf = float(s)
+    # (log of |B_2M|/(2M)! times the row scale, row scaled to max 1)
+    rows = []
+    d = [0.0] * r + [1.0]
+    log_scale = 0.0
+    for m in range(2 * m_max):
+        d = _em_step(d, -abs(sf + m))
+        top = max(d)
+        if top > 0:
+            d = [x / top for x in d]
+            log_scale += math.log(top)
+        else:
+            log_scale = -math.inf
+        if m % 2:
+            b = bernoulli_number(m + 1)
+            rows.append((log_scale + math.log(abs(b.numerator))
+                         - math.log(b.denominator) - math.lgamma(m + 2), d))
+
+    def log_bound(M: int, w0: float) -> float:
+        log_c, d = rows[M - 1]
+        a = sf + 2 * M - 1
+        if log_c == -math.inf:
+            return log_c
+        if a <= 0:
+            return math.inf
+        A = math.log(w0)
+        J = 1 / a
+        acc = d[0] * J
+        Ak = 1.0
+        for k in range(1, r + 1):
+            Ak *= A
+            J = (Ak + k * J) / a
+            acc += d[k] * J
+        return log_c + math.log(acc) - a * A
+
+    return log_bound
+
+
+def _em_plan(s, r: int, w, eps):
+    """(n, M) for sum_{k>=1} g(w+k), g(x) = log^r(x) x^-s: add the first n
+    terms directly, then close at w0 = w+n with M terms of _em_terms, so
+    that the _em_bound of the remainder is at most eps.
+
+    n takes Newton steps on log w0 until the bound with M = dps/2 terms
+    clears eps; M is then the fewest terms that do.  More than 16 dps
+    direct terms raise PrecisionExhaustedError.
+    """
+    m_max = mp.dps // 2
+    log_bound = _em_bound(s, r, m_max)
+    log_eps = float(mp.log(eps))
+    sf = float(s)
+    wf = float(w)
+    n = max(0, math.ceil(1 - wf))
+    while True:
+        excess = log_bound(m_max, wf + n) - log_eps
+        if excess <= 0:
+            break
+        # the bound falls like w0^-a, a = s + 2 m_max - 1; e^60 is far
+        # past the budget, and capping the step keeps exp finite
+        step = min(excess / max(sf + 2 * m_max - 1, 1), 60.0)
+        n = max(n + 1, math.ceil((wf + n) * math.exp(step) - wf))
+        if n > 16 * mp.dps:
+            raise PrecisionExhaustedError(
+                "Euler-Maclaurin bound misses %s at s=%s, r=%d"
+                % (mp.nstr(eps, 3), mp.nstr(s, 8), r))
+    return n, next(M for M in range(1, m_max + 1)
+                   if log_bound(M, wf + n) <= log_eps)
+
+
+def _em_tail(s, r: int, w, acc, eps):
+    """acc + sum_{k>=1} g(w+k) for g(x) = log^r(x) x^-s, within eps.
+
+    The first n terms directly, then Euler-Maclaurin at w0 = w+n with M
+    terms, (n, M) from _em_plan: the integral of g over (w0, inf) in
+    closed form,
 
         I = w0^-a sum_{i<=r} r!/(r-i)! A^(r-i) / a^(i+1),
         a = s-1,  A = log w0,
 
     which for s < 1 is its analytic continuation, then -g(w0)/2 and the
-    _em_terms, cut by small(|term|, sum) or after j_max terms.
+    _em_terms.
     """
+    n, M = _em_plan(s, r, w, eps)
+    for k in range(1, n + 1):
+        acc += mp.log(w + k) ** r * mp.power(w + k, -s)
+    w0 = w + n
     A = mp.log(w0)
     a = s - 1
     integral = sum(mp.factorial(r) / mp.factorial(r - i)
                    * A ** (r - i) / a ** (i + 1)
                    for i in range(r + 1)) * mp.power(w0, -a)
     g0 = A ** r * mp.power(w0, -s)
-    total, _, reason, _ = _sum_terms(_em_terms(s, r, w0, j_max),
-                                     acc + integral - g0 / 2, small)
-    return total, reason
+    return sum(_em_terms(s, r, w0, M), acc + integral - g0 / 2)
 
 
 def riemann_zeta_em(s, r: int = 0, ctx: PrecisionContext = DEFAULT_CONTEXT):
     """zeta^(r)(s) for r in {0,1,2} by Euler-Maclaurin, valid for s != 1.
 
-    zeta^(r)(s) = (-1)^r [ sum_{k<=N} log^r(k) k^-s + sum_{k>N} ... ],
+    zeta^(r)(s) = (-1)^r [ 1^-s [r = 0] + sum_{k>=2} log^r(k) k^-s ],
 
-    the tail from _em_tail at w0 = N.  Every piece is differentiated
+    the sum from _em_tail at w = 1 to 10^-(dps-3), so _em_plan picks how
+    many terms to add directly.  Every piece is differentiated
     analytically in s, so no finite differences enter, and the integral
-    is continued to s <= 0; expect ~3 log10 N digits of cancellation
-    there, which the guard covers.  N doubles, at most twice, while the
-    tail stops on anything but a small term.
+    is continued to s <= 0; expect ~(1-s) log10 N digits of cancellation
+    there, which the guard covers.
     """
     if r not in (0, 1, 2):
         raise ValueError("riemann_zeta_em supports r in {0,1,2}")
@@ -249,64 +346,57 @@ def riemann_zeta_em(s, r: int = 0, ctx: PrecisionContext = DEFAULT_CONTEXT):
         s = mpf(s)
         if s == 1:
             raise ValueError("pole at s = 1")
-        N = max(40, ctx.working_digits + 15)
         eps = mpf(10) ** (-(mp.dps - 3))
-        for _attempt in range(3):
-            acc = sum(mp.log(k) ** r * mpf(k) ** (-s) for k in range(1, N + 1))
-            acc, reason = _em_tail(s, r, N, acc,
-                                   lambda t, a: t < eps * max(1, abs(a)), 79)
-            if reason == "small":
-                return (-1) ** r * acc
-            N *= 2
-        raise NonConvergenceError("riemann_zeta_em: floor above target at s=%s"
-                                  % mp.nstr(s, 8))
+        return (-1) ** r * _em_tail(s, r, mpf(1), mpf(r == 0), eps)
 
 
 def em_log_power_tail(s, r: int, N: int, u=0,
                       ctx: PrecisionContext = DEFAULT_CONTEXT):
     """sum_{k>N} log^r(k+u)/(k+u)^s by Euler-Maclaurin, Re(s) > 1.
 
-    The public face of _em_tail at w0 = N+u, cut at 48 terms.
+    The public face of _em_tail at w = N+u, to 10^-(dps-2) of the first
+    term, which bounds the tail from below; _em_plan adds direct terms
+    past N until its remainder bound meets that, so any N is safe.  A zero
+    first term (N + u = 0 with r >= 1) leaves no target and raises
+    PrecisionExhaustedError.
     """
     with ctx.working(10):
         s = mpf(s)
         if s <= 1:
             raise ValueError("tail needs Re(s) > 1")
-        eps = mpf(10) ** (-(mp.dps - 2))
-        tiny = mpf(10) ** (-mp.dps)
-        return +_em_tail(s, r, N + mpf(u), 0,
-                         lambda t, a: t < eps * max(abs(a), tiny), 48)[0]
+        w = N + mpf(u)
+        first = mp.log(w + 1) ** r * mp.power(w + 1, -s)
+        return +_em_tail(s, r, w, 0, mpf(10) ** (-(mp.dps - 2)) * first)
 
 
 # ---------------------------------------------------------------------------
 # Euler-Maclaurin oracle for gamma_n(u)
 # ---------------------------------------------------------------------------
 
-def _oracle_correction(n: int, u, N: int, j_cap: int) -> mpf:
+def _oracle_correction(n: int, u, N: int) -> mpf:
     """f(N)/2 - sum_j B_2j/(2j)! f^(2j-1)(N) for f = log^n(.+u)/(.+u).
 
-    The j-sum stops when a term falls under the working epsilon, starts
-    growing (the expansion is asymptotic) or reaches j_cap.
+    Takes the M terms _em_plan needs for 10^-(dps+2).  The caller's N
+    already clears that bound, which only falls as N grows, so the plan
+    adds no direct terms here.
     """
     w = mpf(N) + u
-    eps = mpf(10) ** (-(mp.dps + 2))
-    return _sum_terms(_em_terms(1, n, w, j_cap), mp.log(w) ** n / w / 2,
-                      lambda t, _: t < eps)[0]
+    M = _em_plan(1, n, w, mpf(10) ** (-(mp.dps + 2)))[1]
+    return sum(_em_terms(1, n, w, M), mp.log(w) ** n / w / 2)
 
 
 _ORACLE_CACHE: dict = {}
-
-#: Terms in the oracle's first pass; the second pass runs to 2N.
-_ORACLE_N = 10000
 
 
 def stieltjes_oracle_table(n_max: int, u,
                            ctx: PrecisionContext = DEFAULT_CONTEXT) -> list:
     """gamma_0(u) .. gamma_nmax(u) by the corrected-limit formula.
 
-    One pass over k < 2N accumulates partial sums of log^n(k+u)/(k+u) for
-    every n at once, snapshotting at k = N so the N and 2N evaluations share
-    the work.  Disagreement beyond 10^-(target+5) raises NonConvergenceError.
+    N is the largest count of direct terms _em_plan asks for, over the
+    orders, to bring the remainder under 10^-(dps+2).  One pass over
+    k < 2N accumulates partial sums of log^n(k+u)/(k+u) for every n at
+    once, snapshotting at k = N so the N and 2N evaluations share the
+    work.  Disagreement beyond 10^-(target+5) raises NonConvergenceError.
 
     The partial sums grow like log^n(2N) before the counterterm cancels
     them back to order one, which costs about n digits; the working
@@ -326,12 +416,12 @@ def stieltjes_oracle_table(n_max: int, u,
     if cached is not None and len(cached) > n_max:
         with ctx.working():
             return [+v for v in cached[:n_max + 1]]
-    j_cap = max(8, min(48, ctx.working_digits // 4))
-    N = _ORACLE_N
     with ctx.working(10 + n_max):
         uu = mpf(u)
         if not 0 < uu < mp.inf:
             raise ValueError("oracle requires finite u > 0")
+        eps = mpf(10) ** (-(mp.dps + 2))
+        N = 1 + max(_em_plan(1, n, 1 + uu, eps)[0] for n in range(n_max + 1))
         partial_N = None
         partial = [mpf(0)] * (n_max + 1)
         for k in range(2 * N):
@@ -348,8 +438,8 @@ def stieltjes_oracle_table(n_max: int, u,
         for n in range(n_max + 1):
             main_N = partial_N[n] - mp.log(N + uu) ** (n + 1) / (n + 1)
             main_2N = partial[n] - mp.log(2 * N + uu) ** (n + 1) / (n + 1)
-            out_N.append(main_N + _oracle_correction(n, uu, N, j_cap))
-            out_2N.append(main_2N + _oracle_correction(n, uu, 2 * N, j_cap))
+            out_N.append(main_N + _oracle_correction(n, uu, N))
+            out_2N.append(main_2N + _oracle_correction(n, uu, 2 * N))
         thresh = mpf(10) ** (-(ctx.target_digits + 5))
         for n, (a, b) in enumerate(zip(out_N, out_2N)):
             # written so that a NaN difference fails the check too

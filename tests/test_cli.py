@@ -94,6 +94,18 @@ class TestCompute:
         assert out == ""
         assert "quadrature stalled: forced" in err
 
+    def test_weierstrass_barnes_g_is_right_or_refuses(self, capsys):
+        # its zeta tails start Euler-Maclaurin at K = 60 whatever the digits
+        code, out, _ = run(capsys, [
+            "compute", "barnes_g", "--route", "weierstrass_6_5", "--t",
+            "0.37", "--digits", "120", "--format", "json"])
+        assert code in (0, 3)
+        if code == 0:
+            with mp.workdps(150):
+                ref = mp.log(mp.barnesg(1 + mpf("0.37")))
+                err = abs(mpf(json.loads(out)["value"]) - ref)
+                assert err <= mpf(10) ** -115 * abs(ref)
+
     def test_unknown_method_maps_to_exit_2(self, capsys):
         code, _, err = run(capsys, [
             "compute", "gamma_n", "--n", "1", "--method", "bogus"])

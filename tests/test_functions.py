@@ -376,6 +376,18 @@ class TestSinCosIntegrals:
                                  (g, -ci * c - si * s)):
                     assert abs(val - ref) <= mpf(10) ** -(digits + 10) * ref
 
+    def test_lattice_sum_from_first_past_the_boundary(self):
+        # at z0 = Z/5 the tier boundary comes before n = 13: the sum from
+        # n = 13 is still the full sum less its first 12 terms
+        with CTX.working(10):
+            z0 = F._aux_boundary() / 5
+        full = F._aux_lattice_sum(1, 2, z0, CTX)[0]
+        part = F._aux_lattice_sum(1, 2, z0, CTX, first=13)[0]
+        with CTX.working(10):
+            head = sum(F._si_ci_aux(1, n * z0, CTX) / mpf(n) ** 2
+                       for n in range(1, 13))
+            assert abs(full - head - part) < TOL
+
     def test_large_argument_envelope(self):
         # Ci(x) ~ sin(x)/x: bounded by ~1/x
         with CTX.working():

@@ -11,6 +11,7 @@ from stieltjes.precision import DEFAULT_CONTEXT as CTX
 from stieltjes.precision import (
     NonConvergenceError,
     PrecisionContext,
+    PrecisionExhaustedError,
     agreed_digits,
 )
 from stieltjes import series
@@ -143,7 +144,7 @@ class TestOracle:
     def test_nan_fails_the_self_check(self, monkeypatch):
         # a NaN at N and 2N must fail the N-vs-2N check, not pass it
         monkeypatch.setattr(series, "_oracle_correction",
-                            lambda n, u, N, j_cap: mp.nan)
+                            lambda n, u, N: mp.nan)
         ctx = PrecisionContext.for_digits(10)
         with pytest.raises(NonConvergenceError):
             series.stieltjes_oracle_table(0, mpf("0.375"), ctx)
@@ -224,19 +225,50 @@ class TestLogPowerTails:
             # zeta(2, 3/2) = pi^2/2 - 4
             assert abs(total + tail - (mp.pi ** 2 / 2 - 4)) < tol(40)
 
-    @pytest.mark.parametrize("digits", [15, 30, 60])
+    @pytest.mark.parametrize("digits", [15, 30, 60, 120, 200])
     def test_matches_mpmath_hurwitz_derivatives(self, digits):
-        # sum_{k>N} log^r(k+u)/(k+u)^s = (-1)^r zeta^(r)(s, N+1+u)
+        # sum_{k>N} log^r(k+u)/(k+u)^s = (-1)^r zeta^(r)(s, N+1+u); the
+        # cells after the grid start Euler-Maclaurin too close for s
+        cells = [(s, r, 40, u) for u in ("0", "0.5") for r in (0, 1, 3)
+                 for s in ("1.5", "2", "6", "12")]
+        cells += [("12", 0, 10, "0"), ("2", 3, 45, "0"),
+                  ("1.5", 1, 40, "0.5"), ("2", 0, 60, "0"),
+                  ("10", 0, 60, "0")]
         ctx = PrecisionContext.for_digits(digits)
-        N = 40
-        for u in ("0", "0.5"):
-            for r in (0, 1, 3):
-                for s in ("1.5", "2", "6", "12"):
-                    v = series.em_log_power_tail(mpf(s), r, N, mpf(u), ctx)
-                    with mp.workdps(digits + 30):
-                        ref = (-1) ** r * mp.zeta(mpf(s), N + 1 + mpf(u), r)
-                        assert abs(v - ref) <= ctx.tolerance * abs(ref), \
-                            (u, r, s)
+        for s, r, N, u in cells:
+            v = series.em_log_power_tail(mpf(s), r, N, mpf(u), ctx)
+            with mp.workdps(digits + 30):
+                ref = (-1) ** r * mp.zeta(mpf(s), N + 1 + mpf(u), r)
+                assert abs(v - ref) <= ctx.tolerance * abs(ref), \
+                    (s, r, N, u)
+
+    def test_refuses_a_target_it_cannot_meet(self):
+        # at N = u = 0 the first term log(1)/1^2 is 0, and so is the target
+        with pytest.raises(PrecisionExhaustedError):
+            series.em_log_power_tail(2, 1, 0, 0, CTX)
+
+
+@pytest.mark.parametrize("s", ["1", "1.5", "3"])
+def test_em_bound_covers_the_remainder(s):
+    # remainder of sum_{k>=0} g(w0+k) after M terms, g = log^r(x) x^-s;
+    # at s = 1 the divergent integral is regularized through gamma_r(w0)
+    with mp.workdps(100):
+        s = mpf(s)
+        for r in (0, 1, 3):
+            log_bound = series._em_bound(s, r, 20)
+            for w0 in ("1", "2.5", "10", "40"):
+                w0 = mpf(w0)
+                A = mp.log(w0)
+                if s == 1:
+                    exact = mp.stieltjes(r, w0) + A ** (r + 1) / (r + 1)
+                else:
+                    exact = (-1) ** r * mp.zeta(s, w0, r) - mp.gammainc(
+                        r + 1, (s - 1) * A) / (s - 1) ** (r + 1)
+                for M in (1, 3, 8, 20):
+                    em = sum(series._em_terms(s, r, w0, M),
+                             A ** r * w0 ** -s / 2)
+                    assert abs(exact - em) <= mp.exp(
+                        log_bound(M, float(w0))), (r, w0, M)
 
 
 # ---------------------------------------------------------------------------
