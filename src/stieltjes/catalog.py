@@ -2,8 +2,10 @@
 same quantity and the runner checks they agree.
 
 Independence is enforced mechanically: an entry whose lhs and rhs carry the
-same route label is rejected at registration time.  Entries default to the
-context tolerance; anything looser must say why in `tolerance_note`.
+same route label is rejected at registration time.  The runner records each
+side on its own (EntryOutcome.lhs_record and rhs_record), so the engines a
+side ran can be compared as well.  Entries default to the context
+tolerance; anything looser must say why in `tolerance_note`.
 
 Entry ids are stable opaque tokens (suffix letters distinguish parameter
 choices under one anchor).  `paper_anchor` groups the suffixed variants.
@@ -13,13 +15,13 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
 from mpmath import mp, mpf
 
-from .precision import DEFAULT_CONTEXT, PrecisionContext
+from .precision import DEFAULT_CONTEXT, PrecisionContext, recording, tally
 from . import series
 from . import functions as F
 from .quadrature import (
@@ -73,6 +75,8 @@ class EntryOutcome:
     passed: bool
     elapsed_ms: float
     failure: Optional[str] = None
+    lhs_record: dict = field(default_factory=dict)
+    rhs_record: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -139,20 +143,21 @@ def run_catalog(filter: Optional[str] = None,
 def _run_entry(e: IdentityEntry, ctx: PrecisionContext) -> EntryOutcome:
     tol = mpf(e.tolerance) if e.tolerance is not None else ctx.tolerance
     t0 = time.perf_counter()
+    lrec = rrec = {}
     try:
         with ctx.working():
-            lv = mpf(e.lhs(ctx))
-            rv = mpf(e.rhs(ctx))
+            with recording() as lrec:
+                lv = mpf(e.lhs(ctx))
+            with recording() as rrec:
+                rv = mpf(e.rhs(ctx))
             err = abs(lv - rv)
-            ok = bool(err <= tol)
-        return EntryOutcome(e.id, e.paper_anchor, e.description,
-                            lv, rv, err, tol, ok,
-                            (time.perf_counter() - t0) * 1000.0)
+            ok, failure = bool(err <= tol), None
     except Exception as exc:
-        return EntryOutcome(e.id, e.paper_anchor, e.description,
-                            None, None, None, tol, False,
-                            (time.perf_counter() - t0) * 1000.0,
-                            failure="%s: %s" % (type(exc).__name__, exc))
+        lv = rv = err = None
+        ok, failure = False, "%s: %s" % (type(exc).__name__, exc)
+    return EntryOutcome(e.id, e.paper_anchor, e.description, lv, rv, err,
+                        tol, ok, (time.perf_counter() - t0) * 1000.0,
+                        failure, lrec, rrec)
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +194,9 @@ _ZETA_INT_CACHE: dict = {}
 
 def _zeta_int(k: int, ctx) -> mpf:
     key = (k, mp.dps)
-    if key not in _ZETA_INT_CACHE:
+    if key in _ZETA_INT_CACHE:
+        tally(em_cache_hits=1)
+    else:
         _ZETA_INT_CACHE[key] = series.riemann_zeta_em(k, 0, ctx)
     return _ZETA_INT_CACHE[key]
 
@@ -229,7 +236,7 @@ def _stirling_tail(acc, N: int, ctx):
     terms = (-(series._bern_mpf(2 * k) / (2 * k)
                * series.em_log_power_tail(2 * k + 2, 0, N, 0, ctx))
              for k in range(1, 40))
-    return series._sum_terms(terms, acc, lambda t, _: t < eps)[0]
+    return series._sum_terms(terms, acc, eps)
 
 
 def _psi_over_square_series(ctx, n_quad: int = 0):
@@ -257,7 +264,7 @@ def _sici_sum_85(x, ctx):
     the sine and cosine integrals, the rest through the exact identity
     cos(z)Ci(z) + sin(z)si(z) = -g(z) and the lattice closure of g."""
     x = mpf(x)
-    acc = -F._aux_lattice_sum(1, 2, 2 * mp.pi * x, ctx, first=13)[0]
+    acc = -F._aux_lattice_sum(1, 2, 2 * mp.pi * x, ctx, first=13)
     for n in range(1, 13):
         z = 2 * n * mp.pi * x
         _, si, Ci = F.sin_cos_integrals(z, ctx)
@@ -679,7 +686,7 @@ def register_builtin_entries() -> None:
                     "truncation floor), at u = 2.",
         paper_anchor="I-5.1",
         lhs=lambda ctx: _lhs_51(ctx, "2"),
-        rhs=lambda ctx: series.hasse_stieltjes(1, mpf(2), ctx)[0],
+        rhs=lambda ctx: series.hasse_stieltjes(1, mpf(2), ctx),
         lhs_route="bose_quadrature", rhs_route="hasse_sum",
         tags=Q))
 
@@ -905,7 +912,7 @@ def register_builtin_entries() -> None:
                     "asymptotic tail closure.",
         paper_anchor="I-8.3",
         lhs=lambda ctx: 2 * _bose(lambda x: mp.atan(x), ctx),
-        rhs=lambda ctx: F._aux_lattice_sum(0, 1, 2 * mp.pi, ctx)[0] / mp.pi,
+        rhs=lambda ctx: F._aux_lattice_sum(0, 1, 2 * mp.pi, ctx) / mp.pi,
         lhs_route="bose_quadrature", rhs_route="trig_series",
         tags=S))
 

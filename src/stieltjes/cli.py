@@ -1,10 +1,12 @@
 """Command-line front end.
 
 Commands:
-  compute   one value of one function, with its route label and diagnostics
+  compute   one value of one function, with its route label and the
+            provenance record of the engines that produced it
   table     gamma_0 .. gamma_{first-1} at u = 1 by two routes, with the
             number of digits on which the routes agree
-  verify    run the identity catalog and render a report
+  verify    run the identity catalog and render a report; json adds each
+            side's engines and the digits of margin against the tolerance
 
 Exit codes: 0 ok, 1 verification failure, 2 usage error, 3 a route cannot
 reach the requested precision (exhausted or not converging).  Output
@@ -27,6 +29,8 @@ from .precision import (
     PrecisionContext,
     PrecisionExhaustedError,
     agreed_digits,
+    engines,
+    recording,
 )
 from . import functions as F
 from . import series
@@ -93,9 +97,13 @@ def cmd_compute(args: argparse.Namespace) -> int:
     digits = args.digits
     ctx = PrecisionContext.for_digits(digits)
     what = args.what
-    with ctx.working():
+    reads = {"gamma_n": "method", "digamma": "route", "log_gamma": "route",
+             "barnes_g": "route"}.get(what)    # the others read neither
+    for flag in ("method", "route"):
+        if getattr(args, flag) is not None and flag != reads:
+            return _usage_error("%s does not take --%s" % (what, flag))
+    with ctx.working(), recording() as rec:
         u = _parse_number(args.u, "--u")
-        params = {}
         if what == "gamma_n":
             method = args.method or "limit_euler_maclaurin"
             method = METHOD_ALIASES.get(method, method)
@@ -115,17 +123,13 @@ def cmd_compute(args: argparse.Namespace) -> int:
             t = _parse_number(args.t, "--t")
             fv = F.barnes_g_log(t, args.route or "integral_6_7", ctx)
             params = {"t": _fmt(t, digits)}
-        elif what == "zeta_sderiv":
+        else:   # zeta_sderiv; argparse admits only COMPUTE_CHOICES
             s = _parse_number(args.s if args.s is not None else "0", "--s")
             fv = F.hurwitz_zeta_sderiv(args.order, s, u, ctx)
             params = {"order": args.order, "s": _fmt(s, digits),
                       "u": _fmt(u, digits)}
-        else:
-            return _usage_error("unknown function %r" % what)
         value_str = _fmt(fv.value, digits)
-        diag = {k: (v if isinstance(v, (int, str, type(None)))
-                    else _fmt(v, 8))
-                for k, v in sorted(fv.diagnostics.items())}
+    diag = dict(sorted(rec.items()))
 
     if args.format == "json":
         payload = {
@@ -149,7 +153,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
                  "route: %s" % fv.route]
         if diag:
             lines.append("diagnostics: " + " ".join(
-                "%s=%s" % (k, v) for k, v in diag.items()))
+                "%s=%.7g" % (k, v) for k, v in diag.items()))
         _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
@@ -202,7 +206,9 @@ def cmd_table(args: argparse.Namespace) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def _report_payload(rep, digits: int) -> dict:
+def _report_payload(rep, ctx: PrecisionContext) -> dict:
+    digits = ctx.target_digits
+    floor = mpf(10) ** -ctx.working_digits      # for margin_digits' error
     entries = []
     for o in rep.outcomes:
         e = {
@@ -217,6 +223,10 @@ def _report_payload(rep, digits: int) -> dict:
             "tolerance": _fmt(o.tolerance, 8),
             "pass": o.passed,
             "elapsed_ms": round(o.elapsed_ms, 3),
+            "lhs_engines": sorted(engines(o.lhs_record)),
+            "rhs_engines": sorted(engines(o.rhs_record)),
+            "margin_digits": None if o.abs_error is None else round(float(
+                mp.log10(o.tolerance / max(o.abs_error, floor))), 3),
         }
         if o.failure:
             e["error"] = o.failure
@@ -230,16 +240,11 @@ def _report_payload(rep, digits: int) -> dict:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.id is not None:
-        filt = args.id
-    elif args.tag is not None:
-        filt = args.tag
-    else:
-        filt = None
+    filt = args.id if args.id is not None else args.tag
     ctx = PrecisionContext.for_digits(args.digits)
     rep = run_catalog(filter=filt, ctx=ctx, include_slow=args.include_slow)
 
-    payload = _report_payload(rep, args.digits)
+    payload = _report_payload(rep, ctx)
     if args.format == "json":
         _emit(json.dumps(payload, indent=2) + "\n", args.out)
     elif args.format == "csv":

@@ -1,6 +1,7 @@
 """The special-function web: every function here has at least two
 mathematically independent evaluation routes, and each public entry point
-reports which route produced its value.
+reports which route produced its value; the engines it ran tally their
+counts into the open provenance record (precision.recording).
 
 Route naming follows the representation used, not the symbol computed:
 "bose" routes integrate against 1/(e^(2 pi x)-1), "laplace" routes against
@@ -18,12 +19,11 @@ from mpmath import mp, mpf
 from .precision import (
     DEFAULT_CONTEXT,
     PrecisionContext,
-    PrecisionExhaustedError,
+    tally,
 )
 from . import series
 from .quadrature import (
     Integrand1D,
-    QuadratureResult,
     integrate_bose,
     integrate_laplace,
 )
@@ -36,15 +36,9 @@ BARNES_G_ROUTES = ("integral_6_7", "weierstrass_6_5", "gosper_vardi_6_10")
 
 @dataclass
 class FunctionValue:
-    """A computed value plus where it came from."""
+    """A computed value plus the route that produced it."""
     value: object
     route: str
-    diagnostics: dict
-
-
-def _quad_diag(res: QuadratureResult) -> dict:
-    return {"error_estimate": float(res.error_estimate),
-            "nodes": res.nodes_used}
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +68,7 @@ def _binet_series(t, k_min: int):
             yield series._bern_coef(k) * tp
             tp *= t2
 
-    return series._sum_terms(terms(), mpf(0), lambda a, _: a < eps)[0]
+    return series._sum_terms(terms(), mpf(0), eps)
 
 
 def exp_square_kernel(y):
@@ -95,7 +89,7 @@ def exp_square_kernel(y):
             yield -(series._bern_coef(k) * (2 * k - 1) * yp)
             yp *= y2
 
-    return series._sum_terms(terms(), mpf(0), lambda a, _: a < eps)[0]
+    return series._sum_terms(terms(), mpf(0), eps)
 
 
 _GREGORY: list[Fraction] = [Fraction(1)]
@@ -172,9 +166,7 @@ def _stieltjes_coffey(n: int, u, ctx: PrecisionContext) -> FunctionValue:
         res = integrate_bose(Integrand1D(eval=g), ctx)
         lu = mp.log(uu)
         main = lu ** n / (2 * uu) - lu ** (n + 1) / (n + 1)
-        return FunctionValue(value=+(main + 2 * res.value),
-                            route="coffey_integral",
-                            diagnostics=_quad_diag(res))
+        return FunctionValue(+(main + 2 * res.value), "coffey_integral")
 
 
 def stieltjes(n: int, u=1, method: str = "limit_euler_maclaurin",
@@ -192,33 +184,15 @@ def stieltjes(n: int, u=1, method: str = "limit_euler_maclaurin",
     if n < 0:
         raise ValueError("n must be >= 0")
     if method == "limit_euler_maclaurin":
-        val = series.limit_stieltjes_oracle(n, u, ctx)
-        return FunctionValue(value=val, route=method,
-                             diagnostics={"validated": "N vs 2N"})
+        return FunctionValue(series.limit_stieltjes_oracle(n, u, ctx), method)
     if method == "coffey_integral":
         return _stieltjes_coffey(n, u, ctx)
     if method == "alt_zeta_recursion":
         with ctx.working():
             if mpf(u) != 1:
                 raise ValueError("alt_zeta_recursion is defined at u = 1 only")
-        val = series.stieltjes_from_altzeta(n, ctx)
-        return FunctionValue(value=val, route=method,
-                             diagnostics={"moments": n + 1})
-    value, diag = series.hasse_stieltjes(n, u, ctx)
-    _refuse_above_tolerance("hasse_sum", diag, ctx)
-    return FunctionValue(value=value, route="hasse_sum",
-                         diagnostics=diag.__dict__)
-
-
-def _refuse_above_tolerance(route: str, diag, ctx: PrecisionContext) -> None:
-    """Raise PrecisionExhaustedError unless a sum's tail estimate is within
-    the tolerance (a NaN estimate is not): the route cannot vouch for the
-    digits asked of it."""
-    with ctx.working():
-        if not mpf(diag.tail_estimate) <= ctx.tolerance:
-            raise PrecisionExhaustedError(
-                "%s truncation ~%.2g exceeds tolerance %s"
-                % (route, diag.tail_estimate, mp.nstr(ctx.tolerance, 3)))
+        return FunctionValue(series.stieltjes_from_altzeta(n, ctx), method)
+    return FunctionValue(series.hasse_stieltjes(n, u, ctx), "hasse_sum")
 
 
 # ---------------------------------------------------------------------------
@@ -249,8 +223,7 @@ def digamma(u, ctx: PrecisionContext = DEFAULT_CONTEXT,
             val = mp.log(uu) - 1 / (2 * uu) - res.value
         else:
             raise ValueError("digamma route must be bose or laplace")
-        return FunctionValue(value=+val, route="digamma_" + route,
-                             diagnostics=_quad_diag(res))
+        return FunctionValue(+val, "digamma_" + route)
 
 
 def trigamma(u, ctx: PrecisionContext = DEFAULT_CONTEXT) -> FunctionValue:
@@ -263,8 +236,7 @@ def trigamma(u, ctx: PrecisionContext = DEFAULT_CONTEXT) -> FunctionValue:
         res = integrate_bose(
             Integrand1D(eval=lambda x: x / (u2 + x * x) ** 2), ctx)
         val = 1 / uu + 1 / (2 * u2) + 4 * uu * res.value
-        return FunctionValue(value=+val, route="trigamma_bose",
-                             diagnostics=_quad_diag(res))
+        return FunctionValue(+val, "trigamma_bose")
 
 
 # ---------------------------------------------------------------------------
@@ -300,25 +272,21 @@ def log_gamma(u, route: str = "binet2",
             res = integrate_bose(
                 Integrand1D(eval=lambda x: mp.atan2(x, uu)), ctx)
             return FunctionValue(+(_stirling_main(uu) + 2 * res.value),
-                                 "binet2", _quad_diag(res))
+                                 "binet2")
         if route == "binet1":
             res = integrate_laplace(
                 Integrand1D(eval=lambda t: binet_kernel(t) / t),
                 uu, ctx)
-            return FunctionValue(+(_stirling_main(uu) + res.value),
-                                 "binet1", _quad_diag(res))
+            return FunctionValue(+(_stirling_main(uu) + res.value), "binet1")
         if route == "bourguet":
-            part, N = _aux_lattice_sum(0, 1, 2 * mp.pi * uu, ctx)
-            return FunctionValue(+(_stirling_main(uu) + part / mp.pi),
-                                 "bourguet",
-                                 {"terms": N, "tail_route": "asymptotic"})
+            part = _aux_lattice_sum(0, 1, 2 * mp.pi * uu, ctx) / mp.pi
+            return FunctionValue(+(_stirling_main(uu) + part), "bourguet")
         # binomial_series: Hasse's sum of x log x - x is zeta'(0,x), and
         # zeta'(0,u) = zeta'(0,u+1) - log u
-        zeta_p0, diag = series._shifted_hasse_sum(
+        zeta_p0 = series._shifted_hasse_sum(
             lambda x: x * (mp.log(x) - 1), lambda x: -mp.log(x), uu, ctx)
-        _refuse_above_tolerance("binomial_series", diag, ctx)
         return FunctionValue(+(zeta_p0 + mp.log(2 * mp.pi) / 2),
-                             "binomial_series", diag.__dict__)
+                             "binomial_series")
 
 
 # ---------------------------------------------------------------------------
@@ -348,8 +316,7 @@ def hurwitz_zeta(s, u, ctx: PrecisionContext = DEFAULT_CONTEXT) -> FunctionValue
 
         res = integrate_bose(Integrand1D(eval=g), ctx)
         main = mp.power(uu, -s) / 2 + mp.power(uu, 1 - s) / (s - 1)
-        return FunctionValue(+(main + 2 * res.value), "hermite_bose",
-                             _quad_diag(res))
+        return FunctionValue(+(main + 2 * res.value), "hermite_bose")
 
 
 def hurwitz_zeta_sderiv(order: int, s, u,
@@ -398,8 +365,7 @@ def hurwitz_zeta_sderiv(order: int, s, u,
 
         res = integrate_bose(Integrand1D(eval=g), ctx)
         return FunctionValue(+(main + 2 * res.value),
-                             "hermite_bose_sderiv%d" % order,
-                             _quad_diag(res))
+                             "hermite_bose_sderiv%d" % order)
 
 
 # ---------------------------------------------------------------------------
@@ -428,13 +394,11 @@ def barnes_g_log(t, route: str = "integral_6_7",
                 Integrand1D(eval=lambda x: x * mp.log(t2 + x * x)), ctx)
             val = (t2 / 2 * (mp.log(tt) - mpf(3) / 2)
                    + tt * mp.log(2 * mp.pi) / 2 + zp1 - res.value)
-            return FunctionValue(+val, route, _quad_diag(res))
+            return FunctionValue(+val, route)
         if route == "gosper_vardi_6_10":
             lg = log_gamma(tt, "binet2", ctx)
             zd = hurwitz_zeta_sderiv(1, -1, tt, ctx)
-            val = tt * lg.value + zp1 - zd.value
-            diag = {"log_gamma": lg.diagnostics, "zeta_deriv": zd.diagnostics}
-            return FunctionValue(+val, route, diag)
+            return FunctionValue(+(tt * lg.value + zp1 - zd.value), route)
         # weierstrass_6_5: (t/2) log 2pi - (gamma t^2 + t^2 + t)/2
         #                  + sum_k [k log(1+t/k) + t^2/(2k) - t]
         g = series.limit_stieltjes_oracle(0, 1, ctx)
@@ -447,9 +411,7 @@ def barnes_g_log(t, route: str = "integral_6_7",
         terms = ((-1) ** (m + 1) * mp.power(tt, m) / m
                  * series.em_log_power_tail(m - 1, 0, K, 0, ctx)
                  for m in range(3, 400))
-        acc, added = series._sum_terms(terms, acc, lambda a, _: a < eps)[:2]
-        return FunctionValue(+acc, route,
-                             {"product_terms": K, "tail_m": 2 + added})
+        return FunctionValue(+series._sum_terms(terms, acc, eps), route)
 
 
 # ---------------------------------------------------------------------------
@@ -489,8 +451,7 @@ def _si_ci_aux(delta: int, z, ctx: PrecisionContext):
         z = mpf(z)
         if z >= _aux_boundary():
             eps = mpf(10) ** -mp.dps
-            return series._sum_terms(_aux_terms(delta, z), mpf(0),
-                                     lambda t, _: t < eps)[0]
+            return series._sum_terms(_aux_terms(delta, z), mpf(0), eps)
         return integrate_laplace(
             Integrand1D(eval=lambda t: t ** delta / (1 + t * t)), z,
             ctx).value
@@ -498,7 +459,7 @@ def _si_ci_aux(delta: int, z, ctx: PrecisionContext):
 
 def _aux_lattice_sum(delta: int, p: int, z0, ctx: PrecisionContext,
                      first: int = 1):
-    """(sum_{n>=first} phi(n z0)/n^p, N), phi = f (delta = 0) or g
+    """sum_{n>=first} phi(n z0)/n^p, phi = f (delta = 0) or g
     (delta = 1), p >= 1: terms n <= N one by one, where (N+1) z0 reaches
     the tier boundary, and the rest through the asymptotic series of phi
     against zeta tails,
@@ -507,7 +468,7 @@ def _aux_lattice_sum(delta: int, p: int, z0, ctx: PrecisionContext,
 
     each from em_log_power_tail, which adds terms past N as far as its
     remainder bound needs.  N is at least first - 1, so that the tails
-    never count a term below first.
+    never count a term below first; it is tallied as aux_lattice_n.
     """
     with ctx.working(10):
         N = max(int(mp.ceil(_aux_boundary() / z0)) - 1, first - 1)
@@ -518,7 +479,8 @@ def _aux_lattice_sum(delta: int, p: int, z0, ctx: PrecisionContext,
         terms = (c * series.em_log_power_tail(2 * k + 1 + delta + p, 0, N,
                                               0, ctx)
                  for k, c in enumerate(_aux_terms(delta, z0)))
-        return series._sum_terms(terms, acc, lambda t, _: t < eps)[0], N
+        tally(aux_lattice_n=N)
+        return series._sum_terms(terms, acc, eps)
 
 
 def sin_cos_integrals(x, ctx: PrecisionContext = DEFAULT_CONTEXT):
@@ -574,4 +536,4 @@ def polylog_bose(s, ctx: PrecisionContext = DEFAULT_CONTEXT):
         eps = mpf(10) ** (-(mp.dps + 2))
         terms = (1 / (mp.power(n, s) * mp.expm1(2 * mp.pi * n))
                  for n in range(1, 2000))
-        return +series._sum_terms(terms, mpf(0), lambda t, _: t < eps)[0]
+        return +series._sum_terms(terms, mpf(0), eps)

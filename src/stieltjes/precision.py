@@ -11,10 +11,17 @@ separates three digit counts:
 Routines never touch the global mpmath precision except through the
 ``working`` context manager, so results are reproducible no matter what the
 ambient ``mp.dps`` happens to be.
+
+How a value was produced is kept in one provenance record: ``recording()``
+opens a flat dict of numbers, and the engines ``tally`` their counts into
+it at their exits.  With no record open a tally does nothing.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 from mpmath import mp, mpf
@@ -102,3 +109,37 @@ def agreed_digits(a, b, ctx: PrecisionContext = DEFAULT_CONTEXT) -> int:
         d = -mp.log10(diff / scale)
         return max(0, min(ctx.working_digits, int(mp.floor(d))))
 
+
+#: The engines a value can come from.  Every tally key but _sum_terms'
+#: stop reasons (stop_small, stop_floor, stop_cap) starts with one of
+#: these and an underscore.
+ENGINES = ("em", "bose", "exp_sinh", "tanh_sinh", "unit_square",
+           "aux_lattice", "binomial", "stirling")
+
+_RECORD: ContextVar = ContextVar("stieltjes_record", default=None)
+
+
+@contextmanager
+def recording():
+    """Open a provenance record: a Counter that every tally made inside
+    the block adds to.  A record opened inside another starts empty, and
+    on exit its counts are added to the enclosing record too."""
+    rec = Counter()
+    token = _RECORD.set(rec)
+    try:
+        yield rec
+    finally:
+        _RECORD.reset(token)
+        tally(**rec)
+
+
+def tally(**counts) -> None:
+    """Add counts to the open record; with none open, do nothing."""
+    rec = _RECORD.get()
+    if rec is not None:
+        rec.update(counts)
+
+
+def engines(record) -> set:
+    """The ENGINES that tallied into a record."""
+    return {e for e in ENGINES if any(k.startswith(e + "_") for k in record)}

@@ -31,6 +31,7 @@ from .precision import (
     DEFAULT_CONTEXT,
     NonConvergenceError,
     PrecisionContext,
+    tally,
 )
 from .series import _bern_coef, _sum_terms
 
@@ -241,6 +242,13 @@ def _integrate_on_table(feval, tab: _NodeTable, tol, dps):
                             nodes_used=used), stride, reach
 
 
+def _tallied(engine: str, res: QuadratureResult) -> QuadratureResult:
+    """res, its nodes_used and error estimate tallied for the engine."""
+    tally(**{engine + "_nodes": res.nodes_used,
+             engine + "_error": float(res.error_estimate)})
+    return res
+
+
 def _default_tol(ctx: PrecisionContext):
     with ctx.working():
         return mpf(10) ** (-(ctx.target_digits + ctx.guard_digits // 2))
@@ -257,7 +265,8 @@ def tanh_sinh_01(f: Integrand1D, ctx: PrecisionContext = DEFAULT_CONTEXT,
             feval = lambda i: f.eval_with_complement(tab.xs[i], tab.xcs[i])
         else:
             feval = lambda i: f.eval(tab.xs[i])
-        return _integrate_on_table(feval, tab, tol, dps)[0]
+        return _tallied("tanh_sinh",
+                        _integrate_on_table(feval, tab, tol, dps)[0])
 
 
 def exp_sinh_0inf(f: Integrand1D, ctx: PrecisionContext = DEFAULT_CONTEXT,
@@ -268,7 +277,8 @@ def exp_sinh_0inf(f: Integrand1D, ctx: PrecisionContext = DEFAULT_CONTEXT,
         tol = _default_tol(ctx) if tol is None else mpf(tol)
         tab = _get_table("es0inf", dps)
         feval = lambda i: f.eval(tab.xs[i])
-        return _integrate_on_table(feval, tab, tol, dps)[0]
+        return _tallied("exp_sinh",
+                        _integrate_on_table(feval, tab, tol, dps)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +351,7 @@ class _BoseKernelSums:
                 yield _bern_coef(j) * (mp.fsum(b) * hs)
                 b = [bi * y2i for bi, y2i in zip(b, y2)]
 
-        return _sum_terms(terms(), acc, lambda t, _: t < self.eps_term)[0]
+        return _sum_terms(terms(), acc, self.eps_term)
 
 
 def integrate_bose(g: Integrand1D, ctx: PrecisionContext = DEFAULT_CONTEXT,
@@ -383,7 +393,7 @@ def integrate_bose(g: Integrand1D, ctx: PrecisionContext = DEFAULT_CONTEXT,
                     % mp.nstr(diff, 3))
             val, err = direct.value, max(direct.error_estimate, diff)
         used = sum(v is not None for v in gvals)
-        return QuadratureResult(+val, +err, used)
+        return _tallied("bose", QuadratureResult(+val, +err, used))
 
 
 def integrate_laplace(h: Integrand1D, u, ctx: PrecisionContext = DEFAULT_CONTEXT,
@@ -466,4 +476,4 @@ def integrate_unit_square(f2: Integrand2D,
         lvl_fin = _finest_level(dps)
         val, err, _, _ = _refine(
             level_value, [1 << (lvl_fin - s) for s in (5, 6, 7)], tol)
-        return QuadratureResult(+val, +err, used)
+        return _tallied("unit_square", QuadratureResult(+val, +err, used))

@@ -21,19 +21,19 @@ met raises PrecisionExhaustedError.
 
 Cancellation-heavy binomial sums (the Hasse route, the alternating-zeta
 moments) widen their working precision by ~0.302 digits per term of outer
-depth before summing; see SumDiagnostics for what they report back.
+depth before summing; _binomial_exit tallies their depth, the digits lost
+to cancellation and the tail estimate, and refuses a tail above the
+tolerance.
 
-_sum_terms truncates the package's Stirling and Bernoulli series and says
-why it stopped: "small" (a term fell below the threshold), "floor" (a term
-grew: an asymptotic floor) or "cap" (the terms ran out).
+_sum_terms truncates the package's Stirling and Bernoulli series and
+tallies why it stopped: "small" (a term fell below the threshold), "floor"
+(a term grew: an asymptotic floor) or "cap" (the terms ran out).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from mpmath import mp, mpf
 
@@ -42,6 +42,7 @@ from .precision import (
     NonConvergenceError,
     PrecisionContext,
     PrecisionExhaustedError,
+    tally,
 )
 
 # ---------------------------------------------------------------------------
@@ -120,64 +121,26 @@ def _bern_coef(k: int) -> mpf:
 # truncation of term-by-term series
 # ---------------------------------------------------------------------------
 
-def _sum_terms(terms, acc, small):
-    """Add the terms of an iterable to acc, in order, until one stops it.
-
-    Returns (sum, terms_added, reason, last_term).  The term that stops
-    the sum is counted and included.  reason is
-      "small"  small(|term|, sum) held, sum including the term;
+def _sum_terms(terms, acc, eps):
+    """Add the terms of an iterable to acc, in order, until one stops it,
+    and return the sum.  The term that stops the sum is included.  Tallies
+    stop_<reason>, reason being
+      "small"  |term| < eps;
       "floor"  |term| grew past the one before: an asymptotic series
                reached its smallest term;
       "cap"    the iterable ran out; its length is the cap.
     Callers that subtract yield negated terms, which is exact.
     """
-    prev = last = None
-    n = 0
-    for n, last in enumerate(terms, 1):
-        acc += last
-        t = abs(last)
-        if small(t, acc):
-            return acc, n, "small", last
-        if prev is not None and t > prev:
-            return acc, n, "floor", last
+    prev = None
+    for term in terms:
+        acc += term
+        t = abs(term)
+        if t < eps or prev is not None and t > prev:
+            tally(**{"stop_small" if t < eps else "stop_floor": 1})
+            return acc
         prev = t
-    return acc, n, "cap", last
-
-
-# ---------------------------------------------------------------------------
-# diagnostics for cancellation-prone sums
-# ---------------------------------------------------------------------------
-
-@dataclass
-class SumDiagnostics:
-    """What a finite summation actually did.
-
-    cancellation_digits_lost is ceil(log10(max_term/|result|)), clamped at
-    zero: how many leading digits of the biggest summand were annihilated.
-    tail_estimate, when not None, is a conservative bound on the truncation
-    error of the infinite sum.
-    """
-
-    terms_used: int
-    max_term_magnitude: float
-    cancellation_digits_lost: int
-    tail_estimate: Optional[float] = None
-
-    @classmethod
-    def from_run(cls, terms: int, max_term, result,
-                 tail_estimate=None) -> "SumDiagnostics":
-        max_term = abs(max_term)
-        r = abs(result)
-        if r == 0 or max_term == 0:
-            lost = 0
-        else:
-            lost = int(math.ceil(float(mp.log10(max_term / r))))
-            lost = max(0, lost)
-        return cls(terms_used=terms,
-                   max_term_magnitude=float(max_term),
-                   cancellation_digits_lost=lost,
-                   tail_estimate=None if tail_estimate is None
-                   else float(tail_estimate))
+    tally(stop_cap=1)
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -317,6 +280,7 @@ def _em_tail(s, r: int, w, acc, eps):
     _em_terms.
     """
     n, M = _em_plan(s, r, w, eps)
+    tally(em_direct=n, em_terms=M)
     for k in range(1, n + 1):
         acc += mp.log(w + k) ** r * mp.power(w + k, -s)
     w0 = w + n
@@ -382,6 +346,7 @@ def _oracle_correction(n: int, u, N: int) -> mpf:
     """
     w = mpf(N) + u
     M = _em_plan(1, n, w, mpf(10) ** (-(mp.dps + 2)))[1]
+    tally(em_terms=M)
     return sum(_em_terms(1, n, w, M), mp.log(w) ** n / w / 2)
 
 
@@ -414,6 +379,7 @@ def stieltjes_oracle_table(n_max: int, u,
         key = (mp.nstr(mpf(u), ctx.working_digits), ctx.working_digits)
     cached = _ORACLE_CACHE.get(key)
     if cached is not None and len(cached) > n_max:
+        tally(em_cache_hits=1)
         with ctx.working():
             return [+v for v in cached[:n_max + 1]]
     with ctx.working(10 + n_max):
@@ -422,6 +388,7 @@ def stieltjes_oracle_table(n_max: int, u,
             raise ValueError("oracle requires finite u > 0")
         eps = mpf(10) ** (-(mp.dps + 2))
         N = 1 + max(_em_plan(1, n, 1 + uu, eps)[0] for n in range(n_max + 1))
+        tally(em_oracle_n=N)
         partial_N = None
         partial = [mpf(0)] * (n_max + 1)
         for k in range(2 * N):
@@ -488,7 +455,8 @@ def psi_asymptotic(x, ctx: PrecisionContext = DEFAULT_CONTEXT):
                 yield -(_bern_mpf(2 * j) / (2 * j) / apow)
                 apow *= A2
 
-        return +_sum_terms(terms(), acc, lambda t, _: t < eps)[0]
+        tally(stirling_shift=m)
+        return +_sum_terms(terms(), acc, eps)
 
 
 def trigamma_asymptotic(x, ctx: PrecisionContext = DEFAULT_CONTEXT):
@@ -513,7 +481,8 @@ def trigamma_asymptotic(x, ctx: PrecisionContext = DEFAULT_CONTEXT):
                 yield _bern_mpf(2 * j) / apow
                 apow *= A2
 
-        return +_sum_terms(terms(), acc, lambda t, _: t < eps)[0]
+        tally(stirling_shift=m)
+        return +_sum_terms(terms(), acc, eps)
 
 
 # ---------------------------------------------------------------------------
@@ -550,6 +519,21 @@ def _hasse_depth(ctx: PrecisionContext) -> int:
     return int(math.ceil(2.1 * ctx.target_digits)) + 8
 
 
+def _binomial_exit(total, max_term, depth: int, tail, tol=None) -> None:
+    """Tally a binomial sum's outer depth, the digits its largest summand
+    lost to cancellation and its tail estimate; raise
+    PrecisionExhaustedError unless the tail is within tol (a NaN tail is
+    not), when one is given."""
+    lost = max(0, math.ceil(float(mp.log10(max_term / abs(total))))) \
+        if total and max_term else 0
+    tally(binomial_depth=depth, binomial_digits_lost=lost,
+          binomial_tail=float(tail))
+    if tol is not None and not tail <= tol:
+        raise PrecisionExhaustedError(
+            "binomial sum truncation ~%s exceeds tolerance %s"
+            % (mp.nstr(tail, 3), mp.nstr(tol, 3)))
+
+
 def _shifted_hasse_sum(g, head, u, ctx: PrecisionContext):
     """Hasse's binomial double sum, moved off its truncation floor.
 
@@ -561,9 +545,9 @@ def _shifted_hasse_sum(g, head, u, ctx: PrecisionContext):
 
     with I = M from _hasse_depth.  Unshifted, the outer terms of a log
     power decay only like 1/(i^2 log i), a floor near 1/(I log I); at u+M
-    they fall faster than geometrically.  Returns (value, SumDiagnostics)
-    at working precision widened by 0.302 I + 10 digits; the tail estimate
-    is |last outer term| * I.
+    they fall faster than geometrically.  Sums at working precision
+    widened by 0.302 I + 10 digits; the tail estimate |last outer term| * I
+    goes to _binomial_exit, which refuses it above the tolerance.
     """
     depth = _hasse_depth(ctx)
     with ctx.working(int(math.ceil(0.302 * depth)) + 10):
@@ -581,23 +565,21 @@ def _shifted_hasse_sum(g, head, u, ctx: PrecisionContext):
         max_term = max([abs(h) for h in heads]
                        + [math.comb(depth, j) * abs(v) / (depth + 1)
                           for j, v in enumerate(gs)])
-        diag = SumDiagnostics.from_run(
-            terms=depth + (depth + 1) * (depth + 2) // 2,
-            max_term=max_term, result=total,
-            tail_estimate=abs(last) * depth)
-        return +total, diag
+        _binomial_exit(total, max_term, depth, abs(last) * depth,
+                       ctx.tolerance)
+        return +total
 
 
 def hasse_stieltjes(n: int, u, ctx: PrecisionContext = DEFAULT_CONTEXT):
-    """gamma_n(u) by Hasse's convergent binomial double sum, with diagnostics.
+    """gamma_n(u) by Hasse's convergent binomial double sum.
 
     gamma_n(u) = -1/(n+1) sum_i (i+1)^-1 sum_j C(i,j) (-1)^j log^{n+1}(u+j),
 
     run at u + M through _shifted_hasse_sum, with the recurrence
     gamma_n(u) = gamma_n(u+1) + log^n(u)/u supplying the first M terms.
-    Returns (value, SumDiagnostics).  Orders beyond ~25 at 15 digits (~40 at
-    30) outgrow the depth; the tail estimate then exceeds the tolerance and
-    functions.stieltjes refuses.
+    Orders beyond ~25 at 15 digits (~40 at 30) outgrow the depth; the tail
+    estimate then exceeds the tolerance and PrecisionExhaustedError is
+    raised.
     """
     if n < 0:
         raise ValueError("hasse_stieltjes needs n >= 0")
@@ -608,11 +590,12 @@ def hasse_stieltjes(n: int, u, ctx: PrecisionContext = DEFAULT_CONTEXT):
                               lambda x: mp.log(x) ** n / x, u, ctx)
 
 
-def _altzeta_binomial_sum(values: list):
+def _altzeta_binomial_sum(values: list, tol=None):
     """sum_i 2^-(i+1) sum_j C(i,j) (-1)^j values[j] at widened precision.
 
     The 2^-i damping makes this geometric; values must cover j <= depth.
-    Returns (sum, diagnostics).
+    The tail estimate, twice the last outer term, goes to _binomial_exit
+    with tol.
     """
     total = mpf(0)
     max_term = mpf(0)
@@ -620,14 +603,9 @@ def _altzeta_binomial_sum(values: list):
     for i, inner in enumerate(_forward_differences(values)):
         last = inner / mpf(2) ** (i + 1)
         total += last
-        a = abs(last)
-        if a > max_term:
-            max_term = a
-    diag = SumDiagnostics.from_run(
-        terms=len(values) * (len(values) + 1) // 2,
-        max_term=max_term, result=total,
-        tail_estimate=2 * abs(last))
-    return total, diag
+        max_term = max(max_term, abs(last))
+    _binomial_exit(total, max_term, len(values) - 1, 2 * abs(last), tol)
+    return total
 
 
 def _altzeta_depth(ctx: PrecisionContext) -> int:
@@ -648,12 +626,7 @@ def alt_zeta_hasse(s, u=1, ctx: PrecisionContext = DEFAULT_CONTEXT):
         if not 0 < uu < mp.inf:
             raise ValueError("alt_zeta_hasse requires finite u > 0")
         vals = [mp.power(uu + j, -s) for j in range(depth + 1)]
-        total, diag = _altzeta_binomial_sum(vals)
-        if diag.tail_estimate is not None and \
-                diag.tail_estimate > float(ctx.tolerance):
-            raise PrecisionExhaustedError(
-                "alt_zeta_hasse tail %.3g above tolerance" % diag.tail_estimate)
-        return +total
+        return +_altzeta_binomial_sum(vals, ctx.tolerance)
 
 
 def alt_zeta_log_moment(k: int, ctx: PrecisionContext = DEFAULT_CONTEXT):
@@ -671,8 +644,7 @@ def alt_zeta_log_moment(k: int, ctx: PrecisionContext = DEFAULT_CONTEXT):
         for j in range(depth + 1):
             w = mpf(1 + j)
             vals.append(mp.log(w) ** k / w)
-        total, _diag = _altzeta_binomial_sum(vals)
-        return +total
+        return +_altzeta_binomial_sum(vals)
 
 
 def stieltjes_altzeta_table(n_max: int,

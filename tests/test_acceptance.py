@@ -16,7 +16,7 @@ import pytest
 from mpmath import mp, mpf
 
 from stieltjes.precision import DEFAULT_CONTEXT as CTX
-from stieltjes.precision import PrecisionContext, agreed_digits
+from stieltjes.precision import PrecisionContext, agreed_digits, engines
 from stieltjes import functions as F
 from stieltjes import series
 from stieltjes.catalog import all_entries, run_catalog
@@ -80,7 +80,7 @@ class TestMethodAgreement:
     def test_hasse_joins_the_pairwise_criterion(self, n):
         # the shifted binomial recursion delivers ~45 digits here
         with CTX.working():
-            v, diag = series.hasse_stieltjes(n, 1, CTX)
+            v = series.hasse_stieltjes(n, 1, CTX)
             coffey = F.stieltjes(n, 1, "coffey_integral", CTX).value
             oracle = F.stieltjes(n, 1, "limit_euler_maclaurin", CTX).value
             assert agreed_digits(v, coffey, CTX) >= 25
@@ -91,7 +91,7 @@ class TestMethodAgreement:
         # same shifted sum away from the integer point
         with CTX.working():
             u = mpf(u)
-            v, diag = series.hasse_stieltjes(1, u, CTX)
+            v = series.hasse_stieltjes(1, u, CTX)
             coffey = F.stieltjes(1, u, "coffey_integral", CTX).value
             assert agreed_digits(v, coffey, CTX) >= 25
 
@@ -122,6 +122,30 @@ class TestTableCriterion:
 # criterion 4: the whole catalog, green within budget
 # ---------------------------------------------------------------------------
 
+#: Entries whose two sides run a common engine, all of them the
+#: Euler-Maclaurin one, and why.  An entry leaves this list by giving one
+#: side an engine-disjoint route; a new one joins it only with a reason.
+SHARED_ENGINE = {
+    "I-4.22a": "the inversion's rhs feeds the oracle's gamma_0 back in",
+    "I-4.22b": "the inversion's rhs feeds the oracle's gamma_0..1 back in",
+    "I-4.22c": "the inversion's rhs feeds the oracle's gamma_0..2 back in",
+    "I-6.10a": "the product closes with oracle gamma and EM zeta tails; "
+               "the rhs takes zeta'(-1) from EM zeta",
+    "I-6.10b": "the product closes with oracle gamma and EM zeta tails; "
+               "the rhs takes zeta'(-1) from EM zeta",
+    "I-6.11.1": "the product closes with oracle gamma and EM zeta tails; "
+                "the rhs takes zeta'(-1) from EM zeta",
+    "I-7.2": "EM zeta against the EM oracle, nothing else on either side",
+    "I-8.6": "the lhs closes with EM tails; the rhs is EM zeta and oracle "
+             "gamma",
+    "I-9.1": "the lhs closes with EM tails and oracle gamma; the rhs is EM "
+             "zeta and the oracle",
+    "I-9.5b": "the integrand takes gamma and zeta(k) from the EM engine, "
+              "as does the rhs",
+    "I-9.E": "the lhs closes with EM tails; the rhs is EM zeta(3)",
+}
+
+
 class TestCatalogGate:
     def test_non_slow_catalog_all_green_within_ten_minutes(self):
         t0 = time.perf_counter()
@@ -138,6 +162,11 @@ class TestCatalogGate:
             if by_id[o.entry_id].tolerance is None)
         assert default_tol_passes >= 30
         assert elapsed < 600
+        # independence by engine, read from the same run
+        shared = {o.entry_id: engines(o.lhs_record) & engines(o.rhs_record)
+                  for o in report.outcomes}
+        assert {k: v for k, v in shared.items() if v} \
+            == {k: {"em"} for k in SHARED_ENGINE}
 
     def test_slow_entries_pass_their_pinned_tolerances(self):
         report = run_catalog("slow", ctx=CTX)

@@ -75,15 +75,19 @@ class TestCompute:
 
     def test_bad_domain_maps_to_exit_2(self, capsys):
         # non-finite numbers are refused before any route starts: a stalled
-        # quadrature would exit 3, not 2
+        # quadrature would exit 3, not 2; so is a route flag that the
+        # function does not read, which would otherwise run the default
         for argv in (["gamma_n", "--n", "1", "--u", "-1"],
                      ["gamma_n", "--u", "nan", "--digits", "15"],
                      ["gamma_n", "--u", "inf", "--digits", "15"],
                      ["hurwitz_zeta", "--s", "nan", "--digits", "15"],
-                     ["barnes_g", "--t", "inf", "--digits", "15"]):
+                     ["barnes_g", "--t", "inf", "--digits", "15"],
+                     ["digamma", "--method", "hasse"],
+                     ["gamma_n", "--route", "bose"],
+                     ["hurwitz_zeta", "--route", "nonsense"]):
             code, _, err = run(capsys, ["compute"] + argv)
             assert code == 2, argv
-            assert err.strip(), argv
+            assert err.startswith("error: "), argv
 
     def test_non_convergence_maps_to_exit_3(self, capsys, monkeypatch):
         def stall(*args, **kwargs):
@@ -93,6 +97,22 @@ class TestCompute:
         assert code == 3
         assert out == ""
         assert "quadrature stalled: forced" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["gamma_n", "--method", m] for m in F.STIELTJES_METHODS] + [
+        ["log_gamma", "--route", r] for r in F.LOG_GAMMA_ROUTES] + [
+        ["barnes_g", "--route", r] for r in F.BARNES_G_ROUTES] + [
+        ["digamma", "--route", "bose"], ["digamma", "--route", "laplace"],
+        ["hurwitz_zeta"], ["zeta_sderiv", "--order", "1"],
+        ["zeta_sderiv", "--order", "2"]], ids=" ".join)
+    def test_every_route_reports_a_flat_record(self, capsys, argv):
+        code, out, err = run(capsys, ["compute"] + argv + [
+            "--digits", "15", "--format", "json"])
+        assert code == 0, err
+        diag = json.loads(out)["diagnostics"]
+        assert diag
+        for v in diag.values():
+            assert type(v) in (int, float), diag
 
     def test_weierstrass_barnes_g_is_right_or_refuses(self, capsys):
         # its zeta tails start Euler-Maclaurin at K = 60 whatever the digits
@@ -198,12 +218,19 @@ class TestVerify:
         entry = payload["entries"][0]
         assert set(entry) == {"id", "paper_anchor", "lhs", "rhs",
                               "abs_error", "tolerance", "pass",
-                              "elapsed_ms"}
+                              "elapsed_ms", "lhs_engines", "rhs_engines",
+                              "margin_digits"}
         assert entry["id"] == "I-6.21"
         assert entry["pass"] is True
+        assert entry["lhs_engines"] == ["bose"]
+        assert entry["rhs_engines"] == []
         with mp.workdps(40):
             assert abs(mpf(entry["lhs"]) - mpf(1) / 24) < mpf(10) ** -28
             assert mpf(entry["abs_error"]) <= mpf(entry["tolerance"])
+            # err floored at 10^-50, the working digits
+            margin = mp.log10(mpf(entry["tolerance"])
+                              / max(mpf(entry["abs_error"]), mpf(10) ** -50))
+            assert abs(entry["margin_digits"] - margin) < mpf("0.01")
 
     def test_verify_values_are_deterministic(self, capsys):
         outs = []

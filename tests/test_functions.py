@@ -5,7 +5,11 @@ import pytest
 from mpmath import mp, mpf
 
 from stieltjes.precision import DEFAULT_CONTEXT as CTX
-from stieltjes.precision import PrecisionContext, PrecisionExhaustedError
+from stieltjes.precision import (
+    PrecisionContext,
+    PrecisionExhaustedError,
+    recording,
+)
 from stieltjes import functions as F
 from stieltjes import series
 
@@ -177,9 +181,10 @@ class TestLogGamma:
         # the route reports its truncation tail, returns a value only when
         # that tail is inside the tolerance, and stays within it
         with CTX.working():
-            fv = F.log_gamma(mpf("2.5"), "binomial_series", CTX)
+            with recording() as rec:
+                fv = F.log_gamma(mpf("2.5"), "binomial_series", CTX)
             ref = F.log_gamma(mpf("2.5"), "binet2", CTX).value
-            tail = mpf(fv.diagnostics["tail_estimate"])
+            tail = mpf(rec["binomial_tail"])
             assert tail <= CTX.tolerance
             assert abs(fv.value - ref) <= 10 * tail
 
@@ -298,13 +303,23 @@ class TestBarnesG:
             assert abs(vals[0] - vals[1]) < TOL
             assert abs(vals[0] - vals[2]) < TOL
 
-    def test_weierstrass_diagnostics(self):
-        # K = max(60, 4t + 40) product terms, then zeta-tail terms for
-        # m = 3 .. tail_m, the first below 10^-(dps-2) included
-        assert F.barnes_g_log(mpf("1.5"), "weierstrass_6_5", CTX) \
-            .diagnostics == {"product_terms": 60, "tail_m": 37}
-        assert F.barnes_g_log(mpf("0.25"), "weierstrass_6_5", CTX) \
-            .diagnostics["tail_m"] == 25
+    def test_weierstrass_diagnostics(self, monkeypatch):
+        # K = max(60, 4t + 40) product terms, then one zeta tail from K for
+        # each of m = 3 .. 37, the first term below 10^-(dps-2) included
+        calls = []
+        em_tail = series.em_log_power_tail
+
+        def spy(s, r, N, u, ctx):
+            calls.append((s, N))
+            return em_tail(s, r, N, u, ctx)
+        monkeypatch.setattr(series, "em_log_power_tail", spy)
+        with recording() as rec:
+            F.barnes_g_log(mpf("1.5"), "weierstrass_6_5", CTX)
+        assert calls == [(m - 1, 60) for m in range(3, 38)]
+        assert rec["stop_small"] == 1 and "stop_floor" not in rec
+        calls.clear()
+        F.barnes_g_log(mpf("0.25"), "weierstrass_6_5", CTX)
+        assert calls == [(m - 1, 60) for m in range(3, 26)]
 
     def test_gamma_recurrence(self):
         # G(2+t) = Gamma(1+t) G(1+t)
@@ -381,8 +396,8 @@ class TestSinCosIntegrals:
         # n = 13 is still the full sum less its first 12 terms
         with CTX.working(10):
             z0 = F._aux_boundary() / 5
-        full = F._aux_lattice_sum(1, 2, z0, CTX)[0]
-        part = F._aux_lattice_sum(1, 2, z0, CTX, first=13)[0]
+        full = F._aux_lattice_sum(1, 2, z0, CTX)
+        part = F._aux_lattice_sum(1, 2, z0, CTX, first=13)
         with CTX.working(10):
             head = sum(F._si_ci_aux(1, n * z0, CTX) / mpf(n) ** 2
                        for n in range(1, 13))

@@ -7,6 +7,9 @@ from stieltjes.precision import (
     DEFAULT_CONTEXT,
     PrecisionContext,
     agreed_digits,
+    engines,
+    recording,
+    tally,
 )
 
 
@@ -71,3 +74,34 @@ class TestAgreedDigits:
 
     def test_disagreement_floor(self):
         assert agreed_digits(1, 2) in (0, 1)
+
+
+class TestRecord:
+    def test_tally_without_a_record_leaves_nothing_behind(self):
+        tally(em_terms=3, stop_small=1)
+        with recording() as rec:
+            pass
+        assert rec == {}
+
+    def test_tallies_add_up(self):
+        with recording() as rec:
+            tally(bose_nodes=10, bose_error=0.5)
+            tally(bose_nodes=5, stop_cap=1)
+        assert rec == {"bose_nodes": 15, "bose_error": 0.5, "stop_cap": 1}
+
+    def test_nested_record_starts_empty_and_adds_to_the_enclosing_one(self):
+        with recording() as outer:
+            tally(em_terms=2)
+            with recording() as inner:
+                tally(em_terms=3, binomial_depth=7)
+            assert inner == {"em_terms": 3, "binomial_depth": 7}
+            assert outer == {"em_terms": 5, "binomial_depth": 7}
+            tally(stop_floor=1)
+        assert outer == {"em_terms": 5, "binomial_depth": 7, "stop_floor": 1}
+        assert inner == {"em_terms": 3, "binomial_depth": 7}
+
+    def test_engines_are_read_from_key_prefixes(self):
+        assert engines({"exp_sinh_nodes": 1, "em_terms": 2, "stop_cap": 1,
+                        "aux_lattice_n": 4}) == {"exp_sinh", "em",
+                                                 "aux_lattice"}
+        assert engines({"stop_small": 3}) == set()
