@@ -231,11 +231,12 @@ def _psi_plus(x, ctx):
 
 def _stirling_tail(acc, N: int, ctx):
     """acc - sum_{k>=1} B_2k/(2k) sum_{n>N} n^-(2k+2): the Bernoulli part of
-    the Stirling series of psi(n) and H_n, summed against 1/n^2 over n > N."""
+    the Stirling series of psi(n) and H_n against 1/n^2 over n > N, to one
+    term past its smallest, near k = pi (N+1), where its floor stops it."""
     eps = mpf(10) ** (-(mp.dps + 4))
     terms = (-(series._bern_mpf(2 * k) / (2 * k)
                * series.em_log_power_tail(2 * k + 2, 0, N, 0, ctx))
-             for k in range(1, 40))
+             for k in range(1, math.ceil(math.pi * (N + 1)) + 2))
     return series._sum_terms(terms, acc, eps)
 
 
@@ -561,7 +562,7 @@ def register_builtin_entries() -> None:
         description="The alternating binomial zeta sum evaluated straight "
                     "at s = 1 equals log 2.",
         paper_anchor="I-4.14",
-        lhs=lambda ctx: series.alt_zeta_hasse(1, 1, ctx),
+        lhs=lambda ctx: series.alt_zeta_hasse(1, 1, 0, ctx)[0],
         rhs=lambda ctx: mp.log(2),
         lhs_route="binomial_moments", rhs_route="elementary_closed_form",
         tags=S | L))
@@ -572,27 +573,28 @@ def register_builtin_entries() -> None:
                     "log moment.",
         paper_anchor="I-4.16",
         lhs=lambda ctx: mp.log(2) / 2
-        - series.alt_zeta_log_moment(1, ctx) / mp.log(2),
+        - series.alt_zeta_hasse(1, 1, 1, ctx)[1] / mp.log(2),
         rhs=lambda ctx: _gam(0, 1, ctx),
         lhs_route="binomial_moments", rhs_route="em_oracle",
         tags=S))
+
+    def lhs_4162(ctx):
+        S = series.alt_zeta_hasse(1, 1, 2, ctx)
+        return -mp.log(2) ** 2 / 12 + S[1] / 2 - S[2] / (2 * mp.log(2))
 
     register(E(
         id="I-4.16.2",
         description="First Stieltjes constant from the first two "
                     "alternating binomial log moments.",
         paper_anchor="I-4.16.2",
-        lhs=lambda ctx: (-mp.log(2) ** 2 / 12
-                         + series.alt_zeta_log_moment(1, ctx) / 2
-                         - series.alt_zeta_log_moment(2, ctx)
-                         / (2 * mp.log(2))),
+        lhs=lhs_4162,
         rhs=lambda ctx: _gam(1, 1, ctx),
         lhs_route="binomial_moments", rhs_route="em_oracle",
         tags=S))
 
     for tag, n in (("a", 1), ("b", 2), ("c", 3)):
         def lhs_420(ctx, n=n):
-            return -series.alt_zeta_log_moment(n, ctx)
+            return -series.alt_zeta_hasse(1, 1, n, ctx)[n]
 
         def rhs_420(ctx, n=n):
             l2 = mp.log(2)
@@ -613,7 +615,7 @@ def register_builtin_entries() -> None:
 
     for tag, k in (("a", 1), ("b", 2)):
         def lhs_421(ctx, k=k):
-            return (-1) ** k * series.alt_zeta_log_moment(k, ctx)
+            return (-1) ** k * series.alt_zeta_hasse(1, 1, k, ctx)[k]
 
         def rhs_421(ctx, k=k):
             l2 = mp.log(2)
@@ -642,10 +644,10 @@ def register_builtin_entries() -> None:
 
         def rhs_422(ctx, n=n):
             l2 = mp.log(2)
+            S = series.alt_zeta_hasse(1, 1, n, ctx)
             acc = mpf(0)
             for k in range(n + 1):
-                brk = (-series.alt_zeta_log_moment(k, ctx)
-                       + l2 ** (k + 1) / (k + 1) + _gam(k, 1, ctx))
+                brk = -S[k] + l2 ** (k + 1) / (k + 1) + _gam(k, 1, ctx)
                 acc += (math.comb(n, k) * (-1) ** k * l2 ** (n - k) * brk)
             return (-1) ** n * acc
 

@@ -97,18 +97,20 @@ def cmd_compute(args: argparse.Namespace) -> int:
     digits = args.digits
     ctx = PrecisionContext.for_digits(digits)
     what = args.what
-    reads = {"gamma_n": "method", "digamma": "route", "log_gamma": "route",
-             "barnes_g": "route"}.get(what)    # the others read neither
-    for flag in ("method", "route"):
-        if getattr(args, flag) is not None and flag != reads:
+    reads = {"gamma_n": ("n", "method"), "digamma": ("route",),
+             "log_gamma": ("route",), "hurwitz_zeta": ("s",),
+             "barnes_g": ("t", "route"), "zeta_sderiv": ("s", "order")}[what]
+    for flag in ("n", "s", "t", "order", "method", "route"):
+        if getattr(args, flag) is not None and flag not in reads:
             return _usage_error("%s does not take --%s" % (what, flag))
+    n, order = args.n or 0, args.order or 1
     with ctx.working(), recording() as rec:
         u = _parse_number(args.u, "--u")
         if what == "gamma_n":
             method = args.method or "limit_euler_maclaurin"
             method = METHOD_ALIASES.get(method, method)
-            fv = F.stieltjes(args.n, u, method, ctx)
-            params = {"n": args.n, "u": _fmt(u, digits)}
+            fv = F.stieltjes(n, u, method, ctx)
+            params = {"n": n, "u": _fmt(u, digits)}
         elif what == "digamma":
             fv = F.digamma(u, ctx, args.route or "bose")
             params = {"u": _fmt(u, digits)}
@@ -120,13 +122,13 @@ def cmd_compute(args: argparse.Namespace) -> int:
             fv = F.hurwitz_zeta(s, u, ctx)
             params = {"s": _fmt(s, digits), "u": _fmt(u, digits)}
         elif what == "barnes_g":
-            t = _parse_number(args.t, "--t")
+            t = _parse_number(args.t if args.t is not None else "1", "--t")
             fv = F.barnes_g_log(t, args.route or "integral_6_7", ctx)
             params = {"t": _fmt(t, digits)}
         else:   # zeta_sderiv; argparse admits only COMPUTE_CHOICES
             s = _parse_number(args.s if args.s is not None else "0", "--s")
-            fv = F.hurwitz_zeta_sderiv(args.order, s, u, ctx)
-            params = {"order": args.order, "s": _fmt(s, digits),
+            fv = F.hurwitz_zeta_sderiv(order, s, u, ctx)
+            params = {"order": order, "s": _fmt(s, digits),
                       "u": _fmt(u, digits)}
         value_str = _fmt(fv.value, digits)
     diag = dict(sorted(rec.items()))
@@ -305,15 +307,15 @@ def build_parser() -> argparse.ArgumentParser:
     pc = sub.add_parser("compute", parents=[common],
                         help="compute one value")
     pc.add_argument("what", choices=COMPUTE_CHOICES)
-    pc.add_argument("--n", type=int, default=0,
+    pc.add_argument("--n", type=int, default=None,
                     help="order for gamma_n (default 0)")
     pc.add_argument("--u", default="1", help="argument u > 0 (default 1)")
     pc.add_argument("--s", default=None,
-                    help="s for hurwitz_zeta / zeta_sderiv")
-    pc.add_argument("--t", default="1",
+                    help="s for hurwitz_zeta (default 2) or zeta_sderiv (0)")
+    pc.add_argument("--t", default=None,
                     help="t for barnes_g, log G(1+t) (default 1)")
-    pc.add_argument("--order", type=int, choices=(1, 2), default=1,
-                    help="derivative order for zeta_sderiv")
+    pc.add_argument("--order", type=int, choices=(1, 2), default=None,
+                    help="derivative order for zeta_sderiv (default 1)")
     pc.add_argument("--method", default=None,
                     help="gamma_n route, one of %s or a short alias "
                          "(hasse, coffey, oracle, altzeta); default "

@@ -19,11 +19,12 @@ is decided in one place, _em_plan, from a rigorous bound on the remainder
 (_em_bound) and the accuracy the caller aims at; a bound that cannot be
 met raises PrecisionExhaustedError.
 
-Cancellation-heavy binomial sums (the Hasse route, the alternating-zeta
-moments) widen their working precision by ~0.302 digits per term of outer
-depth before summing; _binomial_exit tallies their depth, the digits lost
-to cancellation and the tail estimate, and refuses a tail above the
-tolerance.
+Both binomial transforms, Hasse's series and the alternating-zeta
+moments, are sum_{i<=D} c_i Delta^i v(0): _binomial_sums swaps the two
+finite sums into one sum over v(j) with exact rational weights, tallies
+the depth, digits lost and tail estimate, and refuses a tail above the
+tolerance.  Both widen the working precision by ~0.302 digits per term of
+depth, which only Hasse's weights (growing like 2^D/D) need.
 
 _sum_terms truncates the package's Stirling and Bernoulli series and
 tallies why it stopped: "small" (a term fell below the threshold), "floor"
@@ -32,6 +33,9 @@ tallies why it stopped: "small" (a term fell below the threshold), "floor"
 
 from __future__ import annotations
 
+import array
+import functools
+import itertools
 import math
 from fractions import Fraction
 
@@ -181,6 +185,7 @@ def _em_terms(s, r: int, w0, M: int):
         yield -(_bern_coef(j) * poly * wpow)
 
 
+@functools.lru_cache(maxsize=None)
 def _em_bound(s, r: int, m_max: int):
     """log_bound(M, w0): the log of a bound on the Euler-Maclaurin remainder
     of sum_{k>=0} g(w0+k), g(x) = log^r(x) x^-s, after M <= m_max terms of
@@ -195,11 +200,12 @@ def _em_bound(s, r: int, m_max: int):
     which majorizes |c[2M]| (and equals it when s > 0).  The integrals
     have the closed form of _em_tail: w0^-a J_k with J_0 = 1/a and
     J_k = (log^k(w0) + k J_(k-1))/a.  All of it is evaluated in
-    floating-point logarithms.  The bound only falls as w0 grows.
+    floating-point logarithms, once per (s, r, m_max): the oracle plans
+    each order three times.  The bound only falls as w0 grows.
     """
     sf = float(s)
-    # (log of |B_2M|/(2M)! times the row scale, row scaled to max 1)
-    rows = []
+    # kept per M, flat: log(|B_2M|/(2M)! * row scale), row scaled to max 1
+    rows = array.array("d")
     d = [0.0] * r + [1.0]
     log_scale = 0.0
     for m in range(2 * m_max):
@@ -212,11 +218,13 @@ def _em_bound(s, r: int, m_max: int):
             log_scale = -math.inf
         if m % 2:
             b = bernoulli_number(m + 1)
-            rows.append((log_scale + math.log(abs(b.numerator))
-                         - math.log(b.denominator) - math.lgamma(m + 2), d))
+            rows.append(log_scale + math.log(abs(b.numerator))
+                        - math.log(b.denominator) - math.lgamma(m + 2))
+            rows.extend(d)
 
     def log_bound(M: int, w0: float) -> float:
-        log_c, d = rows[M - 1]
+        i = (M - 1) * (r + 2)
+        log_c, d = rows[i], rows[i + 1:i + r + 2]
         a = sf + 2 * M - 1
         if log_c == -math.inf:
             return log_c
@@ -489,23 +497,42 @@ def trigamma_asymptotic(x, ctx: PrecisionContext = DEFAULT_CONTEXT):
 # binomial transforms: the Hasse route and the alternating-zeta moments
 # ---------------------------------------------------------------------------
 
-def _forward_differences(values: list) -> list:
-    """d_i = sum_j C(i,j) (-1)^j values[j] for every i < len(values).
+def _binomial_sums(weights: list, rows: list, tail_scale, tol,
+                   head=0, head_max=0) -> list:
+    """head + sum_{i<=D} c_i sum_{j<=i} C(i,j) (-1)^j v(j) for each column
+    v of rows (rows[j][k] = v_k(j), j = 0..D), the finite sums swapped:
 
-    d_i cancels about 0.302 i digits of the largest |values[j]|, so callers
-    evaluate values and sum at precision widened by that much.
+        sum_j (-1)^j W_j v(j),   W_j = weights[j] = sum_{i>=j} C(i,j) c_i.
+
+    The tail estimate is tail_scale |sum_j (-1)^j C(D,j) v(j)|, a multiple
+    of the last outer term.  Tallies each column's depth, the digits its
+    largest summand (W_j |v(j)| or head_max) lost to cancellation and its
+    tail; raises PrecisionExhaustedError unless tol bounds the tail.
     """
-    diffs = []
-    for i in range(len(values)):
-        inner = mpf(0)
-        for j in range(i + 1):
-            t = math.comb(i, j) * values[j]
-            if j % 2:
-                inner -= t
-            else:
-                inner += t
-        diffs.append(inner)
-    return diffs
+    D = len(weights) - 1
+    totals = [mpf(head)] * len(rows[0])
+    outers = [mpf(0)] * len(totals)
+    bigs = [mpf(head_max)] * len(totals)
+    for j, (w, row) in enumerate(zip(weights, rows)):
+        c = math.comb(D, j)
+        if j % 2:
+            w, c = -w, -c
+        for k, v in enumerate(row):
+            t = w * v
+            totals[k] += t
+            outers[k] += c * v
+            bigs[k] = max(bigs[k], abs(t))
+    for total, outer, big in zip(totals, outers, bigs):
+        tail = abs(outer) * tail_scale
+        lost = max(0, math.ceil(float(mp.log10(big / abs(total))))) \
+            if total and big else 0
+        tally(binomial_depth=D, binomial_digits_lost=lost,
+              binomial_tail=float(tail))
+        if not tail <= tol:
+            raise PrecisionExhaustedError(
+                "binomial sum truncation ~%s exceeds tolerance %s"
+                % (mp.nstr(tail, 3), mp.nstr(tol, 3)))
+    return totals
 
 
 def _hasse_depth(ctx: PrecisionContext) -> int:
@@ -519,19 +546,13 @@ def _hasse_depth(ctx: PrecisionContext) -> int:
     return int(math.ceil(2.1 * ctx.target_digits)) + 8
 
 
-def _binomial_exit(total, max_term, depth: int, tail, tol=None) -> None:
-    """Tally a binomial sum's outer depth, the digits its largest summand
-    lost to cancellation and its tail estimate; raise
-    PrecisionExhaustedError unless the tail is within tol (a NaN tail is
-    not), when one is given."""
-    lost = max(0, math.ceil(float(mp.log10(max_term / abs(total))))) \
-        if total and max_term else 0
-    tally(binomial_depth=depth, binomial_digits_lost=lost,
-          binomial_tail=float(tail))
-    if tol is not None and not tail <= tol:
-        raise PrecisionExhaustedError(
-            "binomial sum truncation ~%s exceeds tolerance %s"
-            % (mp.nstr(tail, 3), mp.nstr(tol, 3)))
+def _hasse_weights(D: int) -> list:
+    """W_j = sum_{i>=j} C(i,j)/(i+1), j = 0..D, each rounded once: exact
+    rationals from W_D = 1/(D+1) and W_(j-1) = C(D+1,j)/j - W_j."""
+    W = [Fraction(1, D + 1)]
+    for j in range(D, 0, -1):
+        W.append(Fraction(math.comb(D + 1, j), j) - W[-1])
+    return [+mp.fraction(w.numerator, w.denominator) for w in reversed(W)]
 
 
 def _shifted_hasse_sum(g, head, u, ctx: PrecisionContext):
@@ -543,31 +564,23 @@ def _shifted_hasse_sum(g, head, u, ctx: PrecisionContext):
         F(u) = sum_{k<M} head(u+k)
                + sum_{i<=I} (i+1)^-1 sum_j C(i,j) (-1)^j g(u+M+j)
 
-    with I = M from _hasse_depth.  Unshifted, the outer terms of a log
-    power decay only like 1/(i^2 log i), a floor near 1/(I log I); at u+M
-    they fall faster than geometrically.  Sums at working precision
-    widened by 0.302 I + 10 digits; the tail estimate |last outer term| * I
-    goes to _binomial_exit, which refuses it above the tolerance.
+    with I = M from _hasse_depth, by _binomial_sums with the
+    _hasse_weights.  Unshifted, the outer terms of a log power decay only
+    like 1/(i^2 log i), a floor near 1/(I log I); at u+M they fall faster
+    than geometrically.  The weights grow like 2^I/I, so the sum runs at
+    working precision widened by 0.302 I + 10 digits.  The tail estimate
+    is |last outer term| * I.
     """
     depth = _hasse_depth(ctx)
     with ctx.working(int(math.ceil(0.302 * depth)) + 10):
         uu = mpf(u)
+        if not 0 < uu < mp.inf:
+            raise ValueError("Hasse's sum requires finite u > 0")
         heads = [head(uu + k) for k in range(depth)]
-        gs = [g(uu + depth + j) for j in range(depth + 1)]
-        total = mpf(0)
-        for h in heads:
-            total += h
-        last = mpf(0)
-        for i, d in enumerate(_forward_differences(gs)):
-            last = d / (i + 1)
-            total += last
-        # the largest binomial summand sits in the last row
-        max_term = max([abs(h) for h in heads]
-                       + [math.comb(depth, j) * abs(v) / (depth + 1)
-                          for j, v in enumerate(gs)])
-        _binomial_exit(total, max_term, depth, abs(last) * depth,
-                       ctx.tolerance)
-        return +total
+        rows = [[g(uu + depth + j)] for j in range(depth + 1)]
+        return +_binomial_sums(_hasse_weights(depth), rows,
+                               mpf(depth) / (depth + 1), ctx.tolerance,
+                               sum(heads), max(abs(h) for h in heads))[0]
 
 
 def hasse_stieltjes(n: int, u, ctx: PrecisionContext = DEFAULT_CONTEXT):
@@ -583,29 +596,8 @@ def hasse_stieltjes(n: int, u, ctx: PrecisionContext = DEFAULT_CONTEXT):
     """
     if n < 0:
         raise ValueError("hasse_stieltjes needs n >= 0")
-    with ctx.working():
-        if not 0 < mpf(u) < mp.inf:
-            raise ValueError("hasse_stieltjes requires finite u > 0")
     return _shifted_hasse_sum(lambda x: -mp.log(x) ** (n + 1) / (n + 1),
                               lambda x: mp.log(x) ** n / x, u, ctx)
-
-
-def _altzeta_binomial_sum(values: list, tol=None):
-    """sum_i 2^-(i+1) sum_j C(i,j) (-1)^j values[j] at widened precision.
-
-    The 2^-i damping makes this geometric; values must cover j <= depth.
-    The tail estimate, twice the last outer term, goes to _binomial_exit
-    with tol.
-    """
-    total = mpf(0)
-    max_term = mpf(0)
-    last = mpf(0)
-    for i, inner in enumerate(_forward_differences(values)):
-        last = inner / mpf(2) ** (i + 1)
-        total += last
-        max_term = max(max_term, abs(last))
-    _binomial_exit(total, max_term, len(values) - 1, 2 * abs(last), tol)
-    return total
 
 
 def _altzeta_depth(ctx: PrecisionContext) -> int:
@@ -613,38 +605,40 @@ def _altzeta_depth(ctx: PrecisionContext) -> int:
     return int(math.ceil(3.33 * digits_needed)) + 12
 
 
-def alt_zeta_hasse(s, u=1, ctx: PrecisionContext = DEFAULT_CONTEXT):
-    """zeta_a(s,u) = sum_i (-1)^i (u+i)^-s by the binomial acceleration.
+def _altzeta_weights(D: int) -> list:
+    """W_j = sum_{i>=j} C(i,j) 2^-(i+1) = 2^-(D+1) sum_{m>j} C(D+1,m),
+    j = 0..D, each rounded once: Borwein's e_j weights."""
+    tails = itertools.accumulate(math.comb(D + 1, m)
+                                 for m in range(D + 1, 0, -1))
+    return [mp.ldexp(t, -(D + 1)) for t in reversed(list(tails))]
 
-    Geometrically convergent for every real s (no pole at s = 1).
+
+def alt_zeta_hasse(s, u, k_max: int,
+                   ctx: PrecisionContext = DEFAULT_CONTEXT) -> list:
+    """The moments S_0 .. S_kmax of the alternating zeta function,
+
+        S_k = sum_i (-1)^i log^k(u+i) (u+i)^-s = (-1)^k d^k/ds^k zeta_a(s,u),
+
+    each by the binomial acceleration sum_i 2^-(i+1) Delta^i v_k(0),
+    v_k(j) = log^k(u+j) (u+j)^-s, geometrically convergent for every real
+    s (no pole at s = 1; S_0(1,1) = log 2).  One pass over j takes
+    log(u+j) once and the powers by a running product into _binomial_sums
+    with the _altzeta_weights; the tail estimate is twice the last outer
+    term.
     """
+    if k_max < 0:
+        raise ValueError("alt_zeta_hasse needs k_max >= 0")
     depth = _altzeta_depth(ctx)
-    extra = int(math.ceil(0.302 * depth)) + 10
-    with ctx.working(extra):
+    with ctx.working(int(math.ceil(0.302 * depth)) + 10):
         s = mpf(s)
         uu = mpf(u)
         if not 0 < uu < mp.inf:
             raise ValueError("alt_zeta_hasse requires finite u > 0")
-        vals = [mp.power(uu + j, -s) for j in range(depth + 1)]
-        return +_altzeta_binomial_sum(vals, ctx.tolerance)
-
-
-def alt_zeta_log_moment(k: int, ctx: PrecisionContext = DEFAULT_CONTEXT):
-    """S_k = (-1)^k d^k/ds^k zeta_a(s)|_{s=1}, u = 1.
-
-    S_k = sum_i 2^-(i+1) sum_j C(i,j) (-1)^j log^k(1+j)/(1+j), by the same
-    geometric acceleration.  S_0 = log 2.
-    """
-    if k < 0:
-        raise ValueError("alt_zeta_log_moment needs k >= 0")
-    depth = _altzeta_depth(ctx)
-    extra = int(math.ceil(0.302 * depth)) + 10
-    with ctx.working(extra):
-        vals = []
-        for j in range(depth + 1):
-            w = mpf(1 + j)
-            vals.append(mp.log(w) ** k / w)
-        return +_altzeta_binomial_sum(vals)
+        rows = [list(itertools.accumulate(
+            [mp.power(uu + j, -s)] + [mp.log(uu + j)] * k_max, mpf.__mul__))
+            for j in range(depth + 1)]
+        return _binomial_sums(_altzeta_weights(depth), rows,
+                              mp.ldexp(1, -depth), ctx.tolerance)
 
 
 def stieltjes_altzeta_table(n_max: int,
@@ -656,18 +650,18 @@ def stieltjes_altzeta_table(n_max: int,
       S_{m+1} = log^{m+2} 2/(m+2)
                 - sum_{k<=m} C(m+1,k) gamma_k log^{m+1-k} 2
 
-    upward from m = 0; each step divides by (m+1) log 2.  Every moment is
-    computed once, so callers that need several orders should ask for the
-    whole range here rather than order by order.
+    upward from m = 0; each step divides by (m+1) log 2.  The moments
+    come from one alt_zeta_hasse pass, so callers that need several orders
+    should ask for the whole range here rather than order by order.
     """
     if n_max < 0:
         raise ValueError("stieltjes_altzeta_table needs n_max >= 0")
+    S = alt_zeta_hasse(1, 1, n_max + 1, ctx)
     with ctx.working(10):
         l2 = mp.log(2)
         gammas: list = []
         for m in range(n_max + 1):
-            S = alt_zeta_log_moment(m + 1, ctx)
-            rhs = l2 ** (m + 2) / (m + 2) - S
+            rhs = l2 ** (m + 2) / (m + 2) - S[m + 1]
             for k in range(m):
                 rhs -= math.comb(m + 1, k) * gammas[k] * l2 ** (m + 1 - k)
             gammas.append(rhs / ((m + 1) * l2))

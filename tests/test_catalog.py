@@ -5,7 +5,7 @@ check the registry invariants and the filter/failure behavior of the runner.
 """
 
 import pytest
-from mpmath import mpf
+from mpmath import mp, mpf
 
 from stieltjes import catalog
 from stieltjes.catalog import (
@@ -18,6 +18,7 @@ from stieltjes.catalog import (
     run_catalog,
 )
 from stieltjes.precision import DEFAULT_CONTEXT as CTX
+from stieltjes.precision import PrecisionContext, recording
 
 
 # ---------------------------------------------------------------------------
@@ -178,3 +179,24 @@ class TestRunner:
         assert report.total == report.passed + report.failed
         assert report.total == 10
         assert report.failed == 0
+
+
+# ---------------------------------------------------------------------------
+# series closures
+# ---------------------------------------------------------------------------
+
+def test_stirling_tail_stops_small_at_60_digits():
+    # I-8.6 lhs and I-9.7 rhs close sum psi(n)/n^2 with _stirling_tail
+    # (I-8.6 only takes its first terms from quadrature), I-9.E lhs closes
+    # sum H_n/n^2 with it.  A fixed 39 terms ran out at 1.8e-78 here, and
+    # both sums were off by 1.5e-79.
+    ctx = PrecisionContext.for_digits(60)
+    with mp.workdps(100):
+        refs = (mp.zeta(3) - mp.euler * mp.zeta(2), 2 * mp.zeta(3))
+    sides = (catalog._psi_over_square_series,
+             catalog._harmonic_sum_over_squares)
+    for side, ref in zip(sides, refs):
+        with ctx.working(), recording() as rec:
+            v = side(ctx)
+        assert "stop_cap" not in rec, side.__name__
+        assert abs(v - ref) <= mpf(10) ** -80, side.__name__

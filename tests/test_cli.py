@@ -84,7 +84,11 @@ class TestCompute:
                      ["barnes_g", "--t", "inf", "--digits", "15"],
                      ["digamma", "--method", "hasse"],
                      ["gamma_n", "--route", "bose"],
-                     ["hurwitz_zeta", "--route", "nonsense"]):
+                     ["hurwitz_zeta", "--route", "nonsense"],
+                     ["digamma", "--s", "3"],
+                     ["hurwitz_zeta", "--t", "5"],
+                     ["gamma_n", "--order", "2"],
+                     ["log_gamma", "--n", "4"]):
             code, _, err = run(capsys, ["compute"] + argv)
             assert code == 2, argv
             assert err.startswith("error: "), argv
@@ -170,8 +174,9 @@ class TestTable:
     def test_each_route_runs_once_for_the_whole_table(self, capsys,
                                                       monkeypatch):
         # one oracle pass (a correction at N and at 2N per order) and one
-        # moment per order; asking row by row makes 20 and 10
-        counts = {"correction": 0, "moment": 0}
+        # alternating-zeta pass for every moment; asking row by row makes
+        # 20 corrections and 4 passes
+        counts = {"correction": 0, "altzeta": 0}
 
         def counting(key, fn):
             def wrapped(*args, **kwargs):
@@ -181,11 +186,24 @@ class TestTable:
         monkeypatch.setattr(series, "_ORACLE_CACHE", {})
         monkeypatch.setattr(series, "_oracle_correction",
                             counting("correction", series._oracle_correction))
-        monkeypatch.setattr(series, "alt_zeta_log_moment",
-                            counting("moment", series.alt_zeta_log_moment))
+        monkeypatch.setattr(series, "alt_zeta_hasse",
+                            counting("altzeta", series.alt_zeta_hasse))
         code, _, _ = run(capsys, ["table", "--first", "4", "--digits", "15"])
         assert code == 0
-        assert counts == {"correction": 8, "moment": 4}
+        assert counts == {"correction": 8, "altzeta": 1}
+
+    @pytest.mark.parametrize("digits", [120, 200])
+    def test_high_digit_table_matches_mpmath(self, capsys, digits):
+        code, out, err = run(capsys, [
+            "table", "--first", "6", "--digits", str(digits),
+            "--format", "csv"])
+        assert code == 0, err
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        assert len(rows) == 6
+        with mp.workdps(digits + 5):
+            for n, value, _ in rows:
+                err = abs(mpf(value) - mp.stieltjes(int(n)))
+                assert err <= mpf(10) ** -digits, (n, err)
 
     def test_routes_disagreeing_maps_to_exit_3(self, capsys, monkeypatch):
         table = series.stieltjes_altzeta_table

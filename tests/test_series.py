@@ -2,6 +2,7 @@
 tails, and the binomial (alternating and non-alternating) machinery."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -129,6 +130,15 @@ class TestOracle:
         with CTX.working():
             for a, b in zip(big[:3], small):
                 assert abs(a - b) <= mpf(10) ** -CTX.working_digits
+
+    def test_bound_rows_are_built_once_per_order(self, monkeypatch):
+        # the pass plans each order three times with the same (s, r, m_max):
+        # for N, then in the corrections at N and at 2N
+        monkeypatch.setattr(series, "_ORACLE_CACHE", {})
+        series._em_bound.cache_clear()
+        series.stieltjes_oracle_table(9, mpf("0.375"), CTX)
+        info = series._em_bound.cache_info()
+        assert (info.misses, info.hits) == (10, 20)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -296,22 +306,68 @@ def test_trigamma_asymptotic_at_one():
 # binomial machinery
 # ---------------------------------------------------------------------------
 
+def _double_sum(c, values):
+    """The binomial transform the swapped sums replace, summed as written:
+    sum_i c(i) sum_{j<=i} C(i,j) (-1)^j values[j]."""
+    return sum(c(i) * sum((-1) ** j * math.comb(i, j) * values[j]
+                          for j in range(i + 1))
+               for i in range(len(values)))
+
+
+@pytest.mark.parametrize("depth", [5, 17, 60, 150])
+@pytest.mark.parametrize("weights, c", [
+    (series._hasse_weights, lambda i: mpf(1) / (i + 1)),
+    (series._altzeta_weights, lambda i: mp.ldexp(1, -(i + 1)))],
+    ids=["hasse", "altzeta"])
+def test_weighted_sum_is_the_double_sum(depth, weights, c):
+    rng = random.Random(depth)
+    with mp.workdps(50 + int(math.ceil(0.302 * depth)) + 10):
+        for lo, hi in ((-1, 1), (0, 3)):
+            values = [mpf(rng.uniform(lo, hi)) for _ in range(depth + 1)]
+            with recording() as rec:
+                total, = series._binomial_sums(
+                    weights(depth), [[v] for v in values], 1, mp.inf)
+            ref = _double_sum(c, values)
+            assert abs(total - ref) <= mpf(10) ** -50 * max(1, abs(ref))
+            # the tail estimate is the depth-th difference
+            last = _double_sum(lambda i: int(i == depth), values)
+            assert rec["binomial_tail"] == float(abs(last))
+            assert rec["binomial_depth"] == depth
+
+
 class TestAltZeta:
     def test_value_at_one_is_log2(self):
         with CTX.working():
-            assert abs(series.alt_zeta_hasse(1, 1, CTX) - mp.log(2)) \
+            assert abs(series.alt_zeta_hasse(1, 1, 0, CTX)[0] - mp.log(2)) \
                 < tol(40)
 
     def test_value_at_two(self):
         # eta(2) = pi^2/12
         with CTX.working():
-            assert abs(series.alt_zeta_hasse(2, 1, CTX)
+            assert abs(series.alt_zeta_hasse(2, 1, 0, CTX)[0]
                        - mp.pi ** 2 / 12) < tol(40)
 
     def test_moment_zero_is_log2(self):
         with CTX.working():
-            assert abs(series.alt_zeta_log_moment(0, CTX) - mp.log(2)) \
+            assert abs(series.alt_zeta_hasse(1, 1, 3, CTX)[0] - mp.log(2)) \
                 < tol(40)
+
+    def test_log_moments_of_one_pass(self):
+        # S_k = (-1)^k eta^(k)(1)
+        S = series.alt_zeta_hasse(1, 1, 3, CTX)
+        assert len(S) == 4
+        with CTX.working():
+            for k in (1, 2, 3):
+                ref = (-1) ** k * mp.diff(mp.altzeta, 1, k)
+                assert abs(S[k] - ref) < tol(40), k
+
+    def test_short_depth_refuses_a_log_moment(self, monkeypatch):
+        # at depth 78 the tail estimate of S_0 (4.2e-26) is within the
+        # tolerance 1e-25 and that of S_2 (1.3e-25) is not
+        monkeypatch.setattr(series, "_altzeta_depth", lambda ctx: 78)
+        series.alt_zeta_hasse(1, 1, 0, CTX)
+        with pytest.raises(PrecisionExhaustedError):
+            series.alt_zeta_hasse(1, 1, 2, CTX)
 
     def test_stieltjes_from_altzeta_low_orders(self):
         with CTX.working():
@@ -328,7 +384,7 @@ class TestAltZeta:
 
     def test_rejects_bad_u(self):
         with pytest.raises(ValueError):
-            series.alt_zeta_hasse(1, 0, CTX)
+            series.alt_zeta_hasse(1, 0, 0, CTX)
 
 
 class TestHasse:
