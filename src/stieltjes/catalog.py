@@ -240,11 +240,18 @@ def _stirling_tail(acc, N: int, ctx):
     return series._sum_terms(terms, acc, eps)
 
 
+def _stirling_start() -> int:
+    """N for the sums closed by _stirling_tail: its smallest term, near
+    e^(-2 pi (N+1)), then lies below the tail's threshold 10^-(dps+4).
+    Never below 40, the N these sums used up to about 85 digits."""
+    return max(40, math.ceil((mp.dps + 4) * math.log(10) / (2 * math.pi)))
+
+
 def _psi_over_square_series(ctx, n_quad: int = 0):
     """sum_{n>=1} psi(n)/n^2; the first n_quad terms may come from the
     digamma quadrature web, the rest from shifted asymptotics, the tail
     from psi's gamma-free asymptotic expansion."""
-    N = 40
+    N = _stirling_start()
     acc = mpf(0)
     for n in range(1, N + 1):
         if n == 1:
@@ -275,7 +282,7 @@ def _sici_sum_85(x, ctx):
 
 def _harmonic_sum_over_squares(ctx):
     """sum_{n>=1} H_n/n^2 with asymptotic-plus-EM tail closure."""
-    N = 40
+    N = _stirling_start()
     acc = mpf(0)
     for n in range(1, N + 1):
         h = series.harmonic(n)
@@ -1055,14 +1062,17 @@ def register_builtin_entries() -> None:
             (xc, lx), (yc, ly) = p, q
             om = xc + yc - xc * yc
             lg = lx + ly
-            return -xc / (om * lg)
-        return integrate_unit_square(Integrand2D(node, pair), ctx).value
+            return (xc + yc) / (om * lg)
+        return -integrate_unit_square(
+            Integrand2D(node, pair, symmetric=True), ctx).value / 2
 
     register(E(
         id="I-9.5a",
         description="Euler's constant as a double integral of "
-                    "-(1-x)/((1-xy) log(xy)) with complement-stable "
-                    "evaluation near the boundary.",
+                    "-(1-x)/((1-xy) log(xy)), summed as its symmetrized "
+                    "integrand -(2-x-y)/(2(1-xy) log(xy)) over one "
+                    "triangle, with complement-stable evaluation near "
+                    "the boundary.",
         paper_anchor="I-9.5a",
         lhs=lhs_95a,
         rhs=lambda ctx: _gam(0, 1, ctx),

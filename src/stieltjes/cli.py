@@ -97,15 +97,16 @@ def cmd_compute(args: argparse.Namespace) -> int:
     digits = args.digits
     ctx = PrecisionContext.for_digits(digits)
     what = args.what
-    reads = {"gamma_n": ("n", "method"), "digamma": ("route",),
-             "log_gamma": ("route",), "hurwitz_zeta": ("s",),
-             "barnes_g": ("t", "route"), "zeta_sderiv": ("s", "order")}[what]
-    for flag in ("n", "s", "t", "order", "method", "route"):
+    reads = {"gamma_n": ("u", "n", "method"), "digamma": ("u", "route"),
+             "log_gamma": ("u", "route"), "hurwitz_zeta": ("u", "s"),
+             "barnes_g": ("t", "route"),
+             "zeta_sderiv": ("u", "s", "order")}[what]
+    for flag in ("u", "n", "s", "t", "order", "method", "route"):
         if getattr(args, flag) is not None and flag not in reads:
             return _usage_error("%s does not take --%s" % (what, flag))
     n, order = args.n or 0, args.order or 1
     with ctx.working(), recording() as rec:
-        u = _parse_number(args.u, "--u")
+        u = _parse_number(args.u if args.u is not None else "1", "--u")
         if what == "gamma_n":
             method = args.method or "limit_euler_maclaurin"
             method = METHOD_ALIASES.get(method, method)
@@ -309,7 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("what", choices=COMPUTE_CHOICES)
     pc.add_argument("--n", type=int, default=None,
                     help="order for gamma_n (default 0)")
-    pc.add_argument("--u", default="1", help="argument u > 0 (default 1)")
+    pc.add_argument("--u", default=None,
+                    help="argument u > 0 (default 1); barnes_g takes --t")
     pc.add_argument("--s", default=None,
                     help="s for hurwitz_zeta (default 2) or zeta_sderiv (0)")
     pc.add_argument("--t", default=None,

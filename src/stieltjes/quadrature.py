@@ -420,8 +420,11 @@ def integrate_unit_square(f2: Integrand2D,
     asks for: the 2-D entries verify to 1e-8..1e-15, and tol defaults to
     1e-11.  The levels h = 1/32, 1/64, 1/128 are nested: each adds to one
     running sum only the pairs that no coarser level summed, and
-    f2.node runs once per node for all of them.  Rows keep the y-nodes
-    innermost so the per-row cancellations stay inside one partial sum.
+    f2.node runs once per node for all of them.  Each row is one exactly
+    rounded dot product over (pair value, y-weight): the products are
+    exact and the row is rounded once, so cancellation inside a row adds
+    no rounding error.
+    A symmetric f2 sums one triangle and the diagonal.
     An undecided 1/128 level is returned with its difference from 1/64 as
     the error estimate.  nodes_used counts f2.pair evaluations.
     """
@@ -459,9 +462,7 @@ def integrate_unit_square(f2: Integrand2D,
                 cols = range(a) if f2.symmetric else range(len(ps))
                 if not new[a]:
                     cols = [b for b in cols if new[b]]
-                row = mpf(0)
-                for b in cols:
-                    row += f2.pair(p, ps[b]) * ws[b]
+                row = mp.fdot((f2.pair(p, ps[b]), ws[b]) for b in cols)
                 used += len(cols)
                 if f2.symmetric:
                     total += 2 * row * ws[a]

@@ -457,9 +457,11 @@ def psi_asymptotic(x, ctx: PrecisionContext = DEFAULT_CONTEXT):
         A2 = A * A
         eps = mpf(10) ** (-(mp.dps - 2))
 
+        # past the shift the smallest term lies near j = pi A > dps, and
+        # the terms fall below eps by j = 0.7 dps (checked to 400 dps)
         def terms():
             apow = A2
-            for j in range(1, 120):
+            for j in range(1, mp.dps):
                 yield -(_bern_mpf(2 * j) / (2 * j) / apow)
                 apow *= A2
 
@@ -485,7 +487,7 @@ def trigamma_asymptotic(x, ctx: PrecisionContext = DEFAULT_CONTEXT):
 
         def terms():
             apow = A2 * A
-            for j in range(1, 120):
+            for j in range(1, mp.dps):
                 yield _bern_mpf(2 * j) / apow
                 apow *= A2
 

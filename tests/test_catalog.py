@@ -19,6 +19,13 @@ from stieltjes.catalog import (
 )
 from stieltjes.precision import DEFAULT_CONTEXT as CTX
 from stieltjes.precision import PrecisionContext, recording
+from stieltjes.quadrature import (
+    Integrand2D,
+    QuadratureResult,
+    _finest_level,
+    _get_table,
+    integrate_unit_square,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -200,3 +207,82 @@ def test_stirling_tail_stops_small_at_60_digits():
             v = side(ctx)
         assert "stop_cap" not in rec, side.__name__
         assert abs(v - ref) <= mpf(10) ** -80, side.__name__
+
+
+@pytest.mark.parametrize("digits", [120, 200])
+def test_stirling_sums_start_past_the_tail_floor(digits):
+    # with N fixed at 40 the tail's smallest term sat near 2.5e-116: both
+    # sums stopped on that floor from 120 digits on, and H_n/n^2 was off by
+    # 1.25e-116.  Every truncation (the tail's and psi_asymptotic's) now
+    # stops below its threshold, leaving only rounding at working precision.
+    ctx = PrecisionContext.for_digits(digits)
+    with mp.workdps(digits + 40):
+        refs = (mp.zeta(3) - mp.euler * mp.zeta(2), 2 * mp.zeta(3))
+    sides = (catalog._psi_over_square_series,
+             catalog._harmonic_sum_over_squares)
+    for side, ref in zip(sides, refs):
+        with ctx.working(), recording() as rec:
+            v = side(ctx)
+        assert rec["stop_small"] > 0, side.__name__
+        assert "stop_floor" not in rec and "stop_cap" not in rec, \
+            side.__name__
+        assert abs(v - ref) <= mpf(10) ** (2 - ctx.working_digits), \
+            side.__name__
+
+
+# ---------------------------------------------------------------------------
+# I-9.5a: the symmetrized integrand on one triangle
+# ---------------------------------------------------------------------------
+
+def test_95a_pair_is_the_symmetric_part_of_sondows_integrand(monkeypatch):
+    # -(1-x)/((1-xy) log(xy)) in complements; the entry halves and negates
+    # the sum of its symmetrized pair over the rule's triangle
+    seen = []
+
+    def capture(f2, ctx, tol=None):
+        seen.append(f2)
+        return QuadratureResult(mpf(0), mpf(0), 0)
+    monkeypatch.setattr(catalog, "integrate_unit_square", capture)
+    (entry,) = [e for e in all_entries() if e.id == "I-9.5a"]
+    entry.lhs(CTX)
+    (f2,) = seen
+    assert f2.symmetric
+
+    def sondow(p, q):
+        (xc, lx), (yc, ly) = p, q
+        return -xc / ((xc + yc - xc * yc) * (lx + ly))
+    tab = _get_table("ts01", min(CTX.working_digits, 45))
+    with mp.workdps(tab.dps + 10):
+        inner = [i for i in range(len(tab.xs))
+                 if tab.xs[i] > mpf("1e-30") and tab.xcs[i] > mpf("1e-30")]
+        # 67 nodes spread from edge to edge: 67^2 = 4489 pairs
+        picks = {inner[k * (len(inner) - 1) // 66] for k in range(67)}
+        assert len(picks) == 67
+        ps = [f2.node(tab.xs[i], tab.xcs[i]) for i in picks]
+        for p in ps:
+            for q in ps:
+                v = f2.pair(p, q)
+                assert v == f2.pair(q, p)
+                mean = (sondow(p, q) + sondow(q, p)) / 2
+                assert abs(-v / 2 - mean) <= mpf(10) ** -50 * abs(mean)
+
+
+def test_95a_settles_at_h_1_64_on_one_triangle(monkeypatch):
+    xs = []
+
+    def spy(f2, ctx, tol=None):
+        def node(x, xc):
+            xs.append(x)
+            return f2.node(x, xc)
+        return integrate_unit_square(
+            Integrand2D(node, f2.pair, f2.symmetric), ctx, tol)
+    monkeypatch.setattr(catalog, "integrate_unit_square", spy)
+    (out,) = run_catalog("I-9.5a", ctx=CTX).outcomes
+    assert out.passed
+    tab = _get_table("ts01", min(CTX.working_digits, 45))
+    index = {x: i for i, x in enumerate(tab.xs)}
+    idxs = sorted(index[x] for x in xs)
+    stride = 1 << (_finest_level(tab.dps) - 6)     # h = 1/64
+    assert idxs == list(range(idxs[0], idxs[-1] + 1, stride))
+    n = len(idxs)
+    assert out.lhs_record["unit_square_nodes"] == n * (n + 1) // 2 == 117855

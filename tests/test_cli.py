@@ -88,7 +88,8 @@ class TestCompute:
                      ["digamma", "--s", "3"],
                      ["hurwitz_zeta", "--t", "5"],
                      ["gamma_n", "--order", "2"],
-                     ["log_gamma", "--n", "4"]):
+                     ["log_gamma", "--n", "4"],
+                     ["barnes_g", "--u", "5", "--digits", "15"]):
             code, _, err = run(capsys, ["compute"] + argv)
             assert code == 2, argv
             assert err.startswith("error: "), argv

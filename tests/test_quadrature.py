@@ -220,12 +220,11 @@ class TestUnitSquare:
         assert len(pairs) == (n * (n + 1) // 2 if symmetric else n * n)
         assert r.nodes_used == len(pairs)
         with mp.workdps(dps + 10):
+            # every row of the full n x n grid, each an exact dot product
             flat = mpf(0)
             for i in idxs:
-                row = mpf(0)
-                for j in idxs:
-                    row += f(tab.xs[i], tab.xcs[i],
-                             tab.xs[j], tab.xcs[j]) * tab.ws[j]
+                row = mp.fdot((f(tab.xs[i], tab.xcs[i], tab.xs[j],
+                                 tab.xcs[j]), tab.ws[j]) for j in idxs)
                 flat += row * tab.ws[i]
             flat *= (tab.h * stride) ** 2
             assert abs(r.value - flat) < mpf(10) ** -40
