@@ -14,16 +14,22 @@ integrand values across levels; the 1-D rules truncate each level with one
 outward walk (_walk) that stops a side after 3 negligible terms past the
 last non-negligible one of the level before.
 
-The Bose-weight integrator runs two genuinely different evaluations (the
-direct transformed integral, and a mode expansion of the kernel with an
-Euler-Maclaurin closure over the mode index) and refuses to answer if
-they disagree.
+The Bose-weight integrator sums g(x)/(e^(2 pi x) - 1) two ways and
+refuses to answer if they disagree: directly through the kernel, and as
+a mode expansion sum_n e^(-2 pi n x) whose tail over the mode index is
+closed by Euler-Maclaurin.  What depends on the node alone (expm1(2 pi x),
+q = e^(-2 pi x), the mode sum q + ... + q^(N-1) in closed form and q^N)
+is one record per exp-sinh node, built on first use and kept with the
+node table, so both routes and every later call at that precision read
+it.  Both routes also read the same nodes, stride and g values: the check
+tests the 1/(e^y - 1) kernel against the mode sum with its closure, and
+the two routes' truncation windows, not the quadrature step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from mpmath import mp, mpf
 
@@ -92,7 +98,7 @@ class _NodeTable:
     xs: list = field(default_factory=list)      # abscissas
     xcs: list = field(default_factory=list)     # 1-x (tanh-sinh only)
     ws: list = field(default_factory=list)      # dx/dt, no h factor
-    qs: Optional[list] = None   # e^(-2 pi x), built lazily for Bose modes
+    qs: Optional[dict] = None   # _BoseRecord by node index, built lazily
 
 
 _TABLES: dict = {}
@@ -146,11 +152,45 @@ def _get_table(kind: str, dps: int) -> _NodeTable:
     return tab
 
 
-def _bose_qs(tab: _NodeTable) -> list:
+class _BoseRecord(NamedTuple):
+    """What both Bose routes need of one exp-sinh node x, for the N modes
+    of its table."""
+
+    em1: mpf        # expm1(2 pi x)
+    q: mpf          # e^(-2 pi x)
+    head: mpf       # q + q^2 + ... + q^(N-1)
+    qn: mpf         # q^N
+
+
+def _bose_qs(tab: _NodeTable, i: int) -> _BoseRecord:
+    """Build node i's Bose record at the table's dps + 10 into tab.qs,
+    with N = max(20, int(0.8 dps)) modes.
+
+    The mode sum is split in binary: G(m) = 1 + q + ... + q^(m-1) and
+    P(m) = q^m double as G(2m) = G(m)(1 + P(m)), P(2m) = P(m)^2 and step
+    as G(m+1) = G(m) + P(m), P(m+1) = P(m) q, up to m = N - 1; then the
+    mode sum is q G(N-1) and q^N = q P(N-1).  That is O(log N) products
+    of positive numbers, so nothing cancels even where q is within 1e-92
+    of 1.
+    """
     if tab.qs is None:
-        with mp.workdps(tab.dps + 10):
-            tab.qs = [mp.exp(-2 * mp.pi * x) for x in tab.xs]
-    return tab.qs
+        tab.qs = {}
+    with mp.workdps(tab.dps + 10):
+        y = 2 * mp.pi * tab.xs[i]
+        q = mp.exp(-y)
+        g, p = mpf(0), mpf(1)
+        for bit in bin(max(20, int(0.8 * tab.dps)) - 1)[2:]:
+            g, p = g * (1 + p), p * p
+            if bit == "1":
+                g, p = g + p, p * q
+        rec = tab.qs[i] = _BoseRecord(mp.expm1(y), q, q * g, q * p)
+    return rec
+
+
+def _bose_record(tab: _NodeTable, i: int) -> _BoseRecord:
+    """Node i's Bose record, built by _bose_qs on its first use."""
+    rec = (tab.qs or {}).get(i)
+    return rec if rec is not None else _bose_qs(tab, i)
 
 
 # ---------------------------------------------------------------------------
@@ -282,15 +322,14 @@ def exp_sinh_0inf(f: Integrand1D, ctx: PrecisionContext = DEFAULT_CONTEXT,
 
 
 # ---------------------------------------------------------------------------
-# Bose-weight integrals, two ways
+# Bose-weight integrals, two ways over one record per node
 # ---------------------------------------------------------------------------
 
 def _bose_direct(gval, tab: _NodeTable, tol, dps):
     """Direct transformed integral of gval(i) = g(x_i); also reports its
     stride and reach."""
-    two_pi = 2 * mp.pi
     return _integrate_on_table(
-        lambda i: gval(i) / mp.expm1(two_pi * tab.xs[i]), tab, tol, dps)
+        lambda i: gval(i) / _bose_record(tab, i).em1, tab, tol, dps)
 
 
 class _BoseKernelSums:
@@ -298,29 +337,26 @@ class _BoseKernelSums:
 
       sum_{n>=1} T(n),  T(n) = int g(x) e^(-2 pi n x) dx,
 
-    with n < N summed term by term and the tail closed by Euler-Maclaurin
-    in the mode index:
+    with the modes n < N summed in closed form and the tail closed by
+    Euler-Maclaurin in the mode index:
 
       tail = int_N^inf T + T(N)/2 + sum_j B_2j/(2j)! D_{2j-1}(N),
       D_m(N) = int g(x) (2 pi x)^m e^(-2 pi N x) dx = (-1)^m T^(m)(N).
 
-    On a level's nodes, T(n) sums a_i = g_i w_i q_i^n with q_i = e^(-2 pi
-    x_i), carried as a running product (one multiply per node and mode);
-    the moments D_m sum a_i y_i^m at n = N with y_i = 2 pi x_i, advanced
+    On a level's nodes the modes n < N are one sum of g_i w_i times the
+    node record's q_i + ... + q_i^(N-1), q_i = e^(-2 pi x_i); the moments
+    D_m sum a_i y_i^m with a_i = g_i w_i q_i^N and y_i = 2 pi x_i, advanced
     by y_i^2 per term.  gval(i) = g(x_i) is the call's shared node cache.
     """
 
-    def __init__(self, gval, tab: _NodeTable, tol, n_modes: int):
+    def __init__(self, gval, tab: _NodeTable, tol):
         self.gval = gval
         self.tab = tab
-        self.qs = _bose_qs(tab)
-        self.n_modes = n_modes
         self.eps_term = tol * mpf(10) ** (-6)
         self.reach = (0, 0)     # of the last walk, the next one's start
 
     def value(self, stride: int):
         tab = self.tab
-        qs = self.qs
         gval = self.gval
         two_pi = 2 * mp.pi
         # window truncated on the n = 1 mode terms; the 1/(2 pi x) factor
@@ -328,18 +364,16 @@ class _BoseKernelSums:
         # small-x tail is not cut prematurely
         idxs, self.reach = _walk(
             tab, stride,
-            lambda i: gval(i) * qs[i]
+            lambda i: gval(i) * _bose_record(tab, i).q
             * (tab.ws[i] * (1 + 1 / (two_pi * tab.xs[i]))),
             self.eps_term, self.reach)
         idxs.sort()
         hs = tab.h * stride
-        q = [qs[i] for i in idxs]
-        a = [gval(i) * tab.ws[i] * qs[i] for i in idxs]
-        acc = mpf(0)
-        for _ in range(1, self.n_modes):
-            acc += mp.fsum(a) * hs
-            a = [ai * qi for ai, qi in zip(a, q)]
-        # a is now g w q^N: the integral over n > N and T(N)/2
+        recs = [_bose_record(tab, i) for i in idxs]
+        gw = [gval(i) * tab.ws[i] for i in idxs]
+        acc = mp.fsum([c * r.head for c, r in zip(gw, recs)]) * hs
+        # a = g w q^N: the integral over n > N and T(N)/2
+        a = [c * r.qn for c, r in zip(gw, recs)]
         y = [two_pi * tab.xs[i] for i in idxs]
         acc += (mp.fsum([ai / yi for ai, yi in zip(a, y)])
                 + mp.fsum(a) / 2) * hs
@@ -363,12 +397,15 @@ def integrate_bose(g: Integrand1D, ctx: PrecisionContext = DEFAULT_CONTEXT,
     raised; the direct value (usually the more accurate one) is returned.
     Oscillatory integrands skip the direct route and refine the mode
     expansion on its own.  Both routes read g from one cache of node
-    values, so nodes_used counts distinct evaluations of g.eval.
+    values, so nodes_used counts distinct evaluations of g.eval.  Both
+    also read the table's node records; bose_records_built tallies the
+    ones this call had to build.
     """
     with ctx.working(10):
         dps = ctx.working_digits
         tol = _default_tol(ctx) if tol is None else mpf(tol)
         tab = _get_table("es0inf", dps)
+        built = len(tab.qs or ())
         gvals: list = [None] * len(tab.xs)
 
         def gval(i):
@@ -377,8 +414,7 @@ def integrate_bose(g: Integrand1D, ctx: PrecisionContext = DEFAULT_CONTEXT,
                 v = gvals[i] = g.eval(tab.xs[i])
             return v
 
-        n_modes = max(20, int(0.8 * ctx.working_digits))
-        kern = _BoseKernelSums(gval, tab, tol, n_modes)
+        kern = _BoseKernelSums(gval, tab, tol)
         if g.oscillatory:
             val, err, _, settled = _refine(kern.value, _strides(dps), tol)
             if not settled:
@@ -393,6 +429,7 @@ def integrate_bose(g: Integrand1D, ctx: PrecisionContext = DEFAULT_CONTEXT,
                     % mp.nstr(diff, 3))
             val, err = direct.value, max(direct.error_estimate, diff)
         used = sum(v is not None for v in gvals)
+        tally(bose_records_built=len(tab.qs) - built)
         return _tallied("bose", QuadratureResult(+val, +err, used))
 
 

@@ -4,14 +4,22 @@ Every rule is exercised on integrals whose values are elementary, so a
 failure points at the rule rather than at the function layer built on it.
 """
 
+from decimal import MIN_EMIN, Context, Decimal, localcontext
+
 import pytest
 from mpmath import mp, mpf
 
+from stieltjes import quadrature
 from stieltjes.precision import DEFAULT_CONTEXT as CTX
-from stieltjes.precision import NonConvergenceError, PrecisionContext
+from stieltjes.precision import (
+    NonConvergenceError,
+    PrecisionContext,
+    recording,
+)
 from stieltjes.quadrature import (
     Integrand1D,
     Integrand2D,
+    _bose_record,
     _BoseKernelSums,
     _default_tol,
     _get_table,
@@ -140,6 +148,44 @@ class TestBose:
             with pytest.raises(NonConvergenceError,
                                match="bose routes disagree"):
                 integrate_bose(Integrand1D(eval=mp.atan), CTX)
+
+    @pytest.mark.parametrize("digits", [15, 30, 60, 120])
+    def test_node_records_match_the_running_product(self, digits):
+        # the binary-split mode sum q + ... + q^(N-1) and q^N of every node
+        # with x <= 200, the smallest (x ~ 6e-93, q within 4e-92 of 1)
+        # included, against the explicit running product, taken in the
+        # decimal module's arithmetic at dps + 20 digits
+        dps = PrecisionContext.for_digits(digits).working_digits
+        n_modes = max(20, int(0.8 * dps))
+        tab = _get_table("es0inf", dps)
+        idxs = [i for i, x in enumerate(tab.xs) if x <= 200]
+        assert tab.xs[idxs[0]] < mpf("1e-92")
+
+        def dec(v):
+            return Decimal(mp.nstr(v, dps + 20))
+        bound = Decimal(10) ** -dps
+        with localcontext(Context(prec=dps + 20, Emin=MIN_EMIN)):
+            for i in idxs:
+                rec = _bose_record(tab, i)
+                q = dec(rec.q)
+                head, qk = Decimal(0), Decimal(1)
+                for _ in range(1, n_modes):
+                    qk *= q
+                    head += qk
+                qk *= q
+                assert abs(dec(rec.head) - head) <= bound * head
+                assert abs(dec(rec.qn) - qk) <= bound * qk
+
+    def test_second_call_builds_no_records(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "_TABLES", {})
+        with CTX.working():
+            with recording() as first:
+                r = integrate_bose(Integrand1D(eval=mp.atan), CTX)
+            with recording() as second:
+                integrate_bose(Integrand1D(eval=mp.atan), CTX)
+        assert first["bose_records_built"] == r.nodes_used > 0
+        assert second["bose_records_built"] == 0
+        assert second["bose_nodes"] == r.nodes_used
 
 
 class TestLaplace:
