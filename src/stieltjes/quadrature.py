@@ -5,8 +5,11 @@ Two transforms cover everything in this package:
   * tanh-sinh on (0,1):   x(t) = 1/(1 + e^(-pi sinh t)),
   * exp-sinh on (0,inf):  x(t) = e^((pi/2) sinh t),
 
-each evaluated on a fixed fine grid in t that is cached per working
-precision and shared by every integral at that precision.  Every rule,
+each evaluated on a fine grid in t, one table per working precision shared
+by every integral at that precision.  A table holds no node until one is
+read: each node is built on its first read, with the same formulas at
+every index, and kept, so a table costs only the nodes that walks reach
+and its t range costs nothing beyond them.  Every rule,
 1-D and 2-D, hands one driver (_refine) its value on a stride sub-grid of
 the cached grid; the driver halves the stride until two levels agree and
 reports their difference as the error estimate.  Every rule reuses
@@ -28,7 +31,7 @@ the two routes' truncation windows, not the quadrature step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 from mpmath import mp, mpf
@@ -89,16 +92,33 @@ class QuadratureResult:
 # cached node tables
 # ---------------------------------------------------------------------------
 
+class _Node(NamedTuple):
+    """One node of a table: its abscissa, the complement 1 - x (tanh-sinh
+    only; None on exp-sinh) and the weight dx/dt without the h factor."""
+
+    x: mpf
+    xc: Optional[mpf]
+    w: mpf
+
+
 @dataclass
 class _NodeTable:
+    """The nodes t = (i - n) h, i = 0 .. 2n, of one transform at one
+    working precision.  node(i) reads node i and builds it with
+    _build_table on its first read, so a table costs only the nodes that
+    walks reach, and a wider t range costs nothing until one reaches it.
+    built counts the nodes built so far."""
+
     kind: str
     dps: int
     h: mpf                      # finest step
-    ts: list = field(default_factory=list)      # t values
-    xs: list = field(default_factory=list)      # abscissas
-    xcs: list = field(default_factory=list)     # 1-x (tanh-sinh only)
-    ws: list = field(default_factory=list)      # dx/dt, no h factor
+    n: int                      # index of t = 0: floor(t_max / h)
+    nodes: list                 # _Node by index, None until first read
+    built: int = 0
     qs: Optional[dict] = None   # _BoseRecord by node index, built lazily
+
+    def node(self, i: int) -> _Node:
+        return self.nodes[i] or _build_table(self, i)
 
 
 _TABLES: dict = {}
@@ -115,40 +135,35 @@ def _finest_level(dps: int) -> int:
     return 10
 
 
-def _build_table(kind: str, dps: int) -> _NodeTable:
-    lvl = _finest_level(dps)
-    with mp.workdps(dps + 10):
-        h = mpf(1) / (1 << lvl)
-        tmax = _TMAX_TS if kind == "ts01" else _TMAX_ES
-        n = int(mp.floor(tmax / h))
-        ts, xs, xcs, ws = [], [], [], []
-        half_pi = mp.pi / 2
-        for i in range(-n, n + 1):
-            t = i * h
-            sh = mp.sinh(t)
-            ch = mp.cosh(t)
-            if kind == "ts01":
-                e = mp.exp(-mp.pi * sh)
-                x = 1 / (1 + e)
-                xc = e / (1 + e)
-                w = mp.pi * ch * x * xc
-                xcs.append(xc)
-            else:
-                x = mp.exp(half_pi * sh)
-                w = half_pi * ch * x
-            ts.append(t)
-            xs.append(x)
-            ws.append(w)
-        return _NodeTable(kind=kind, dps=dps, h=h, ts=ts, xs=xs,
-                          xcs=xcs, ws=ws)
+def _build_table(tab: _NodeTable, i: int) -> _Node:
+    """Build node i of tab at the table's dps + 10 and store it."""
+    with mp.workdps(tab.dps + 10):
+        t = (i - tab.n) * tab.h
+        sh = mp.sinh(t)
+        ch = mp.cosh(t)
+        if tab.kind == "ts01":
+            e = mp.exp(-mp.pi * sh)
+            x = 1 / (1 + e)
+            xc = e / (1 + e)
+            w = mp.pi * ch * x * xc
+        else:
+            half_pi = mp.pi / 2
+            x = mp.exp(half_pi * sh)
+            xc = None
+            w = half_pi * ch * x
+        node = tab.nodes[i] = _Node(x, xc, w)
+    tab.built += 1
+    return node
 
 
 def _get_table(kind: str, dps: int) -> _NodeTable:
     key = (kind, dps)
     tab = _TABLES.get(key)
     if tab is None:
-        tab = _build_table(kind, dps)
-        _TABLES[key] = tab
+        h = mpf(1) / (1 << _finest_level(dps))
+        n = int(mp.floor((_TMAX_TS if kind == "ts01" else _TMAX_ES) / h))
+        tab = _TABLES[key] = _NodeTable(kind=kind, dps=dps, h=h, n=n,
+                                        nodes=[None] * (2 * n + 1))
     return tab
 
 
@@ -176,7 +191,7 @@ def _bose_qs(tab: _NodeTable, i: int) -> _BoseRecord:
     if tab.qs is None:
         tab.qs = {}
     with mp.workdps(tab.dps + 10):
-        y = 2 * mp.pi * tab.xs[i]
+        y = 2 * mp.pi * tab.node(i).x
         q = mp.exp(-y)
         g, p = mpf(0), mpf(1)
         for bit in bin(max(20, int(0.8 * tab.dps)) - 1)[2:]:
@@ -234,7 +249,7 @@ def _walk(tab: _NodeTable, stride: int, term, eps, reach):
     with |term(i)| >= eps.  A side stops after 3 consecutive smaller terms
     past its offset in reach, a coarser level's: a finer level never stops
     in a negligible band that the coarse level stepped over to find mass."""
-    mid = len(tab.xs) // 2
+    mid = tab.n
     idxs = [mid]
     reached = []
     for side, r in zip((1, -1), reach):
@@ -256,14 +271,14 @@ def _integrate_on_table(feval, tab: _NodeTable, tol, dps):
     """h sum f(x_i) w_i refined over the table; returns the result, the
     stride it settled on and the walk's reach there.  Each f value is
     computed once and reused by every finer level."""
-    terms: list = [None] * len(tab.xs)
+    terms: list = [None] * len(tab.nodes)
     eps_term = tol * mpf(10) ** (-6)
     reach = (0, 0)
 
     def term(i):
         t = terms[i]
         if t is None:
-            t = terms[i] = feval(i) * tab.ws[i]
+            t = terms[i] = feval(i) * tab.node(i).w
         return t
 
     def level(stride):
@@ -282,10 +297,13 @@ def _integrate_on_table(feval, tab: _NodeTable, tol, dps):
                             nodes_used=used), stride, reach
 
 
-def _tallied(engine: str, res: QuadratureResult) -> QuadratureResult:
-    """res, its nodes_used and error estimate tallied for the engine."""
+def _tallied(engine: str, res: QuadratureResult,
+             nodes_built: int) -> QuadratureResult:
+    """res, its nodes_used and error estimate tallied for the engine, with
+    the table nodes the call had to build."""
     tally(**{engine + "_nodes": res.nodes_used,
-             engine + "_error": float(res.error_estimate)})
+             engine + "_error": float(res.error_estimate)},
+          table_nodes_built=nodes_built)
     return res
 
 
@@ -301,12 +319,13 @@ def tanh_sinh_01(f: Integrand1D, ctx: PrecisionContext = DEFAULT_CONTEXT,
         dps = ctx.working_digits
         tol = _default_tol(ctx) if tol is None else mpf(tol)
         tab = _get_table("ts01", dps)
+        built = tab.built
         if f.eval_with_complement is not None:
-            feval = lambda i: f.eval_with_complement(tab.xs[i], tab.xcs[i])
+            feval = lambda i: f.eval_with_complement(*tab.node(i)[:2])
         else:
-            feval = lambda i: f.eval(tab.xs[i])
-        return _tallied("tanh_sinh",
-                        _integrate_on_table(feval, tab, tol, dps)[0])
+            feval = lambda i: f.eval(tab.node(i).x)
+        res = _integrate_on_table(feval, tab, tol, dps)[0]
+        return _tallied("tanh_sinh", res, tab.built - built)
 
 
 def exp_sinh_0inf(f: Integrand1D, ctx: PrecisionContext = DEFAULT_CONTEXT,
@@ -316,9 +335,10 @@ def exp_sinh_0inf(f: Integrand1D, ctx: PrecisionContext = DEFAULT_CONTEXT,
         dps = ctx.working_digits
         tol = _default_tol(ctx) if tol is None else mpf(tol)
         tab = _get_table("es0inf", dps)
-        feval = lambda i: f.eval(tab.xs[i])
-        return _tallied("exp_sinh",
-                        _integrate_on_table(feval, tab, tol, dps)[0])
+        built = tab.built
+        res = _integrate_on_table(lambda i: f.eval(tab.node(i).x), tab, tol,
+                                  dps)[0]
+        return _tallied("exp_sinh", res, tab.built - built)
 
 
 # ---------------------------------------------------------------------------
@@ -365,16 +385,17 @@ class _BoseKernelSums:
         idxs, self.reach = _walk(
             tab, stride,
             lambda i: gval(i) * _bose_record(tab, i).q
-            * (tab.ws[i] * (1 + 1 / (two_pi * tab.xs[i]))),
+            * (tab.node(i).w * (1 + 1 / (two_pi * tab.node(i).x))),
             self.eps_term, self.reach)
         idxs.sort()
         hs = tab.h * stride
+        nodes = [tab.node(i) for i in idxs]
         recs = [_bose_record(tab, i) for i in idxs]
-        gw = [gval(i) * tab.ws[i] for i in idxs]
+        gw = [gval(i) * nd.w for i, nd in zip(idxs, nodes)]
         acc = mp.fsum([c * r.head for c, r in zip(gw, recs)]) * hs
         # a = g w q^N: the integral over n > N and T(N)/2
         a = [c * r.qn for c, r in zip(gw, recs)]
-        y = [two_pi * tab.xs[i] for i in idxs]
+        y = [two_pi * nd.x for nd in nodes]
         acc += (mp.fsum([ai / yi for ai, yi in zip(a, y)])
                 + mp.fsum(a) / 2) * hs
 
@@ -398,20 +419,20 @@ def integrate_bose(g: Integrand1D, ctx: PrecisionContext = DEFAULT_CONTEXT,
     Oscillatory integrands skip the direct route and refine the mode
     expansion on its own.  Both routes read g from one cache of node
     values, so nodes_used counts distinct evaluations of g.eval.  Both
-    also read the table's node records; bose_records_built tallies the
-    ones this call had to build.
+    also read the table's nodes and Bose records; table_nodes_built and
+    bose_records_built tally the ones this call had to build.
     """
     with ctx.working(10):
         dps = ctx.working_digits
         tol = _default_tol(ctx) if tol is None else mpf(tol)
         tab = _get_table("es0inf", dps)
-        built = len(tab.qs or ())
-        gvals: list = [None] * len(tab.xs)
+        built, records = tab.built, len(tab.qs or ())
+        gvals: list = [None] * len(tab.nodes)
 
         def gval(i):
             v = gvals[i]
             if v is None:
-                v = gvals[i] = g.eval(tab.xs[i])
+                v = gvals[i] = g.eval(tab.node(i).x)
             return v
 
         kern = _BoseKernelSums(gval, tab, tol)
@@ -429,8 +450,9 @@ def integrate_bose(g: Integrand1D, ctx: PrecisionContext = DEFAULT_CONTEXT,
                     % mp.nstr(diff, 3))
             val, err = direct.value, max(direct.error_estimate, diff)
         used = sum(v is not None for v in gvals)
-        tally(bose_records_built=len(tab.qs) - built)
-        return _tallied("bose", QuadratureResult(+val, +err, used))
+        tally(bose_records_built=len(tab.qs) - records)
+        return _tallied("bose", QuadratureResult(+val, +err, used),
+                        tab.built - built)
 
 
 def integrate_laplace(h: Integrand1D, u, ctx: PrecisionContext = DEFAULT_CONTEXT,
@@ -473,17 +495,19 @@ def integrate_unit_square(f2: Integrand2D,
         # close to the edges; the stripped band only needs to sit below the
         # 2-D tolerance floor, not below working precision
         delta = mpf("1e-30")
-        mid = len(tab.xs) // 2
+        mid = tab.n
+        built = tab.built
         recs: dict = {}     # node records of the last level's window
         total = mpf(0)
         used = 0
 
         def window(stride):
             lo = mid
-            while lo - stride >= 0 and tab.xs[lo - stride] > delta:
+            while lo - stride >= 0 and tab.node(lo - stride).x > delta:
                 lo -= stride
             hi = mid
-            while hi + stride < len(tab.xs) and tab.xcs[hi + stride] > delta:
+            while (hi + stride < len(tab.nodes)
+                   and tab.node(hi + stride).xc > delta):
                 hi += stride
             return range(lo, hi + 1, stride)
 
@@ -491,10 +515,10 @@ def integrate_unit_square(f2: Integrand2D,
             nonlocal recs, total, used
             idxs = window(stride)
             new = [i not in recs for i in idxs]
-            ps = [f2.node(tab.xs[i], tab.xcs[i]) if nw else recs[i]
+            ps = [f2.node(*tab.node(i)[:2]) if nw else recs[i]
                   for i, nw in zip(idxs, new)]
             recs = dict(zip(idxs, ps))
-            ws = [tab.ws[i] for i in idxs]
+            ws = [tab.node(i).w for i in idxs]
             for a, p in enumerate(ps):
                 cols = range(a) if f2.symmetric else range(len(ps))
                 if not new[a]:
@@ -514,4 +538,5 @@ def integrate_unit_square(f2: Integrand2D,
         lvl_fin = _finest_level(dps)
         val, err, _, _ = _refine(
             level_value, [1 << (lvl_fin - s) for s in (5, 6, 7)], tol)
-        return _tallied("unit_square", QuadratureResult(+val, +err, used))
+        return _tallied("unit_square", QuadratureResult(+val, +err, used),
+                        tab.built - built)

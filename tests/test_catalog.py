@@ -253,12 +253,13 @@ def test_95a_pair_is_the_symmetric_part_of_sondows_integrand(monkeypatch):
         return -xc / ((xc + yc - xc * yc) * (lx + ly))
     tab = _get_table("ts01", min(CTX.working_digits, 45))
     with mp.workdps(tab.dps + 10):
-        inner = [i for i in range(len(tab.xs))
-                 if tab.xs[i] > mpf("1e-30") and tab.xcs[i] > mpf("1e-30")]
+        inner = [i for i in range(len(tab.nodes))
+                 if tab.node(i).x > mpf("1e-30")
+                 and tab.node(i).xc > mpf("1e-30")]
         # 67 nodes spread from edge to edge: 67^2 = 4489 pairs
         picks = {inner[k * (len(inner) - 1) // 66] for k in range(67)}
         assert len(picks) == 67
-        ps = [f2.node(tab.xs[i], tab.xcs[i]) for i in picks]
+        ps = [f2.node(*tab.node(i)[:2]) for i in picks]
         for p in ps:
             for q in ps:
                 v = f2.pair(p, q)
@@ -280,7 +281,7 @@ def test_95a_settles_at_h_1_64_on_one_triangle(monkeypatch):
     (out,) = run_catalog("I-9.5a", ctx=CTX).outcomes
     assert out.passed
     tab = _get_table("ts01", min(CTX.working_digits, 45))
-    index = {x: i for i, x in enumerate(tab.xs)}
+    index = {tab.node(i).x: i for i in range(len(tab.nodes))}
     idxs = sorted(index[x] for x in xs)
     stride = 1 << (_finest_level(tab.dps) - 6)     # h = 1/64
     assert idxs == list(range(idxs[0], idxs[-1] + 1, stride))

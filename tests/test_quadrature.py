@@ -5,6 +5,7 @@ failure points at the rule rather than at the function layer built on it.
 """
 
 from decimal import MIN_EMIN, Context, Decimal, localcontext
+from itertools import takewhile
 
 import pytest
 from mpmath import mp, mpf
@@ -32,6 +33,90 @@ from stieltjes.quadrature import (
 )
 
 TOL = mpf(10) ** -40
+
+
+def eager_nodes(kind, dps, step=1):
+    """The node table as one loop over every step-th index, the way it was
+    built before nodes were built on first read: (x, 1 - x or None, w) by
+    index i + n of t = i h."""
+    lvl = quadrature._finest_level(dps)
+    with mp.workdps(dps + 10):
+        h = mpf(1) / (1 << lvl)
+        tmax = quadrature._TMAX_TS if kind == "ts01" else quadrature._TMAX_ES
+        n = int(mp.floor(tmax / h))
+        nodes = {}
+        half_pi = mp.pi / 2
+        for i in range(-n, n + 1, step):
+            t = i * h
+            sh = mp.sinh(t)
+            ch = mp.cosh(t)
+            if kind == "ts01":
+                e = mp.exp(-mp.pi * sh)
+                x = 1 / (1 + e)
+                xc = e / (1 + e)
+                w = mp.pi * ch * x * xc
+            else:
+                x = mp.exp(half_pi * sh)
+                xc = None
+                w = half_pi * ch * x
+            nodes[i + n] = (x, xc, w)
+        return nodes
+
+
+class TestNodeTable:
+    @pytest.mark.parametrize("digits, step", [(15, 1), (30, 1), (60, 1),
+                                              (120, 17)])
+    @pytest.mark.parametrize("kind", ["ts01", "es0inf"])
+    def test_nodes_built_on_first_read_match_the_eager_loop(
+            self, monkeypatch, kind, digits, step):
+        monkeypatch.setattr(quadrature, "_TABLES", {})
+        dps = PrecisionContext.for_digits(digits).working_digits
+        ref = eager_nodes(kind, dps, step)
+        tab = _get_table(kind, dps)
+        assert len(tab.nodes) == 2 * tab.n + 1
+        assert min(ref) == 0 and max(ref) > 2 * tab.n - step
+        for i, node in ref.items():
+            assert tuple(tab.node(i)) == node
+        assert tab.built == len(ref)
+
+    def test_a_call_builds_only_the_nodes_it_reads(self, monkeypatch):
+        read = set()
+        node = quadrature._NodeTable.node
+
+        def spy(tab, i):
+            read.add(i)
+            return node(tab, i)
+        monkeypatch.setattr(quadrature._NodeTable, "node", spy)
+
+        def run(rule, f):
+            # one call on fresh tables: its result, record, table and reads
+            read.clear()
+            monkeypatch.setattr(quadrature, "_TABLES", {})
+            with recording() as rec:
+                r = rule(f, CTX)
+            (tab,) = quadrature._TABLES.values()
+            return r, rec, tab, set(read)
+
+        calls = [(exp_sinh_0inf, Integrand1D(eval=lambda t: mp.exp(-t))),
+                 (integrate_bose, Integrand1D(eval=mp.atan))]
+        with CTX.working():
+            first = []
+            for rule, f in calls:
+                r, rec, tab, read = run(rule, f)
+                built = {i for i, nd in enumerate(tab.nodes) if nd}
+                assert built == read
+                assert rec["table_nodes_built"] == tab.built == len(read)
+                assert tab.built < len(tab.nodes) / 2
+                first.append((r, rec["table_nodes_built"], len(tab.nodes)))
+            # a wider t range costs nothing the walks do not reach
+            monkeypatch.setattr(quadrature, "_TMAX_ES", mpf("6.6"))
+            for (rule, f), (r0, built0, size0) in zip(calls, first):
+                r, rec, tab, _ = run(rule, f)
+                assert len(tab.nodes) > size0
+                assert r.value == r0.value
+                assert r.nodes_used == r0.nodes_used
+                assert rec["table_nodes_built"] == built0
+
 
 
 class TestTanhSinh01:
@@ -158,8 +243,9 @@ class TestBose:
         dps = PrecisionContext.for_digits(digits).working_digits
         n_modes = max(20, int(0.8 * dps))
         tab = _get_table("es0inf", dps)
-        idxs = [i for i, x in enumerate(tab.xs) if x <= 200]
-        assert tab.xs[idxs[0]] < mpf("1e-92")
+        idxs = list(takewhile(lambda i: tab.node(i).x <= 200,
+                              range(len(tab.nodes))))
+        assert tab.node(idxs[0]).x < mpf("1e-92")
 
         def dec(v):
             return Decimal(mp.nstr(v, dps + 20))
@@ -184,7 +270,9 @@ class TestBose:
             with recording() as second:
                 integrate_bose(Integrand1D(eval=mp.atan), CTX)
         assert first["bose_records_built"] == r.nodes_used > 0
+        assert first["table_nodes_built"] == r.nodes_used
         assert second["bose_records_built"] == 0
+        assert second["table_nodes_built"] == 0
         assert second["bose_nodes"] == r.nodes_used
 
 
@@ -258,7 +346,7 @@ class TestUnitSquare:
                                       CTX, tol=tol)
         dps = min(CTX.working_digits, 45)
         tab = _get_table("ts01", dps)
-        index = {x: i for i, x in enumerate(tab.xs)}
+        index = {tab.node(i).x: i for i in range(len(tab.nodes))}
         idxs = sorted(index[x] for x in nodes)
         n = len(idxs)
         assert len(set(idxs)) == n
@@ -268,10 +356,10 @@ class TestUnitSquare:
         with mp.workdps(dps + 10):
             # every row of the full n x n grid, each an exact dot product
             flat = mpf(0)
-            for i in idxs:
-                row = mp.fdot((f(tab.xs[i], tab.xcs[i], tab.xs[j],
-                                 tab.xcs[j]), tab.ws[j]) for j in idxs)
-                flat += row * tab.ws[i]
+            grid = [tab.node(i) for i in idxs]
+            for p in grid:
+                row = mp.fdot((f(p.x, p.xc, q.x, q.xc), q.w) for q in grid)
+                flat += row * p.w
             flat *= (tab.h * stride) ** 2
             assert abs(r.value - flat) < mpf(10) ** -40
 
@@ -286,7 +374,7 @@ def test_walk_counts_small_terms_only_past_the_coarser_reach():
         eps = mpf("1e-31")
 
         def term(i):
-            return 100 * mp.exp(-100 * tab.xs[i]) * tab.ws[i]
+            return 100 * mp.exp(-100 * tab.node(i).x) * tab.node(i).w
 
         def level(stride, reach):
             idxs, reach = _walk(tab, stride, term, eps, reach)
