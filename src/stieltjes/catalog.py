@@ -183,10 +183,10 @@ def _frac(fr: Fraction):
 
 def _binet_kernel_tail(t):
     """K(t) - t/12 = sum_{k>=2} B_2k t^(2k-1)/(2k)! without cancellation."""
-    t = mpf(t)
-    if abs(t) > 3:
-        return F.binet_kernel(t) - t / 12
-    return F._binet_series(t, 2)
+    x = mpf(t)
+    if abs(x) > 3:
+        return F.binet_kernel(t) - x / 12
+    return F._binet_series(x, 2)
 
 
 _ZETA_INT_CACHE: dict = {}

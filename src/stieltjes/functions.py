@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath import mp, mpf
+from mpmath.libmp import from_man_exp, to_man_exp
 
 from .precision import (
     DEFAULT_CONTEXT,
@@ -45,16 +46,32 @@ class FunctionValue:
 # removable-singularity kernels (series below a cutoff, direct above)
 # ---------------------------------------------------------------------------
 
+_BINET: dict = {}      # mp.prec -> {t: K(t) as man << 32 | exp + 2^31}
+
+
 def binet_kernel(t):
     """K(t) = 1/(e^t - 1) - 1/t + 1/2 = sum_{k>=1} B_2k t^(2k-1)/(2k)!.
 
     Series below |t| = 1/4, direct expm1 arithmetic above.  K(t)/t extends
-    to 1/12 at t = 0.
+    to 1/12 at t = 0.  Values are kept per mp.prec, keyed by t: callers
+    pass exp-sinh nodes, so integrands reading a node share one evaluation.
+    kernel_values_built tallies evaluations; a kept value tallies nothing,
+    its series' stop_small included.  Each is kept as one int, mantissa
+    over biased exponent: a third of the bytes of its _mpf_ tuple.
     """
-    t = mpf(t)
-    if abs(t) > mpf(1) / 4:
-        return 1 / mp.expm1(t) - 1 / t + mpf(1) / 2
-    return _binet_series(t, 1)
+    vals = _BINET.setdefault(mp.prec, {})
+    k = vals.get(t)
+    if k is not None:
+        return mp.make_mpf(from_man_exp(k >> 32, (k & 0xFFFFFFFF) - 2**31))
+    x = mpf(t)
+    if abs(x) > mpf(1) / 4:
+        k = 1 / mp.expm1(x) - 1 / x + mpf(1) / 2
+    else:
+        k = _binet_series(x, 1)
+    man, exp = to_man_exp(k._mpf_)
+    vals[t] = man << 32 | exp + 2**31
+    tally(kernel_values_built=1)
+    return k
 
 
 def _binet_series(t, k_min: int):

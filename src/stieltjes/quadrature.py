@@ -22,11 +22,11 @@ directly through the kernel or, for oscillatory g only, as a mode
 expansion sum_n e^(-2 pi n x) whose tail over the mode index is closed by
 Euler-Maclaurin.  On the same nodes that closure is the Bernoulli
 expansion of the kernel, so the tests compare the two routes, and the
-catalog checks every Bose value against another engine.  What depends on
-the node alone (expm1(2 pi x), q = e^(-2 pi x), the mode sum
-q + ... + q^(N-1) in closed form and q^N) is one record per exp-sinh
-node, built on first use and kept with the node table for every later
-call at that precision.
+catalog checks every Bose value against another engine.  What a route
+reads of a node alone is built on first use and kept with the node table
+for every later call at that precision: expm1(2 pi x) for the direct
+route; q = e^(-2 pi x), the mode sum q + ... + q^(N-1) in closed form
+and q^N for the kernel route, so only oscillatory calls pay for them.
 """
 
 from __future__ import annotations
@@ -116,7 +116,8 @@ class _NodeTable:
     c: mpf                      # pi (ts01) or pi/2 (es0inf), dps + 10
     nodes: list                 # _Node by index, None until first read
     built: int = 0
-    qs: Optional[dict] = None   # _BoseRecord by node index, built lazily
+    qs: Optional[dict] = None   # expm1(2 pi x) by node index, built lazily
+    modes: Optional[dict] = None    # _BoseModes by node index, likewise
 
     def node(self, i: int) -> _Node:
         return self.nodes[i] or _build_table(self, i)
@@ -169,19 +170,19 @@ def _get_table(kind: str, dps: int) -> _NodeTable:
     return tab
 
 
-class _BoseRecord(NamedTuple):
-    """What both Bose routes need of one exp-sinh node x, for the N modes
+class _BoseModes(NamedTuple):
+    """What the kernel route reads of one exp-sinh node x, for the N modes
     of its table."""
 
-    em1: mpf        # expm1(2 pi x)
     q: mpf          # e^(-2 pi x)
     head: mpf       # q + q^2 + ... + q^(N-1)
     qn: mpf         # q^N
 
 
-def _bose_qs(tab: _NodeTable, i: int) -> _BoseRecord:
-    """Build node i's Bose record at the table's dps + 10 into tab.qs,
-    with N = max(20, int(0.8 dps)) modes.
+def _bose_qs(tab: _NodeTable, i: int, modes: bool = False):
+    """Build node i's expm1(2 pi x), all the direct route reads, into
+    tab.qs or, with modes, its _BoseModes for N = max(20, int(0.8 dps))
+    modes into tab.modes, at the table's dps + 10; tally bose_records_built.
 
     The mode sum is split in binary: G(m) = 1 + q + ... + q^(m-1) and
     P(m) = q^m double as G(2m) = G(m)(1 + P(m)), P(2m) = P(m)^2 and step
@@ -191,23 +192,27 @@ def _bose_qs(tab: _NodeTable, i: int) -> _BoseRecord:
     of 1.
     """
     if tab.qs is None:
-        tab.qs = {}
+        tab.qs, tab.modes = {}, {}
+    tally(bose_records_built=1)
     with mp.workdps(tab.dps + 10):
         y = 2 * mp.pi * tab.node(i).x
+        if not modes:
+            tab.qs[i] = rec = mp.expm1(y)
+            return rec
         q = mp.exp(-y)
         g, p = mpf(0), mpf(1)
         for bit in bin(max(20, int(0.8 * tab.dps)) - 1)[2:]:
             g, p = g * (1 + p), p * p
             if bit == "1":
                 g, p = g + p, p * q
-        rec = tab.qs[i] = _BoseRecord(mp.expm1(y), q, q * g, q * p)
+        rec = tab.modes[i] = _BoseModes(q, q * g, q * p)
     return rec
 
 
-def _bose_record(tab: _NodeTable, i: int) -> _BoseRecord:
-    """Node i's Bose record, built by _bose_qs on its first use."""
-    rec = (tab.qs or {}).get(i)
-    return rec if rec is not None else _bose_qs(tab, i)
+def _bose_value(tab: _NodeTable, i: int, modes: bool = False):
+    """Node i's expm1(2 pi x), or its _BoseModes, built on first use."""
+    v = ((tab.modes if modes else tab.qs) or {}).get(i)
+    return v if v is not None else _bose_qs(tab, i, modes)
 
 
 # ---------------------------------------------------------------------------
@@ -343,13 +348,13 @@ def exp_sinh_0inf(f: Integrand1D, ctx: PrecisionContext = DEFAULT_CONTEXT,
 
 
 # ---------------------------------------------------------------------------
-# Bose-weight integrals over one record per node
+# Bose-weight integrals over the Bose values kept per node
 # ---------------------------------------------------------------------------
 
 def _bose_direct(gval, tab: _NodeTable, tol, dps):
     """Direct transformed integral of gval(i) = g(x_i)."""
     return _integrate_on_table(
-        lambda i: gval(i) / _bose_record(tab, i).em1, tab, tol, dps)
+        lambda i: gval(i) / _bose_value(tab, i), tab, tol, dps)
 
 
 class _BoseKernelSums:
@@ -365,7 +370,7 @@ class _BoseKernelSums:
       D_m(N) = int g(x) (2 pi x)^m e^(-2 pi N x) dx = (-1)^m T^(m)(N).
 
     On a level's nodes the modes n < N are one sum of g_i w_i times the
-    node record's q_i + ... + q_i^(N-1), q_i = e^(-2 pi x_i); the moments
+    node's mode sum q_i + ... + q_i^(N-1), q_i = e^(-2 pi x_i); the moments
     D_m sum a_i y_i^m with a_i = g_i w_i q_i^N and y_i = 2 pi x_i, advanced
     by y_i^2 per term.  gval(i) = g(x_i) is the call's node cache.
     """
@@ -385,13 +390,13 @@ class _BoseKernelSums:
         # small-x tail is not cut prematurely
         idxs, self.reach = _walk(
             tab, stride,
-            lambda i: gval(i) * _bose_record(tab, i).q
+            lambda i: gval(i) * _bose_value(tab, i, True).q
             * (tab.node(i).w * (1 + 1 / (two_pi * tab.node(i).x))),
             self.eps_term, self.reach)
         idxs.sort()
         hs = tab.h * stride
         nodes = [tab.node(i) for i in idxs]
-        recs = [_bose_record(tab, i) for i in idxs]
+        recs = [_bose_value(tab, i, True) for i in idxs]
         gw = [gval(i) * nd.w for i, nd in zip(idxs, nodes)]
         acc = mp.fsum([c * r.head for c, r in zip(gw, recs)]) * hs
         # a = g w q^N: the integral over n > N and T(N)/2
@@ -419,14 +424,14 @@ def integrate_bose(g: Integrand1D, ctx: PrecisionContext = DEFAULT_CONTEXT,
     two routes are checked against each other in the tests, and every
     Bose value in the catalog against another engine.  g is read from
     one cache of node values, so nodes_used counts distinct evaluations
-    of g.eval.  table_nodes_built and bose_records_built tally the table
-    nodes and Bose records this call had to build.
+    of g.eval.  table_nodes_built tallies the table nodes this call had
+    to build, and _bose_qs each Bose value of a node it builds.
     """
     with ctx.working(10):
         dps = ctx.working_digits
         tol = _default_tol(ctx) if tol is None else mpf(tol)
         tab = _get_table("es0inf", dps)
-        built, records = tab.built, len(tab.qs or ())
+        built = tab.built
         gvals: list = [None] * len(tab.nodes)
 
         def gval(i):
@@ -444,7 +449,6 @@ def integrate_bose(g: Integrand1D, ctx: PrecisionContext = DEFAULT_CONTEXT,
             direct = _bose_direct(gval, tab, tol, dps)
             val, err = direct.value, direct.error_estimate
         used = sum(v is not None for v in gvals)
-        tally(bose_records_built=len(tab.qs) - records)
         return _tallied("bose", QuadratureResult(+val, +err, used),
                         tab.built - built)
 

@@ -104,9 +104,17 @@ def harmonic(n: int) -> Fraction:
     return acc
 
 
+_BERN_MPF_CACHE: dict = {}
+
+
 def _bern_mpf(n: int) -> mpf:
-    b = bernoulli_number(n)
-    return mpf(b.numerator) / b.denominator
+    """B_n at the working precision, cached per (n, mp.prec)."""
+    key = (n, mp.prec)
+    b = _BERN_MPF_CACHE.get(key)
+    if b is None:
+        fr = bernoulli_number(n)
+        b = _BERN_MPF_CACHE[key] = mpf(fr.numerator) / fr.denominator
+    return b
 
 
 _BERN_COEF_CACHE: dict = {}
@@ -117,7 +125,9 @@ def _bern_coef(k: int) -> mpf:
     key = (k, mp.prec)
     c = _BERN_COEF_CACHE.get(key)
     if c is None:
-        c = _BERN_COEF_CACHE[key] = _bern_mpf(2 * k) / mp.factorial(2 * k)
+        b = bernoulli_number(2 * k)     # not through _bern_mpf: kept once
+        c = mpf(b.numerator) / b.denominator / mp.factorial(2 * k)
+        _BERN_COEF_CACHE[key] = c
     return c
 
 

@@ -11,7 +11,8 @@ from stieltjes.precision import (
     recording,
 )
 from stieltjes import functions as F
-from stieltjes import series
+from stieltjes import quadrature, series
+from stieltjes.quadrature import Integrand1D, exp_sinh_0inf
 
 TOL = mpf(10) ** -40
 GAMMA_STR = "0.5772156649015328606065120900824024310421593359399"
@@ -54,6 +55,89 @@ class TestKernels:
             v = F.one_over_log_kernel(1 - yc, yc)
             # R(1-e) = 1/2 + e/12 + O(e^2)
             assert abs(v - (mpf(1) / 2 + yc / 12)) < mpf("1e-55")
+
+
+class TestBinetKernelCache:
+    """binet_kernel keeps each value per (mp.prec, t); the exp-sinh
+    integrands that read one node at one precision share it."""
+
+    @staticmethod
+    def cold(t):
+        x = mpf(t)
+        if abs(x) > mpf(1) / 4:
+            return 1 / mp.expm1(x) - 1 / x + mpf(1) / 2
+        return F._binet_series(x, 1)
+
+    @pytest.mark.parametrize("digits", [15, 30, 60, 120])
+    def test_kept_value_is_the_cold_value(self, monkeypatch, digits):
+        # nodes across the table, 1e-92 to 1e92, both sides of the seam
+        monkeypatch.setattr(F, "_BINET", {})
+        ctx = PrecisionContext.for_digits(digits)
+        tab = quadrature._get_table("es0inf", ctx.working_digits)
+        xs = [tab.node(i).x for i in range(0, len(tab.nodes), 97)]
+        with ctx.working(10):
+            with recording() as rec:
+                first = [F.binet_kernel(x) for x in xs]
+            with recording() as again:
+                kept = [F.binet_kernel(x) for x in xs]
+            cold = [self.cold(x) for x in xs]
+        assert rec["kernel_values_built"] == len(xs)
+        assert "kernel_values_built" not in again
+        assert "stop_small" not in again
+        for a, b, c in zip(first, kept, cold):
+            assert a._mpf_ == b._mpf_ == c._mpf_
+
+    def test_value_kept_at_one_precision_is_not_read_at_another(
+            self, monkeypatch):
+        monkeypatch.setattr(F, "_BINET", {})
+        xs = [mpf("1e-20"), mpf("0.3"), mpf(7)]
+        with mp.workdps(40):
+            xs = [x / 3 for x in xs]
+            low = [F.binet_kernel(x) for x in xs]
+        with mp.workdps(80):
+            with recording() as rec:
+                high = [F.binet_kernel(x) for x in xs]
+            assert [v._mpf_ for v in high] == \
+                [self.cold(x)._mpf_ for x in xs]
+        assert rec["kernel_values_built"] == len(xs)
+        assert all(a._mpf_ != b._mpf_ for a, b in zip(low, high))
+
+    def test_binet1_reuses_the_values_digamma_laplace_read(
+            self, monkeypatch):
+        monkeypatch.setattr(F, "_BINET", {})
+        seen = []
+        kernel = F.binet_kernel
+
+        def spy(t):
+            seen[-1].add(t)
+            return kernel(t)
+        monkeypatch.setattr(F, "binet_kernel", spy)
+        recs = []
+        for call in (lambda: F.digamma(mpf("0.8"), CTX, "laplace"),
+                     lambda: F.log_gamma(mpf("1.3"), "binet1", CTX)):
+            seen.append(set())
+            with recording() as rec:
+                call()
+            recs.append(rec)
+        first, second = seen
+        assert recs[0]["kernel_values_built"] == len(first)
+        assert first & second
+        assert recs[1].get("kernel_values_built", 0) == len(second - first)
+
+    def test_cache_holds_only_built_exp_sinh_nodes(self, monkeypatch):
+        monkeypatch.setattr(F, "_BINET", {})
+        monkeypatch.setattr(quadrature, "_TABLES", {})
+        with CTX.working():
+            F.digamma(mpf("0.6"), CTX, "laplace")
+            F.log_gamma(mpf("2.5"), "binet1", CTX)
+            exp_sinh_0inf(Integrand1D(
+                eval=lambda t: -mp.expm1(-t) / (t * t) * F.binet_kernel(t)),
+                CTX)
+        tab = quadrature._get_table("es0inf", CTX.working_digits)
+        (vals,) = F._BINET.values()
+        xs = {nd.x for nd in tab.nodes if nd is not None}
+        assert 0 < len(vals) <= tab.built == len(xs)
+        assert set(vals) <= xs
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from stieltjes.precision import PrecisionContext, recording
 from stieltjes.quadrature import (
     Integrand1D,
     Integrand2D,
-    _bose_record,
+    _bose_value,
     _BoseKernelSums,
     _default_tol,
     _get_table,
@@ -290,7 +290,7 @@ class TestBose:
         bound = Decimal(10) ** -dps
         with localcontext(Context(prec=dps + 20, Emin=MIN_EMIN)):
             for i in idxs:
-                rec = _bose_record(tab, i)
+                rec = _bose_value(tab, i, True)
                 q = dec(rec.q)
                 head, qk = Decimal(0), Decimal(1)
                 for _ in range(1, n_modes):
@@ -301,17 +301,34 @@ class TestBose:
                 assert abs(dec(rec.qn) - qk) <= bound * qk
 
     def test_second_call_builds_no_records(self, monkeypatch):
+        # the direct route builds expm1(2 pi x) alone for each node it reads
         monkeypatch.setattr(quadrature, "_TABLES", {})
         with CTX.working():
             with recording() as first:
                 r = integrate_bose(Integrand1D(eval=mp.atan), CTX)
             with recording() as second:
                 integrate_bose(Integrand1D(eval=mp.atan), CTX)
+        tab = _get_table("es0inf", CTX.working_digits)
         assert first["bose_records_built"] == r.nodes_used > 0
+        assert len(tab.qs) == r.nodes_used
         assert first["table_nodes_built"] == r.nodes_used
         assert second["bose_records_built"] == 0
         assert second["table_nodes_built"] == 0
         assert second["bose_nodes"] == r.nodes_used
+
+    def test_direct_route_builds_no_mode_fields(self, monkeypatch):
+        # q, the mode sum and q^N are built for oscillatory calls alone,
+        # and only for the nodes their walks read
+        monkeypatch.setattr(quadrature, "_TABLES", {})
+        with CTX.working():
+            integrate_bose(Integrand1D(eval=mp.atan), CTX)
+            tab = _get_table("es0inf", CTX.working_digits)
+            assert tab.modes == {}
+            with recording() as rec:
+                r = integrate_bose(
+                    Integrand1D(eval=mp.sin, oscillatory=True), CTX)
+        assert 0 < len(tab.modes) == rec["bose_records_built"] \
+            <= r.nodes_used
 
 
 class TestLaplace:
