@@ -182,9 +182,10 @@ def _frac(fr: Fraction):
 
 
 def _binet_kernel_tail(t):
-    """K(t) - t/12 = sum_{k>=2} B_2k t^(2k-1)/(2k)! without cancellation."""
+    """K(t) - t/12 = sum_{k>=2} B_2k t^(2k-1)/(2k)!: the series below
+    |t| = 1/4, binet_kernel's own seam, where t/12 would cancel K."""
     x = mpf(t)
-    if abs(x) > 3:
+    if abs(x) > mpf(1) / 4:
         return F.binet_kernel(t) - x / 12
     return F._binet_series(x, 2)
 

@@ -11,6 +11,7 @@ Euler-Maclaurin reference evaluators.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -74,39 +75,30 @@ def binet_kernel(t):
     return k
 
 
-def _binet_series(t, k_min: int):
-    """sum_{k>=k_min} B_2k t^(2k-1)/(2k)!, to 10^-(dps+4); |t| < 2 pi."""
+def _binet_series(t, k_min: int, d: int = 0):
+    """The d-th derivative (d in {0, 1}) of sum_{k>=k_min} B_2k
+    t^(2k-1)/(2k)!, summed term by term to 10^-(dps+4); |t| < 2 pi."""
     t2 = t * t
     eps = mpf(10) ** (-(mp.dps + 4))
 
     def terms():
-        tp = t * t2 ** (k_min - 1)
+        tp = t ** (1 - d) * t2 ** (k_min - 1)
         for k in range(k_min, 300):
-            yield series._bern_coef(k) * tp
+            c = series._bern_coef(k)
+            yield (c * (2 * k - 1) if d else c) * tp
             tp *= t2
 
     return series._sum_terms(terms(), mpf(0), eps)
 
 
 def exp_square_kernel(y):
-    """e^y/(e^y-1)^2 - 1/y^2 + 1/12, series below |y| = 1/4.
-
-    Equals -sum_{k>=2} B_2k (2k-1) y^(2k-2)/(2k)!; leading term y^2/240.
-    """
+    """e^y/(e^y-1)^2 - 1/y^2 + 1/12 = -K'(y) + 1/12, K = binet_kernel: by
+    K's series below |y| = 1/4, direct above; leading term y^2/240."""
     y = mpf(y)
     if abs(y) > mpf(1) / 4:
         em = mp.expm1(y)
         return mp.exp(y) / (em * em) - 1 / (y * y) + mpf(1) / 12
-    y2 = y * y
-    eps = mpf(10) ** (-(mp.dps + 4))
-
-    def terms():
-        yp = y2
-        for k in range(2, 200):
-            yield -(series._bern_coef(k) * (2 * k - 1) * yp)
-            yp *= y2
-
-    return series._sum_terms(terms(), mpf(0), eps)
+    return -_binet_series(y, 2, 1)
 
 
 _GREGORY: list[Fraction] = [Fraction(1)]
@@ -307,16 +299,21 @@ def log_gamma(u, route: str = "binet2",
 
 
 # ---------------------------------------------------------------------------
-# Hurwitz zeta and s-derivatives (Hermite-type real integral forms)
+# Hurwitz zeta and s-derivatives (Hermite's integral)
 # ---------------------------------------------------------------------------
 
-def hurwitz_zeta(s, u, ctx: PrecisionContext = DEFAULT_CONTEXT) -> FunctionValue:
-    """zeta(s,u) for real s != 1, u > 0:
+def _hermite(m: int, s, u, ctx: PrecisionContext):
+    """d^m/ds^m zeta(s,u) for real s != 1, u > 0, from Hermite's integral
 
-      u^-s/2 + u^(1-s)/(s-1) + 2 int sin(s atan(x/u)) (u^2+x^2)^(-s/2) /B dx.
+      zeta(s,u) = u^-s/2 + u^(1-s)/(s-1)
+                  + 2 int -Im(z^-s)/(e^(2 pi x)-1) dx,  z = u + ix,
 
-    Valid on the analytic continuation (s < 1 included): the integral
-    converges for every real s.
+    differentiated m times under the integral: the integrand becomes
+    -Im((-log z)^m z^-s) = (-1)^m R (P sin(s theta) - Q cos(s theta)),
+    R = (u^2+x^2)^(-s/2), P + iQ = (L + i theta)^m, L = log(u^2+x^2)/2,
+    theta = atan2(x, u); the main term's m-th derivative is one Leibniz
+    sum.  Valid on the analytic continuation: the integral converges for
+    every real s.
     """
     with ctx.working(10):
         s = mpf(s)
@@ -328,61 +325,42 @@ def hurwitz_zeta(s, u, ctx: PrecisionContext = DEFAULT_CONTEXT) -> FunctionValue
         u2 = uu * uu
 
         def g(x):
+            r2 = u2 + x * x
             th = mp.atan2(x, uu)
-            return mp.sin(s * th) * mp.power(u2 + x * x, -s / 2)
+            v = mp.sin(s * th)
+            if m:
+                L = mp.log(r2) / 2
+                p, q = L, th
+                for _ in range(m - 1):
+                    p, q = p * L - q * th, p * th + q * L
+                c = q * mp.cos(s * th)
+                v = c - p * v if m % 2 else p * v - c
+            return mp.power(r2, -s / 2) * v
 
         res = integrate_bose(Integrand1D(eval=g), ctx)
-        main = mp.power(uu, -s) / 2 + mp.power(uu, 1 - s) / (s - 1)
-        return FunctionValue(+(main + 2 * res.value), "hermite_bose")
+        # d^m/ds^m [u^-s/2 + u^(1-s)/(s-1)] = (-1)^m [lu^m u^-s/2
+        #   + sum_j m!/(m-j)! lu^(m-j) u^(1-s)/(s-1)^(j+1)], lu = log u
+        lu = mp.log(uu)
+        u1s = mp.power(uu, 1 - s)
+        main = lu ** m * mp.power(uu, -s) / 2
+        for j in range(m + 1):
+            main += math.perm(m, j) * lu ** (m - j) * u1s / (s - 1) ** (j + 1)
+        return +((-1) ** m * main + 2 * res.value)
+
+
+def hurwitz_zeta(s, u, ctx: PrecisionContext = DEFAULT_CONTEXT) -> FunctionValue:
+    """zeta(s,u) for real s != 1, u > 0, by Hermite's integral (_hermite)."""
+    return FunctionValue(_hermite(0, s, u, ctx), "hermite_bose")
 
 
 def hurwitz_zeta_sderiv(order: int, s, u,
                         ctx: PrecisionContext = DEFAULT_CONTEXT) -> FunctionValue:
-    """d^order/ds^order zeta(s,u) for order in {1,2}, by differentiating
-    the Hermite integral form analytically in s (no finite differences).
-
-    order 1 integrand: (u^2+x^2)^(-s/2) [theta cos(s theta) - L sin(s theta)]
-    order 2 integrand: (u^2+x^2)^(-s/2) [(L^2-theta^2) sin + (-2 L theta) cos]
-    with L = log(u^2+x^2)/2, theta = atan(x/u), plus the matching main-term
-    derivatives.
-    """
+    """d^order/ds^order zeta(s,u) for order in {1,2}: Hermite's integral
+    differentiated analytically in s (_hermite), no finite differences."""
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
-    with ctx.working(10):
-        s = mpf(s)
-        uu = mpf(u)
-        if not 0 < uu < mp.inf:
-            raise ValueError("hurwitz_zeta_sderiv requires finite u > 0")
-        if s == 1:
-            raise ValueError("pole at s = 1")
-        u2 = uu * uu
-        lu = mp.log(uu)
-        s1 = s - 1
-        us = mp.power(uu, -s)
-        u1s = mp.power(uu, 1 - s)
-
-        if order == 1:
-            main = -us * lu / 2 - u1s * lu / s1 - u1s / s1 ** 2
-
-            def g(x):
-                th = mp.atan2(x, uu)
-                L = mp.log(u2 + x * x) / 2
-                return (mp.power(u2 + x * x, -s / 2)
-                        * (th * mp.cos(s * th) - L * mp.sin(s * th)))
-        else:
-            main = (us * lu ** 2 / 2 + u1s * lu ** 2 / s1
-                    + 2 * u1s * lu / s1 ** 2 + 2 * u1s / s1 ** 3)
-
-            def g(x):
-                th = mp.atan2(x, uu)
-                L = mp.log(u2 + x * x) / 2
-                return (mp.power(u2 + x * x, -s / 2)
-                        * ((L * L - th * th) * mp.sin(s * th)
-                           - 2 * L * th * mp.cos(s * th)))
-
-        res = integrate_bose(Integrand1D(eval=g), ctx)
-        return FunctionValue(+(main + 2 * res.value),
-                             "hermite_bose_sderiv%d" % order)
+    return FunctionValue(_hermite(order, s, u, ctx),
+                         "hermite_bose_sderiv%d" % order)
 
 
 # ---------------------------------------------------------------------------

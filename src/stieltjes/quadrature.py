@@ -53,8 +53,8 @@ class Integrand1D:
     be as small as ~1e-90 and, on (0,1), exponentially close to 1).  When
     behaviour near x = 1 needs the complement to stay accurate, supply
     eval_with_complement(x, one_minus_x); it then takes precedence.
-    oscillatory marks integrands (sin/cos factors) for which the direct
-    Bose route is hopeless and only the mode expansion is used.
+    oscillatory sends g to the Bose kernel route, by choice: on the same
+    nodes the direct route is the more accurate and faster on sin/cos g.
     """
 
     eval: Callable
@@ -318,12 +318,12 @@ def _default_tol(ctx: PrecisionContext):
         return mpf(10) ** (-(ctx.target_digits + ctx.guard_digits // 2))
 
 
-def tanh_sinh_01(f: Integrand1D, ctx: PrecisionContext = DEFAULT_CONTEXT,
-                 tol=None) -> QuadratureResult:
+def tanh_sinh_01(f: Integrand1D,
+                 ctx: PrecisionContext = DEFAULT_CONTEXT) -> QuadratureResult:
     """integral of f over (0,1)."""
     with ctx.working(10):
         dps = ctx.working_digits
-        tol = _default_tol(ctx) if tol is None else mpf(tol)
+        tol = _default_tol(ctx)
         tab = _get_table("ts01", dps)
         built = tab.built
         if f.eval_with_complement is not None:
@@ -334,12 +334,12 @@ def tanh_sinh_01(f: Integrand1D, ctx: PrecisionContext = DEFAULT_CONTEXT,
         return _tallied("tanh_sinh", res, tab.built - built)
 
 
-def exp_sinh_0inf(f: Integrand1D, ctx: PrecisionContext = DEFAULT_CONTEXT,
-                  tol=None) -> QuadratureResult:
+def exp_sinh_0inf(f: Integrand1D,
+                  ctx: PrecisionContext = DEFAULT_CONTEXT) -> QuadratureResult:
     """integral of f over (0,inf); f must decay essentially exponentially."""
     with ctx.working(10):
         dps = ctx.working_digits
-        tol = _default_tol(ctx) if tol is None else mpf(tol)
+        tol = _default_tol(ctx)
         tab = _get_table("es0inf", dps)
         built = tab.built
         res = _integrate_on_table(lambda i: f.eval(tab.node(i).x), tab, tol,
@@ -358,8 +358,8 @@ def _bose_direct(gval, tab: _NodeTable, tol, dps):
 
 
 class _BoseKernelSums:
-    """Mode-expansion state for the kernel route, the route of oscillatory
-    g, whose sin/cos factors the direct route cannot take.
+    """Mode-expansion state for the kernel route, which integrate_bose
+    takes for an oscillatory g.
 
       sum_{n>=1} T(n),  T(n) = int g(x) e^(-2 pi n x) dx,
 
@@ -415,8 +415,8 @@ class _BoseKernelSums:
         return _sum_terms(terms(), acc, self.eps_term)
 
 
-def integrate_bose(g: Integrand1D, ctx: PrecisionContext = DEFAULT_CONTEXT,
-                   tol=None) -> QuadratureResult:
+def integrate_bose(g: Integrand1D, ctx: PrecisionContext = DEFAULT_CONTEXT
+                   ) -> QuadratureResult:
     """int_0^inf g(x)/(e^(2 pi x) - 1) dx by one route.
 
     A non-oscillatory g takes the direct transformed integral alone;
@@ -429,7 +429,7 @@ def integrate_bose(g: Integrand1D, ctx: PrecisionContext = DEFAULT_CONTEXT,
     """
     with ctx.working(10):
         dps = ctx.working_digits
-        tol = _default_tol(ctx) if tol is None else mpf(tol)
+        tol = _default_tol(ctx)
         tab = _get_table("es0inf", dps)
         built = tab.built
         gvals: list = [None] * len(tab.nodes)
@@ -453,15 +453,16 @@ def integrate_bose(g: Integrand1D, ctx: PrecisionContext = DEFAULT_CONTEXT,
                         tab.built - built)
 
 
-def integrate_laplace(h: Integrand1D, u, ctx: PrecisionContext = DEFAULT_CONTEXT,
-                      tol=None) -> QuadratureResult:
+def integrate_laplace(h: Integrand1D, u,
+                      ctx: PrecisionContext = DEFAULT_CONTEXT
+                      ) -> QuadratureResult:
     """int_0^inf e^(-u t) h(t) dt for u > 0."""
     with ctx.working(10):
         uu = mpf(u)
         if not 0 < uu < mp.inf:
             raise ValueError("integrate_laplace requires finite u > 0")
         inner = Integrand1D(eval=lambda t: h.eval(t) * mp.exp(-uu * t))
-        return exp_sinh_0inf(inner, ctx, tol)
+        return exp_sinh_0inf(inner, ctx)
 
 
 # ---------------------------------------------------------------------------

