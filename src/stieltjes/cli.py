@@ -245,7 +245,7 @@ def _report_payload(rep, ctx: PrecisionContext) -> dict:
 def cmd_verify(args: argparse.Namespace) -> int:
     filt = args.id if args.id is not None else args.tag
     ctx = PrecisionContext.for_digits(args.digits)
-    rep = run_catalog(filter=filt, ctx=ctx, include_slow=args.include_slow)
+    rep = run_catalog(filter=filt, ctx=ctx)
 
     payload = _report_payload(rep, ctx)
     if args.format == "json":
@@ -342,8 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
     sel.add_argument("--id", default=None, help="run one entry by id")
     sel.add_argument("--tag", default=None,
                      help="run entries carrying one tag")
-    pv.add_argument("--include-slow", action="store_true",
-                    help="include slow-tagged entries")
     return p
 
 

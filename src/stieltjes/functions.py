@@ -24,11 +24,7 @@ from .precision import (
     tally,
 )
 from . import series
-from .quadrature import (
-    Integrand1D,
-    integrate_bose,
-    integrate_laplace,
-)
+from .quadrature import integrate_bose, integrate_laplace
 
 STIELTJES_METHODS = ("coffey_integral", "hasse_sum", "limit_euler_maclaurin",
                      "alt_zeta_recursion")
@@ -138,16 +134,14 @@ def one_over_log_kernel(y, yc=None):
     if abs(e) > mpf(1) / 4:
         y = 1 + e
         return 1 / mp.log(y) - 1 / e
-    acc = mpf(0)
-    ep = mpf(1)
-    eps = mpf(10) ** (-(mp.dps + 4))
-    for k in range(1, 400):
-        term = _gregory(k) * ep
-        acc += term
-        if abs(term) < eps and k > 3:
-            break
-        ep *= e
-    return acc
+    # |G_k e^(k-1)| falls monotonically for |e| <= 1/4, so the sum stops
+    # on its first term below 10^-(dps+4)
+    def terms():
+        ep = mpf(1)
+        for k in range(1, 400):
+            yield _gregory(k) * ep
+            ep *= e
+    return series._sum_terms(terms(), mpf(0), mpf(10) ** (-(mp.dps + 4)))
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +166,7 @@ def _stieltjes_coffey(n: int, u, ctx: PrecisionContext) -> FunctionValue:
             z = mp.mpc(mp.log(u2 + x * x) / 2, -mp.atan2(x, uu)) ** n
             return (uu * z.imag + x * z.real) / (u2 + x * x)
 
-        res = integrate_bose(Integrand1D(eval=g), ctx)
+        res = integrate_bose(g, ctx)
         lu = mp.log(uu)
         main = lu ** n / (2 * uu) - lu ** (n + 1) / (n + 1)
         return FunctionValue(+(main + 2 * res.value), "coffey_integral")
@@ -222,13 +216,10 @@ def digamma(u, ctx: PrecisionContext = DEFAULT_CONTEXT,
             raise ValueError("digamma requires finite u > 0")
         if route == "bose":
             u2 = uu * uu
-            res = integrate_bose(
-                Integrand1D(eval=lambda x: x / (u2 + x * x)), ctx)
+            res = integrate_bose(lambda x: x / (u2 + x * x), ctx)
             val = mp.log(uu) - 1 / (2 * uu) - 2 * res.value
         elif route == "laplace":
-            res = integrate_laplace(
-                Integrand1D(eval=binet_kernel),
-                uu, ctx)
+            res = integrate_laplace(binet_kernel, uu, ctx)
             val = mp.log(uu) - 1 / (2 * uu) - res.value
         else:
             raise ValueError("digamma route must be bose or laplace")
@@ -242,8 +233,7 @@ def trigamma(u, ctx: PrecisionContext = DEFAULT_CONTEXT) -> FunctionValue:
         if not 0 < uu < mp.inf:
             raise ValueError("trigamma requires finite u > 0")
         u2 = uu * uu
-        res = integrate_bose(
-            Integrand1D(eval=lambda x: x / (u2 + x * x) ** 2), ctx)
+        res = integrate_bose(lambda x: x / (u2 + x * x) ** 2, ctx)
         val = 1 / uu + 1 / (2 * u2) + 4 * uu * res.value
         return FunctionValue(+val, "trigamma_bose")
 
@@ -278,14 +268,11 @@ def log_gamma(u, route: str = "binet2",
         if not 0 < uu < mp.inf:
             raise ValueError("log_gamma requires finite u > 0")
         if route == "binet2":
-            res = integrate_bose(
-                Integrand1D(eval=lambda x: mp.atan2(x, uu)), ctx)
+            res = integrate_bose(lambda x: mp.atan2(x, uu), ctx)
             return FunctionValue(+(_stirling_main(uu) + 2 * res.value),
                                  "binet2")
         if route == "binet1":
-            res = integrate_laplace(
-                Integrand1D(eval=lambda t: binet_kernel(t) / t),
-                uu, ctx)
+            res = integrate_laplace(lambda t: binet_kernel(t) / t, uu, ctx)
             return FunctionValue(+(_stirling_main(uu) + res.value), "binet1")
         if route == "bourguet":
             part = _aux_lattice_sum(0, 1, 2 * mp.pi * uu, ctx) / mp.pi
@@ -337,7 +324,7 @@ def _hermite(m: int, s, u, ctx: PrecisionContext):
                 v = c - p * v if m % 2 else p * v - c
             return mp.power(r2, -s / 2) * v
 
-        res = integrate_bose(Integrand1D(eval=g), ctx)
+        res = integrate_bose(g, ctx)
         # d^m/ds^m [u^-s/2 + u^(1-s)/(s-1)] = (-1)^m [lu^m u^-s/2
         #   + sum_j m!/(m-j)! lu^(m-j) u^(1-s)/(s-1)^(j+1)], lu = log u
         lu = mp.log(uu)
@@ -385,8 +372,7 @@ def barnes_g_log(t, route: str = "integral_6_7",
         zp1 = series.riemann_zeta_em(-1, 1, ctx)
         if route == "integral_6_7":
             t2 = tt * tt
-            res = integrate_bose(
-                Integrand1D(eval=lambda x: x * mp.log(t2 + x * x)), ctx)
+            res = integrate_bose(lambda x: x * mp.log(t2 + x * x), ctx)
             val = (t2 / 2 * (mp.log(tt) - mpf(3) / 2)
                    + tt * mp.log(2 * mp.pi) / 2 + zp1 - res.value)
             return FunctionValue(+val, route)
@@ -447,9 +433,8 @@ def _si_ci_aux(delta: int, z, ctx: PrecisionContext):
         if z >= _aux_boundary():
             eps = mpf(10) ** -mp.dps
             return series._sum_terms(_aux_terms(delta, z), mpf(0), eps)
-        return integrate_laplace(
-            Integrand1D(eval=lambda t: t ** delta / (1 + t * t)), z,
-            ctx).value
+        return integrate_laplace(lambda t: t ** delta / (1 + t * t), z,
+                                 ctx).value
 
 
 def _aux_lattice_sum(delta: int, p: int, z0, ctx: PrecisionContext,

@@ -1,12 +1,15 @@
 """Precision policy, digit agreement and the error types.
 
-Everything numerical in this package runs through a PrecisionContext, which
-separates three digit counts:
+Everything numerical in this package runs through a PrecisionContext.  It
+holds one number, target_digits, what the caller wants to trust; the rest
+follows from it:
 
-  * target_digits  - what the caller wants to trust,
-  * guard_digits   - headroom for cancellation (binomial sums in particular
-                     destroy roughly 0.3 digits per term index),
-  * working_digits - what mpmath actually computes with.
+  * guard_digits   - 20 digits of headroom for cancellation (binomial sums
+                     in particular destroy roughly 0.3 digits per term
+                     index),
+  * working_digits - what mpmath actually computes with, target + guard,
+  * aim_digits     - what the engines aim their tolerances at,
+                     target + guard // 2.
 
 Routines never touch the global mpmath precision except through the
 ``working`` context manager, so results are reproducible no matter what the
@@ -45,38 +48,34 @@ class NonConvergenceError(Exception):
     """
 
 
-#: Guard digits of every context: headroom above the target digits.
-_GUARD_DIGITS = 20
-
-
 @dataclass(frozen=True)
 class PrecisionContext:
-    """Immutable bundle of digit budgets.
+    """The digits a caller wants to trust, and the budgets derived from
+    them.  target_digits must be positive."""
 
-    Invariants, checked at construction:
-      working_digits >= target_digits + guard_digits
-      guard_digits   >= 10   (binomial-sum routes rely on this floor)
-    """
-
-    working_digits: int = 50
     target_digits: int = 30
-    guard_digits: int = _GUARD_DIGITS
+
+    #: Headroom above the target digits, the same for every context.
+    guard_digits = 20
 
     def __post_init__(self) -> None:
         if self.target_digits < 1:
             raise ValueError("target_digits must be positive")
-        if self.guard_digits < 10:
-            raise ValueError("guard_digits must be at least 10")
-        if self.working_digits < self.target_digits + self.guard_digits:
-            raise ValueError(
-                "working_digits (%d) < target_digits (%d) + guard_digits (%d)"
-                % (self.working_digits, self.target_digits, self.guard_digits)
-            )
 
     @classmethod
     def for_digits(cls, digits: int) -> "PrecisionContext":
-        """Context that trusts `digits` digits with the default guard."""
-        return cls(working_digits=digits + _GUARD_DIGITS, target_digits=digits)
+        """Context that trusts `digits` digits."""
+        return cls(digits)
+
+    @property
+    def working_digits(self) -> int:
+        """What mpmath computes with: target + guard digits."""
+        return self.target_digits + self.guard_digits
+
+    @property
+    def aim_digits(self) -> int:
+        """What the engines aim at: target + guard // 2 digits."""
+        return self.target_digits + self.guard_digits // 2
 
     @property
     def tolerance(self) -> mpf:
@@ -89,7 +88,7 @@ class PrecisionContext:
         return mp.workdps(self.working_digits + extra)
 
 
-#: Module-wide default: 30 trusted digits, 20 guard, 50 working.
+#: Module-wide default: 30 trusted digits, 50 working.
 DEFAULT_CONTEXT = PrecisionContext()
 
 

@@ -17,16 +17,19 @@ integrand values across levels; the 1-D rules truncate each level with one
 outward walk (_walk) that stops a side after 3 negligible terms past the
 last non-negligible one of the level before.
 
-The Bose-weight integrator sums g(x)/(e^(2 pi x) - 1) one way per call:
-directly through the kernel or, for oscillatory g only, as a mode
+The rules take plain callables: f(x) on (0,inf) and f(x, 1 - x) on
+(0,1), the exact complement keeping f accurate next to 1.
+
+The Bose-weight integrator sums g(x)/(e^(2 pi x) - 1) directly through
+the kernel.  Its kernel route, kept as the tests' reference, sums a mode
 expansion sum_n e^(-2 pi n x) whose tail over the mode index is closed by
-Euler-Maclaurin.  On the same nodes that closure is the Bernoulli
-expansion of the kernel, so the tests compare the two routes, and the
-catalog checks every Bose value against another engine.  What a route
-reads of a node alone is built on first use and kept with the node table
-for every later call at that precision: expm1(2 pi x) for the direct
-route; q = e^(-2 pi x), the mode sum q + ... + q^(N-1) in closed form
-and q^N for the kernel route, so only oscillatory calls pay for them.
+Euler-Maclaurin; on the same nodes that closure is the Bernoulli
+expansion of the kernel.  The catalog checks every Bose value against
+another engine.  What a route reads of a node alone is built on first use
+and kept with the node table for every later call at that precision:
+expm1(2 pi x) for the direct route; q = e^(-2 pi x), the mode sum
+q + ... + q^(N-1) in closed form and q^N for the kernel route, so only
+kernel-route calls pay for them.
 """
 
 from __future__ import annotations
@@ -43,23 +46,6 @@ from .precision import (
     tally,
 )
 from .series import _bern_coef, _sum_terms
-
-
-@dataclass
-class Integrand1D:
-    """A real integrand on (0,1) or (0,inf).
-
-    eval(x) must be safe at every interior double-exponential node (x can
-    be as small as ~1e-90 and, on (0,1), exponentially close to 1).  When
-    behaviour near x = 1 needs the complement to stay accurate, supply
-    eval_with_complement(x, one_minus_x); it then takes precedence.
-    oscillatory sends g to the Bose kernel route, by choice: on the same
-    nodes the direct route is the more accurate and faster on sin/cos g.
-    """
-
-    eval: Callable
-    eval_with_complement: Optional[Callable] = None
-    oscillatory: bool = False
 
 
 @dataclass
@@ -80,8 +66,8 @@ class Integrand2D:
 @dataclass
 class QuadratureResult:
     """A rule's value, its error estimate and how many integrand values it
-    took: distinct g.eval calls for integrate_bose, f2.pair calls for
-    integrate_unit_square, the nodes summed for the other rules."""
+    took: f2.pair calls for integrate_unit_square, distinct integrand
+    calls for the 1-D rules."""
 
     value: object
     error_estimate: object
@@ -275,14 +261,14 @@ def _walk(tab: _NodeTable, stride: int, term, eps, reach):
 
 
 def _integrate_on_table(feval, tab: _NodeTable, tol, dps):
-    """h sum f(x_i) w_i refined over the table.  Each f value is computed
-    once and reused by every finer level."""
-    terms: list = [None] * len(tab.nodes)
+    """h sum f(x_i) w_i refined over the table, with feval(i) = f(x_i).
+    Each term is computed once and reused by every finer level."""
+    terms: dict = {}
     eps_term = tol * mpf(10) ** (-6)
     reach = (0, 0)
 
     def term(i):
-        t = terms[i]
+        t = terms.get(i)
         if t is None:
             t = terms[i] = feval(i) * tab.node(i).w
         return t
@@ -298,9 +284,8 @@ def _integrate_on_table(feval, tab: _NodeTable, tol, dps):
     val, err, settled = _refine(level, _strides(dps), tol)
     if not settled:
         raise _stalled(err, tol)
-    used = sum(t is not None for t in terms)
     return QuadratureResult(value=+val, error_estimate=+err,
-                            nodes_used=used)
+                            nodes_used=len(terms))
 
 
 def _tallied(engine: str, res: QuadratureResult,
@@ -315,36 +300,39 @@ def _tallied(engine: str, res: QuadratureResult,
 
 def _default_tol(ctx: PrecisionContext):
     with ctx.working():
-        return mpf(10) ** (-(ctx.target_digits + ctx.guard_digits // 2))
+        return mpf(10) ** -ctx.aim_digits
 
 
-def tanh_sinh_01(f: Integrand1D,
-                 ctx: PrecisionContext = DEFAULT_CONTEXT) -> QuadratureResult:
-    """integral of f over (0,1)."""
+def _rule(engine: str, kind: str, ctx: PrecisionContext, f_node,
+          integrate) -> QuadratureResult:
+    """The body of every 1-D rule.  At ctx's working digits + 10, runs
+    integrate(feval, tab, tol, dps) on the kind's table for the working
+    digits, with feval(i) = f_node(tab.node(i)) and the default tol, and
+    tallies the result for the engine."""
     with ctx.working(10):
         dps = ctx.working_digits
-        tol = _default_tol(ctx)
-        tab = _get_table("ts01", dps)
+        tab = _get_table(kind, dps)
         built = tab.built
-        if f.eval_with_complement is not None:
-            feval = lambda i: f.eval_with_complement(*tab.node(i)[:2])
-        else:
-            feval = lambda i: f.eval(tab.node(i).x)
-        res = _integrate_on_table(feval, tab, tol, dps)
-        return _tallied("tanh_sinh", res, tab.built - built)
+        res = integrate(lambda i: f_node(tab.node(i)), tab,
+                        _default_tol(ctx), dps)
+        return _tallied(engine, res, tab.built - built)
 
 
-def exp_sinh_0inf(f: Integrand1D,
-                  ctx: PrecisionContext = DEFAULT_CONTEXT) -> QuadratureResult:
-    """integral of f over (0,inf); f must decay essentially exponentially."""
-    with ctx.working(10):
-        dps = ctx.working_digits
-        tol = _default_tol(ctx)
-        tab = _get_table("es0inf", dps)
-        built = tab.built
-        res = _integrate_on_table(lambda i: f.eval(tab.node(i).x), tab, tol,
-                                  dps)
-        return _tallied("exp_sinh", res, tab.built - built)
+def tanh_sinh_01(f, ctx: PrecisionContext = DEFAULT_CONTEXT
+                 ) -> QuadratureResult:
+    """integral of f(x, 1 - x) over (0,1).  f gets each node with its
+    exact complement, which stays accurate exponentially close to 1; f
+    must be safe at every interior node (x can be as small as ~1e-90)."""
+    return _rule("tanh_sinh", "ts01", ctx, lambda nd: f(nd.x, nd.xc),
+                 _integrate_on_table)
+
+
+def exp_sinh_0inf(f, ctx: PrecisionContext = DEFAULT_CONTEXT
+                  ) -> QuadratureResult:
+    """integral of f(x) over (0,inf); f must decay essentially
+    exponentially."""
+    return _rule("exp_sinh", "es0inf", ctx, lambda nd: f(nd.x),
+                 _integrate_on_table)
 
 
 # ---------------------------------------------------------------------------
@@ -352,14 +340,33 @@ def exp_sinh_0inf(f: Integrand1D,
 # ---------------------------------------------------------------------------
 
 def _bose_direct(gval, tab: _NodeTable, tol, dps):
-    """Direct transformed integral of gval(i) = g(x_i)."""
+    """The direct route: the transformed integral of
+    gval(i)/expm1(2 pi x_i), gval(i) = g(x_i)."""
     return _integrate_on_table(
         lambda i: gval(i) / _bose_value(tab, i), tab, tol, dps)
 
 
+def _bose_kernel(gval, tab: _NodeTable, tol, dps):
+    """The kernel route: the mode expansion of _BoseKernelSums refined on
+    its own, with g read from one cache of node values, so nodes_used
+    counts distinct calls of gval(i) = g(x_i)."""
+    gvals: dict = {}
+
+    def cached(i):
+        v = gvals.get(i)
+        if v is None:
+            v = gvals[i] = gval(i)
+        return v
+
+    val, err, settled = _refine(_BoseKernelSums(cached, tab, tol).value,
+                                _strides(dps), tol)
+    if not settled:
+        raise _stalled(err, tol)
+    return QuadratureResult(+val, +err, len(gvals))
+
+
 class _BoseKernelSums:
-    """Mode-expansion state for the kernel route, which integrate_bose
-    takes for an oscillatory g.
+    """Mode-expansion state for integrate_bose's kernel route.
 
       sum_{n>=1} T(n),  T(n) = int g(x) e^(-2 pi n x) dx,
 
@@ -415,54 +422,28 @@ class _BoseKernelSums:
         return _sum_terms(terms(), acc, self.eps_term)
 
 
-def integrate_bose(g: Integrand1D, ctx: PrecisionContext = DEFAULT_CONTEXT
-                   ) -> QuadratureResult:
-    """int_0^inf g(x)/(e^(2 pi x) - 1) dx by one route.
+def integrate_bose(g, ctx: PrecisionContext = DEFAULT_CONTEXT,
+                   oscillatory: bool = False) -> QuadratureResult:
+    """int_0^inf g(x)/(e^(2 pi x) - 1) dx by the direct route.
 
-    A non-oscillatory g takes the direct transformed integral alone;
-    an oscillatory g refines the kernel mode expansion on its own.  The
-    two routes are checked against each other in the tests, and every
-    Bose value in the catalog against another engine.  g is read from
-    one cache of node values, so nodes_used counts distinct evaluations
-    of g.eval.  table_nodes_built tallies the table nodes this call had
-    to build, and _bose_qs each Bose value of a node it builds.
+    oscillatory=True takes the kernel route instead; it is kept as the
+    tests' reference for the direct route, and every Bose value in the
+    catalog is checked against another engine.  table_nodes_built
+    tallies the table nodes this call had to build, and _bose_qs each
+    Bose value of a node it builds.
     """
-    with ctx.working(10):
-        dps = ctx.working_digits
-        tol = _default_tol(ctx)
-        tab = _get_table("es0inf", dps)
-        built = tab.built
-        gvals: list = [None] * len(tab.nodes)
-
-        def gval(i):
-            v = gvals[i]
-            if v is None:
-                v = gvals[i] = g.eval(tab.node(i).x)
-            return v
-
-        if g.oscillatory:
-            kern = _BoseKernelSums(gval, tab, tol)
-            val, err, settled = _refine(kern.value, _strides(dps), tol)
-            if not settled:
-                raise _stalled(err, tol)
-        else:
-            direct = _bose_direct(gval, tab, tol, dps)
-            val, err = direct.value, direct.error_estimate
-        used = sum(v is not None for v in gvals)
-        return _tallied("bose", QuadratureResult(+val, +err, used),
-                        tab.built - built)
+    return _rule("bose", "es0inf", ctx, lambda nd: g(nd.x),
+                 _bose_kernel if oscillatory else _bose_direct)
 
 
-def integrate_laplace(h: Integrand1D, u,
-                      ctx: PrecisionContext = DEFAULT_CONTEXT
+def integrate_laplace(h, u, ctx: PrecisionContext = DEFAULT_CONTEXT
                       ) -> QuadratureResult:
     """int_0^inf e^(-u t) h(t) dt for u > 0."""
     with ctx.working(10):
         uu = mpf(u)
         if not 0 < uu < mp.inf:
             raise ValueError("integrate_laplace requires finite u > 0")
-        inner = Integrand1D(eval=lambda t: h.eval(t) * mp.exp(-uu * t))
-        return exp_sinh_0inf(inner, ctx)
+        return exp_sinh_0inf(lambda t: h(t) * mp.exp(-uu * t), ctx)
 
 
 # ---------------------------------------------------------------------------

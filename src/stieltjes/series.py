@@ -602,8 +602,7 @@ def hasse_stieltjes(n: int, u, ctx: PrecisionContext = DEFAULT_CONTEXT):
 
 
 def _altzeta_depth(ctx: PrecisionContext) -> int:
-    digits_needed = ctx.target_digits + ctx.guard_digits // 2
-    return int(math.ceil(3.33 * digits_needed)) + 12
+    return int(math.ceil(3.33 * ctx.aim_digits)) + 12
 
 
 def _altzeta_weights(D: int) -> list:

@@ -21,17 +21,11 @@ from stieltjes import functions as F
 from stieltjes import series
 from stieltjes.catalog import all_entries, run_catalog
 from stieltjes.cli import main
-from stieltjes.quadrature import Integrand1D, integrate_bose
+from stieltjes.quadrature import integrate_bose
 
 GAMMA_STR = "0.5772156649015328606065120900824024310421593359399"
 GAMMA1_STR = "-0.0728158454836767248605863758749013191377363383343"
 GAMMA2_STR = "-0.0096903631928723184845303860352125293590658061013"
-
-
-def _one(entry_id):
-    report = run_catalog(entry_id, ctx=CTX)
-    assert report.total == 1
-    return report.outcomes[0]
 
 
 # ---------------------------------------------------------------------------
@@ -45,8 +39,8 @@ class TestClosedFormIntegrals:
         ("I-3.6", "1e-23"),
         ("I-6.17", "1e-23"),
     ])
-    def test_catalog_integral(self, entry_id, tol):
-        out = _one(entry_id)
+    def test_catalog_integral(self, catalog_30, entry_id, tol):
+        out = catalog_30.by_id[entry_id]
         assert out.failure is None
         assert out.abs_error < mpf(tol)
         assert out.elapsed_ms < 5000
@@ -55,8 +49,7 @@ class TestClosedFormIntegrals:
         # 2 int_0^inf atan(x)/(e^(2 pi x)-1) dx = 1 - log(2 pi)/2
         t0 = time.perf_counter()
         with CTX.working():
-            lhs = 2 * integrate_bose(
-                Integrand1D(eval=mp.atan), CTX).value
+            lhs = 2 * integrate_bose(mp.atan, CTX).value
             rhs = 1 - mp.log(2 * mp.pi) / 2
             assert abs(lhs - rhs) < mpf("1e-25")
         assert time.perf_counter() - t0 < 5
@@ -147,35 +140,35 @@ SHARED_ENGINE = {
 
 
 class TestCatalogGate:
-    def test_non_slow_catalog_all_green_within_ten_minutes(self):
-        t0 = time.perf_counter()
-        report = run_catalog(None, ctx=CTX, include_slow=False)
-        elapsed = time.perf_counter() - t0
+    def test_non_slow_catalog_all_green_within_ten_minutes(self, catalog_30):
+        # every entry: there is no slow tier to leave out
+        report = catalog_30.report
         failures = ["%s: %s (err=%s)"
                     % (o.entry_id, o.failure, o.abs_error)
                     for o in report.outcomes if not o.passed]
         assert not failures, failures
-        assert report.total == 68
+        assert report.total == 71
         by_id = {e.id: e for e in all_entries()}
         default_tol_passes = sum(
             1 for o in report.outcomes
             if by_id[o.entry_id].tolerance is None)
         assert default_tol_passes >= 30
-        assert elapsed < 600
+        assert catalog_30.elapsed < 600
         # independence by engine, read from the same run
         shared = {o.entry_id: engines(o.lhs_record) & engines(o.rhs_record)
                   for o in report.outcomes}
         assert {k: v for k, v in shared.items() if v} \
             == {k: {"em"} for k in SHARED_ENGINE}
 
-    def test_slow_entries_pass_their_pinned_tolerances(self):
-        report = run_catalog("slow", ctx=CTX)
-        assert report.total == 3
-        pinned = {"I-2.2": mpf("1e-5"), "I-8.2": CTX.tolerance,
+    def test_slow_entries_pass_their_pinned_tolerances(self, catalog_30):
+        # the three entries once tagged slow, now in every catalog run
+        pinned = {"I-2.2": mpf("1e-28"), "I-8.2": CTX.tolerance,
                   "I-8.5": CTX.tolerance}
-        for o in report.outcomes:
-            assert o.failure is None, o.failure
-            assert o.abs_error < pinned[o.entry_id], o.entry_id
+        for entry_id, tol in pinned.items():
+            out = catalog_30.by_id[entry_id]
+            assert out.failure is None, out.failure
+            assert out.tolerance == tol
+            assert out.abs_error < tol, entry_id
 
     @pytest.mark.parametrize("entry_id", ["I-8.2", "I-8.3", "I-8.5"])
     def test_trig_series_entries_pass_at_15_digits(self, entry_id):
@@ -197,8 +190,8 @@ class TestDoubleIntegrals:
         ("I-9.5a", "1e-10"),
         ("I-9.4a", "1e-28"),
     ])
-    def test_unit_square_entry(self, entry_id, tol):
-        out = _one(entry_id)
+    def test_unit_square_entry(self, catalog_30, entry_id, tol):
+        out = catalog_30.by_id[entry_id]
         assert out.failure is None
         assert out.abs_error < mpf(tol)
 
@@ -211,8 +204,8 @@ class TestDerivativeWeb:
     @pytest.mark.parametrize("entry_id", [
         "I-3.8", "I-6.24", "I-4.21a", "I-4.21b",
     ])
-    def test_entry_green(self, entry_id):
-        out = _one(entry_id)
+    def test_entry_green(self, catalog_30, entry_id):
+        out = catalog_30.by_id[entry_id]
         assert out.failure is None
         assert out.passed
 

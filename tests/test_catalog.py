@@ -7,7 +7,7 @@ check the registry invariants and the filter/failure behavior of the runner.
 import pytest
 from mpmath import mp, mpf
 
-from stieltjes import catalog
+from stieltjes import catalog, quadrature
 from stieltjes.catalog import (
     ALLOWED_TAGS,
     EntryOutcome,
@@ -34,9 +34,10 @@ from stieltjes.quadrature import (
 
 class TestCensus:
     def test_total_and_slow_counts(self):
+        # every entry runs in a whole-catalog pass: there is no slow tier
         es = all_entries()
         assert len(es) == 71
-        assert sum(1 for e in es if "slow" in e.tags) == 3
+        assert "slow" not in ALLOWED_TAGS
 
     def test_ids_unique(self):
         ids = [e.id for e in all_entries()]
@@ -140,22 +141,9 @@ class TestRunner:
 
     def test_tag_filter_selects_subset(self):
         es = all_entries()
-        want = {e.id for e in es
-                if "limit" in e.tags and "slow" not in e.tags}
+        want = {e.id for e in es if "limit" in e.tags}
         report = run_catalog("limit", ctx=CTX)
         assert {o.entry_id for o in report.outcomes} == want
-
-    def test_slow_skipped_by_default(self):
-        es = all_entries()
-        slow_ids = {e.id for e in es if "slow" in e.tags}
-        report = run_catalog("series", ctx=CTX)
-        assert not ({o.entry_id for o in report.outcomes} & slow_ids)
-
-    def test_id_filter_forces_slow(self):
-        # naming a slow entry directly must run it; use the cheapest one
-        report = run_catalog("I-8.5", ctx=CTX)
-        assert report.total == 1
-        assert report.outcomes[0].passed
 
     def test_failure_captured_not_raised(self):
         all_entries()
@@ -186,6 +174,18 @@ class TestRunner:
         assert report.total == report.passed + report.failed
         assert report.total == 10
         assert report.failed == 0
+
+
+def test_sine_and_cosine_entries_take_the_direct_bose_route(monkeypatch):
+    # I-2.10a-c and I-2.23a-b integrate sin and cos moments against the
+    # Bose weight; the direct route is the one every catalog entry takes
+    def refuse(self, stride):
+        raise AssertionError("kernel route taken")
+    monkeypatch.setattr(quadrature._BoseKernelSums, "value", refuse)
+    for anchor in ("I-2.10", "I-2.23"):
+        for out in run_catalog(anchor, ctx=CTX).outcomes:
+            assert out.passed, (out.entry_id, out.failure)
+            assert out.lhs_record["bose_nodes"] > 0
 
 
 # ---------------------------------------------------------------------------

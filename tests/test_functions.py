@@ -12,7 +12,7 @@ from stieltjes.precision import (
 )
 from stieltjes import functions as F
 from stieltjes import quadrature, series
-from stieltjes.quadrature import Integrand1D, exp_sinh_0inf
+from stieltjes.quadrature import exp_sinh_0inf, tanh_sinh_01
 
 TOL = mpf(10) ** -40
 GAMMA_STR = "0.5772156649015328606065120900824024310421593359399"
@@ -70,6 +70,22 @@ class TestKernels:
             v = F.one_over_log_kernel(1 - yc, yc)
             # R(1-e) = 1/2 + e/12 + O(e^2)
             assert abs(v - (mpf(1) / 2 + yc / 12)) < mpf("1e-55")
+
+    @pytest.mark.parametrize("digits", [15, 30, 60])
+    def test_gregory_series_stops_on_its_threshold(self, digits):
+        # |G_k e^(k-1)| falls monotonically for |e| <= 1/4, so the series
+        # stops on a small term, never on a floor or the cap; checked
+        # against the direct form 40 digits wider
+        ctx = PrecisionContext.for_digits(digits)
+        with ctx.working():
+            for e in ("0.25", "-0.25", "0.01", "-1e-20"):
+                y = 1 + mpf(e)
+                with recording() as rec:
+                    v = F.one_over_log_kernel(y)
+                assert dict(rec) == {"stop_small": 1}
+                with mp.workdps(mp.dps + 40):
+                    ref = 1 / mp.log(y) - 1 / (y - 1)
+                assert abs(v - ref) < mpf(10) ** (2 - mp.dps)
 
 
 class TestBinetKernelCache:
@@ -145,9 +161,8 @@ class TestBinetKernelCache:
         with CTX.working():
             F.digamma(mpf("0.6"), CTX, "laplace")
             F.log_gamma(mpf("2.5"), "binet1", CTX)
-            exp_sinh_0inf(Integrand1D(
-                eval=lambda t: -mp.expm1(-t) / (t * t) * F.binet_kernel(t)),
-                CTX)
+            exp_sinh_0inf(
+                lambda t: -mp.expm1(-t) / (t * t) * F.binet_kernel(t), CTX)
         tab = quadrature._get_table("es0inf", CTX.working_digits)
         (vals,) = F._BINET.values()
         xs = {nd.x for nd in tab.nodes if nd is not None}
@@ -457,20 +472,17 @@ class TestBarnesG:
 class TestSinCosIntegrals:
     def test_si_against_direct_quadrature(self):
         # Si(2) = int_0^1 sin(2v)/v dv, evaluated by an unrelated rule
-        from stieltjes.quadrature import Integrand1D, tanh_sinh_01
         with CTX.working():
             Si, _, _ = F.sin_cos_integrals(2, CTX)
-            ref = tanh_sinh_01(Integrand1D(
-                eval=lambda v: mp.sin(2 * v) / v), CTX).value
+            ref = tanh_sinh_01(lambda v, vc: mp.sin(2 * v) / v, CTX).value
             assert abs(Si - ref) < TOL
 
     def test_ci_against_direct_quadrature(self):
         # Ci(2) = gamma + log 2 + int_0^1 (cos(2v)-1)/v dv
-        from stieltjes.quadrature import Integrand1D, tanh_sinh_01
         with CTX.working():
             _, _, Ci = F.sin_cos_integrals(2, CTX)
-            ref = mpf(GAMMA_STR) + mp.log(2) + tanh_sinh_01(Integrand1D(
-                eval=lambda v: (mp.cos(2 * v) - 1) / v), CTX).value
+            ref = mpf(GAMMA_STR) + mp.log(2) + tanh_sinh_01(
+                lambda v, vc: (mp.cos(2 * v) - 1) / v, CTX).value
             assert abs(Ci - ref) < TOL
 
     def test_si_is_si_minus_half_pi(self):

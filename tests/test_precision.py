@@ -17,6 +17,7 @@ def test_default_budgets():
     assert DEFAULT_CONTEXT.working_digits == 50
     assert DEFAULT_CONTEXT.target_digits == 30
     assert DEFAULT_CONTEXT.guard_digits == 20
+    assert DEFAULT_CONTEXT == PrecisionContext.for_digits(30)
 
 
 def test_tolerance_scale():
@@ -29,20 +30,20 @@ def test_tolerance_scale():
 
 def test_for_digits_budgets():
     ctx = PrecisionContext.for_digits(15)
+    assert ctx == PrecisionContext(15)
     assert ctx.target_digits == 15
     assert ctx.working_digits == 35
-    assert ctx.working_digits >= ctx.target_digits + ctx.guard_digits
+    assert ctx.guard_digits == 20
+    assert ctx.aim_digits == 25
 
 
-@pytest.mark.parametrize("working,target,guard", [
-    (20, 15, 10),   # working < target + guard
-    (50, 0, 20),    # target not positive
-    (50, 30, 5),    # guard below floor
-])
-def test_invalid_contexts_rejected(working, target, guard):
-    with pytest.raises(ValueError):
-        PrecisionContext(working_digits=working, target_digits=target,
-                         guard_digits=guard)
+def test_invalid_contexts_rejected():
+    # target not positive; every other budget follows from the target
+    for target in (0, -5):
+        with pytest.raises(ValueError):
+            PrecisionContext(target_digits=target)
+        with pytest.raises(ValueError):
+            PrecisionContext.for_digits(target)
 
 
 def test_working_context_manager_sets_and_restores():

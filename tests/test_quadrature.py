@@ -14,7 +14,6 @@ from stieltjes import quadrature
 from stieltjes.precision import DEFAULT_CONTEXT as CTX
 from stieltjes.precision import PrecisionContext, recording
 from stieltjes.quadrature import (
-    Integrand1D,
     Integrand2D,
     _bose_value,
     _BoseKernelSums,
@@ -93,8 +92,8 @@ class TestNodeTable:
             (tab,) = quadrature._TABLES.values()
             return r, rec, tab, set(read)
 
-        calls = [(exp_sinh_0inf, Integrand1D(eval=lambda t: mp.exp(-t))),
-                 (integrate_bose, Integrand1D(eval=mp.atan))]
+        calls = [(exp_sinh_0inf, lambda t: mp.exp(-t)),
+                 (integrate_bose, mp.atan)]
         with CTX.working():
             first = []
             for rule, f in calls:
@@ -118,48 +117,57 @@ class TestNodeTable:
 class TestTanhSinh01:
     def test_inverse_sqrt_endpoint_singularity(self):
         with CTX.working():
-            r = tanh_sinh_01(Integrand1D(
-                eval=lambda x: 1 / mp.sqrt(x)), CTX)
+            r = tanh_sinh_01(lambda x, xc: 1 / mp.sqrt(x), CTX)
             assert abs(r.value - 2) < TOL
 
     def test_log_singularity(self):
         with CTX.working():
-            r = tanh_sinh_01(Integrand1D(
-                eval=lambda x: mp.log(x)), CTX)
+            r = tanh_sinh_01(lambda x, xc: mp.log(x), CTX)
             assert abs(r.value + 1) < TOL
 
     def test_complement_form_resolves_right_endpoint(self):
         # int_0^1 log(1-x) dx = -1, evaluated through the exact 1-x node
         with CTX.working():
-            r = tanh_sinh_01(Integrand1D(
-                eval=None,
-                eval_with_complement=lambda x, xc: mp.log(xc)), CTX)
+            r = tanh_sinh_01(lambda x, xc: mp.log(xc), CTX)
             assert abs(r.value + 1) < TOL
 
     def test_reports_error_estimate_and_nodes(self):
         with CTX.working():
-            r = tanh_sinh_01(Integrand1D(eval=lambda x: x * x), CTX)
+            r = tanh_sinh_01(lambda x, xc: x * x, CTX)
             assert abs(r.value - mpf(1) / 3) < TOL
             assert r.nodes_used > 0
             assert r.error_estimate < TOL
 
 
+@pytest.mark.parametrize("rule, f", [
+    (tanh_sinh_01, lambda x, xc: mp.log(x) * mp.log(xc)),
+    (exp_sinh_0inf, lambda x: mp.exp(-x)),
+], ids=["tanh_sinh", "exp_sinh"])
+def test_nodes_used_counts_distinct_integrand_calls(rule, f):
+    xs = []
+
+    def spy(x, *xc):
+        xs.append(x)
+        return f(x, *xc)
+    with CTX.working():
+        r = rule(spy, CTX)
+    assert len(xs) == len(set(xs)) == r.nodes_used > 0
+
+
 class TestExpSinh:
     def test_exponential(self):
         with CTX.working():
-            r = exp_sinh_0inf(Integrand1D(eval=lambda t: mp.exp(-t)), CTX)
+            r = exp_sinh_0inf(lambda t: mp.exp(-t), CTX)
             assert abs(r.value - 1) < TOL
 
     def test_gamma_moment(self):
         with CTX.working():
-            r = exp_sinh_0inf(Integrand1D(
-                eval=lambda t: t * t * mp.exp(-t)), CTX)
+            r = exp_sinh_0inf(lambda t: t * t * mp.exp(-t), CTX)
             assert abs(r.value - 2) < TOL
 
     def test_algebraic_decay(self):
         with CTX.working():
-            r = exp_sinh_0inf(Integrand1D(
-                eval=lambda t: 1 / (1 + t * t)), CTX)
+            r = exp_sinh_0inf(lambda t: 1 / (1 + t * t), CTX)
             assert abs(r.value - mp.pi / 2) < TOL
 
 
@@ -180,16 +188,15 @@ BOSE_GRID = [(name, digits) for name in ("x", "atan", "binet")
 
 
 def bose_route_gaps(name, digits):
-    """The direct route (g as given) against the kernel route (g marked
-    oscillatory, so the mode expansion is refined on its own), at the
-    default tolerance of the digits: |kernel - direct|, |direct - exact|
-    and |kernel - exact|, each in units of that tolerance."""
+    """The direct route against the kernel route (oscillatory=True, so
+    the mode expansion is refined on its own), at the default tolerance
+    of the digits: |kernel - direct|, |direct - exact| and
+    |kernel - exact|, each in units of that tolerance."""
     g, exact = BOSE_G[name]
     ctx = PrecisionContext.for_digits(digits)
     with ctx.working(10):
-        direct = integrate_bose(Integrand1D(eval=g), ctx).value
-        kernel = integrate_bose(Integrand1D(eval=g, oscillatory=True),
-                                ctx).value
+        direct = integrate_bose(g, ctx).value
+        kernel = integrate_bose(g, ctx, oscillatory=True).value
         tol = _default_tol(ctx)
         return (abs(kernel - direct) / tol, abs(direct - exact()) / tol,
                 abs(kernel - exact()) / tol)
@@ -198,26 +205,25 @@ def bose_route_gaps(name, digits):
 class TestBose:
     def test_first_moment(self):
         with CTX.working():
-            r = integrate_bose(Integrand1D(eval=lambda x: x), CTX)
+            r = integrate_bose(lambda x: x, CTX)
             assert abs(r.value - mpf(1) / 24) < TOL
 
     def test_third_moment(self):
         with CTX.working():
-            r = integrate_bose(Integrand1D(eval=lambda x: x ** 3), CTX)
+            r = integrate_bose(lambda x: x ** 3, CTX)
             assert abs(r.value - mpf(1) / 240) < TOL
 
     def test_oscillatory_sine(self):
         # 2 int sin(x)/(e^(2 pi x)-1) dx = coth(1/2)/2 - 1
         with CTX.working():
-            r = integrate_bose(Integrand1D(eval=mp.sin, oscillatory=True),
-                               CTX)
+            r = integrate_bose(mp.sin, CTX)
             assert abs(2 * r.value - (mp.coth(mpf(1) / 2) / 2 - 1)) < TOL
 
     def test_atan_weight(self):
         # 2 int atan(x)/(e^(2 pi x)-1) dx = log Gamma reflection at u=1:
         # equals 1 - log(2 pi)/2 via the Stirling remainder at 1
         with CTX.working():
-            r = integrate_bose(Integrand1D(eval=mp.atan), CTX)
+            r = integrate_bose(mp.atan, CTX)
             assert abs(2 * r.value - (1 - mp.log(2 * mp.pi) / 2)) < TOL
 
     def test_each_node_evaluated_once_across_both_routes(self):
@@ -227,7 +233,7 @@ class TestBose:
             xs.append(x)
             return mp.atan(x)
         with CTX.working():
-            r = integrate_bose(Integrand1D(eval=g), CTX)
+            r = integrate_bose(g, CTX)
         assert len(xs) == len(set(xs)) == r.nodes_used
 
     def test_one_route_per_call(self, monkeypatch):
@@ -245,13 +251,13 @@ class TestBose:
         monkeypatch.setattr(quadrature, "_bose_direct", direct_spy)
         monkeypatch.setattr(_BoseKernelSums, "value", kernel_spy)
         with CTX.working():
-            r = integrate_bose(Integrand1D(eval=mp.atan), CTX)
+            r = integrate_bose(mp.atan, CTX)
             assert calls["kernel"] == 0
             (d,) = calls["direct"]
             assert r.value == d.value
             assert r.error_estimate == d.error_estimate
             assert r.nodes_used == d.nodes_used
-            integrate_bose(Integrand1D(eval=mp.sin, oscillatory=True), CTX)
+            integrate_bose(mp.sin, CTX, oscillatory=True)
             assert len(calls["direct"]) == 1
             assert calls["kernel"] >= 2
 
@@ -305,9 +311,9 @@ class TestBose:
         monkeypatch.setattr(quadrature, "_TABLES", {})
         with CTX.working():
             with recording() as first:
-                r = integrate_bose(Integrand1D(eval=mp.atan), CTX)
+                r = integrate_bose(mp.atan, CTX)
             with recording() as second:
-                integrate_bose(Integrand1D(eval=mp.atan), CTX)
+                integrate_bose(mp.atan, CTX)
         tab = _get_table("es0inf", CTX.working_digits)
         assert first["bose_records_built"] == r.nodes_used > 0
         assert len(tab.qs) == r.nodes_used
@@ -317,16 +323,15 @@ class TestBose:
         assert second["bose_nodes"] == r.nodes_used
 
     def test_direct_route_builds_no_mode_fields(self, monkeypatch):
-        # q, the mode sum and q^N are built for oscillatory calls alone,
+        # q, the mode sum and q^N are built for kernel-route calls alone,
         # and only for the nodes their walks read
         monkeypatch.setattr(quadrature, "_TABLES", {})
         with CTX.working():
-            integrate_bose(Integrand1D(eval=mp.atan), CTX)
+            integrate_bose(mp.atan, CTX)
             tab = _get_table("es0inf", CTX.working_digits)
             assert tab.modes == {}
             with recording() as rec:
-                r = integrate_bose(
-                    Integrand1D(eval=mp.sin, oscillatory=True), CTX)
+                r = integrate_bose(mp.sin, CTX, oscillatory=True)
         assert 0 < len(tab.modes) == rec["bose_records_built"] \
             <= r.nodes_used
 
@@ -334,20 +339,18 @@ class TestBose:
 class TestLaplace:
     def test_plain_exponential(self):
         with CTX.working():
-            r = integrate_laplace(Integrand1D(eval=lambda t: mpf(1)),
-                                  mpf(2), CTX)
+            r = integrate_laplace(lambda t: mpf(1), mpf(2), CTX)
             assert abs(r.value - mpf(1) / 2) < TOL
 
     def test_non_finite_u_is_rejected(self):
         for u in (mp.nan, mp.inf):
             with pytest.raises(ValueError):
-                integrate_laplace(Integrand1D(eval=lambda t: mpf(1)), u, CTX)
+                integrate_laplace(lambda t: mpf(1), u, CTX)
 
     def test_shifted_frullani_piece(self):
         # int e^-t (1 - e^-t)/t dt = log 2
         with CTX.working():
-            r = integrate_laplace(Integrand1D(
-                eval=lambda t: -mp.expm1(-t) / t), mpf(1), CTX)
+            r = integrate_laplace(lambda t: -mp.expm1(-t) / t, mpf(1), CTX)
             assert abs(r.value - mp.log(2)) < TOL
 
 
