@@ -218,13 +218,13 @@ def _psi_plus(x, ctx):
     return w, wp
 
 
-def _stirling_tail(acc, N: int, ctx):
-    """acc - sum_{k>=1} B_2k/(2k) sum_{n>N} n^-(2k+2): the Bernoulli part of
-    the Stirling series of psi(n) and H_n against 1/n^2 over n > N, to one
+def _stirling_tail(acc, N: int, p: int, ctx):
+    """acc - sum_{k>=1} B_2k/(2k) sum_{n>N} n^-(2k+p): the Bernoulli part of
+    the Stirling series of psi(n) and H_n against 1/n^p over n > N, to one
     term past its smallest, near k = pi (N+1), where its floor stops it."""
     eps = mpf(10) ** (-(mp.dps + 4))
     terms = (-(series._bern_mpf(2 * k) / (2 * k)
-               * series.em_log_power_tail(2 * k + 2, 0, N, 0, ctx))
+               * series.em_log_power_tail(2 * k + p, 0, N, 0, ctx))
              for k in range(1, math.ceil(math.pi * (N + 1)) + 2))
     return series._sum_terms(terms, acc, eps)
 
@@ -253,7 +253,7 @@ def _psi_over_square_series(ctx, n_quad: int = 0):
         acc += pv / mpf(n) ** 2
     tail = series.em_log_power_tail(2, 1, N, 0, ctx)
     tail -= series.em_log_power_tail(3, 0, N, 0, ctx) / 2
-    return acc + _stirling_tail(tail, N, ctx)
+    return acc + _stirling_tail(tail, N, 2, ctx)
 
 
 def _sici_sum_85(x, ctx):
@@ -273,15 +273,32 @@ def _harmonic_sum_over_squares(ctx):
     """sum_{n>=1} H_n/n^2 with asymptotic-plus-EM tail closure."""
     N = _stirling_start()
     acc = mpf(0)
+    h = Fraction(0)
     for n in range(1, N + 1):
-        h = series.harmonic(n)
+        h += Fraction(1, n)
         acc += _frac(h) / mpf(n) ** 2
     g = _gam(0, 1, ctx)
     tail = series.em_log_power_tail(2, 1, N, 0, ctx)
     tail += g * series.em_log_power_tail(2, 0, N, 0, ctx)
     tail += series.em_log_power_tail(3, 0, N, 0, ctx) / 2
     # H_n = log n + gamma + 1/(2n) - sum B_2k/(2k n^2k)
-    return acc + _stirling_tail(tail, N, ctx)
+    return acc + _stirling_tail(tail, N, 2, ctx)
+
+
+def _harmonic_log_series(ctx):
+    """sum_{n>=1} H_n (log(1+1/n) - 1/n), swapped into sum_{k>=1}
+    (psi(k) - log k)/k by sum_{n>=k} (log(1+1/n) - 1/n) = psi(k) - log k.
+    Up to N, psi(k) = H_(k-1) - gamma, its gamma terms summed as gamma H_N;
+    past N, Stirling's psi(k) - log k = -1/(2k) - sum B_2j/(2j k^2j)."""
+    N = _stirling_start()
+    acc = mpf(0)
+    h = Fraction(0)
+    for k in range(1, N + 1):
+        acc += (_frac(h) - mp.log(k)) / k
+        h += Fraction(1, k)
+    acc -= _gam(0, 1, ctx) * _frac(h)
+    tail = -series.em_log_power_tail(2, 0, N, 0, ctx) / 2
+    return acc + _stirling_tail(tail, N, 1, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -957,7 +974,7 @@ def register_builtin_entries() -> None:
                     "gamma_1 term with the opposite sign, corrected here "
                     "(three independent evaluations agree).",
         paper_anchor="I-9.1",
-        lhs=lambda ctx: series.kanemitsu_sum(ctx),
+        lhs=lambda ctx: _harmonic_log_series(ctx),
         rhs=rhs_91,
         lhs_route="series_em_tail", rhs_route="em_oracle",
         tags=S))
@@ -971,8 +988,7 @@ def register_builtin_entries() -> None:
             y, yc, _, R = q
             den = 1 - xc * y
             return lx * yc * R / (den * den)
-        return integrate_unit_square(Integrand2D(node, pair), ctx,
-                                     tol=mpf("1e-9")).value
+        return integrate_unit_square(Integrand2D(node, pair), ctx).value
 
     register(E(
         id="I-9.2",

@@ -1,4 +1,4 @@
-"""Series-side machinery: exact Bernoulli/harmonic arithmetic, the
+"""Series-side machinery: exact Bernoulli arithmetic, the
 Euler-Maclaurin reference evaluators, and the binomial-transform routes.
 
 The central object is the limit oracle for generalized Stieltjes constants
@@ -80,16 +80,6 @@ def bernoulli_poly(n: int, u) -> Fraction:
     uu = Fraction(u)
     return sum(math.comb(n, k) * bernoulli_number(n - k) * uu ** k
                for k in range(n + 1))
-
-
-def harmonic(n: int) -> Fraction:
-    """H_n = 1 + 1/2 + ... + 1/n as an exact Fraction; H_0 = 0."""
-    if n < 0:
-        raise ValueError("harmonic needs n >= 0")
-    acc = Fraction(0)
-    for k in range(1, n + 1):
-        acc += Fraction(1, k)
-    return acc
 
 
 _BERN_MPF_CACHE: dict = {}
@@ -671,50 +661,3 @@ def stieltjes_altzeta_table(n_max: int,
 def stieltjes_from_altzeta(n: int, ctx: PrecisionContext = DEFAULT_CONTEXT):
     """gamma_n (u = 1), single value; see stieltjes_altzeta_table."""
     return stieltjes_altzeta_table(n, ctx)[n]
-
-
-# ---------------------------------------------------------------------------
-# named closed sums
-# ---------------------------------------------------------------------------
-
-def kanemitsu_sum(ctx: PrecisionContext = DEFAULT_CONTEXT, N: int = 40):
-    """sum_{n>=1} H_n (log(1+1/n) - 1/n), accelerated.
-
-    Direct terms to N, then the tail is split with H_n = log n + gamma + h_n
-    (h_n the Stirling remainder) and each piece summed in closed or
-    Euler-Maclaurin form.  Uses the oracle gamma in the tail bookkeeping.
-    """
-    with ctx.working(10):
-        acc = mpf(0)
-        H = mpf(0)
-        for n in range(1, N + 1):
-            H += mpf(1) / n
-            acc += H * (mp.log(mpf(n + 1) / n) - mpf(1) / n)
-        g = limit_stieltjes_oracle(0, 1, ctx)
-        HN = H
-        # tail of sum g_n = H_N - log(N+1) - gamma,  g_n = log(1+1/n) - 1/n
-        acc += g * (HN - mp.log(N + 1) - g)
-        # sum_{n>N} log n * g_n via g_n = sum_{m>=2} (-1)^(m+1)/(m n^m)
-        M = max(24, int(mp.ceil((ctx.target_digits + 12)
-                                / mp.log10(N))) + 2)
-        for m in range(2, M + 1):
-            sgn = 1 if m % 2 else -1
-            acc += sgn * em_log_power_tail(m, 1, N, 0, ctx) / m
-        # sum_{n>N} h_n g_n through the product of the two 1/n expansions
-        h = [Fraction(0)] * (M + 1)
-        h[1] = Fraction(1, 2)
-        for kk in range(1, (M // 2) + 1):
-            if 2 * kk <= M:
-                h[2 * kk] -= bernoulli_number(2 * kk) / (2 * kk)
-        gcoef = [Fraction(0)] * (M + 1)
-        for m in range(2, M + 1):
-            gcoef[m] = Fraction((-1) ** (m + 1), m)
-        for c in range(3, M + 1):
-            coef = Fraction(0)
-            for a_ in range(1, c - 1):
-                coef += h[a_] * gcoef[c - a_]
-            if coef:
-                acc += (mpf(coef.numerator) / coef.denominator
-                        * em_log_power_tail(c, 0, N, 0, ctx))
-        return +acc
-

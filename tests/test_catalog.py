@@ -192,17 +192,28 @@ def test_sine_and_cosine_entries_take_the_direct_bose_route(monkeypatch):
 # series closures
 # ---------------------------------------------------------------------------
 
+def stirling_refs():
+    """The closed forms of the three sums that _stirling_tail closes, at
+    the current precision."""
+    return (mp.zeta(3) - mp.euler * mp.zeta(2), 2 * mp.zeta(3),
+            -(mp.zeta(2) + mp.euler ** 2 + 2 * mp.stieltjes(1)) / 2)
+
+
+STIRLING_SIDES = (catalog._psi_over_square_series,
+                  catalog._harmonic_sum_over_squares,
+                  catalog._harmonic_log_series)
+
+
 def test_stirling_tail_stops_small_at_60_digits():
     # I-8.6 lhs and I-9.7 rhs close sum psi(n)/n^2 with _stirling_tail
     # (I-8.6 only takes its first terms from quadrature), I-9.E lhs closes
-    # sum H_n/n^2 with it.  A fixed 39 terms ran out at 1.8e-78 here, and
-    # both sums were off by 1.5e-79.
+    # sum H_n/n^2 with it and I-9.1 lhs sum (psi(k) - log k)/k.  A fixed
+    # 39 terms ran out at 1.8e-78 here, and both sums were off by 1.5e-79;
+    # I-9.1's own closure at a fixed N = 40 was off by 1.2e-58.
     ctx = PrecisionContext.for_digits(60)
     with mp.workdps(100):
-        refs = (mp.zeta(3) - mp.euler * mp.zeta(2), 2 * mp.zeta(3))
-    sides = (catalog._psi_over_square_series,
-             catalog._harmonic_sum_over_squares)
-    for side, ref in zip(sides, refs):
+        refs = stirling_refs()
+    for side, ref in zip(STIRLING_SIDES, refs):
         with ctx.working(), recording() as rec:
             v = side(ctx)
         assert "stop_cap" not in rec, side.__name__
@@ -211,16 +222,15 @@ def test_stirling_tail_stops_small_at_60_digits():
 
 @pytest.mark.parametrize("digits", [120, 200])
 def test_stirling_sums_start_past_the_tail_floor(digits):
-    # with N fixed at 40 the tail's smallest term sat near 2.5e-116: both
-    # sums stopped on that floor from 120 digits on, and H_n/n^2 was off by
-    # 1.25e-116.  Every truncation (the tail's and psi_asymptotic's) now
-    # stops below its threshold, leaving only rounding at working precision.
+    # with N fixed at 40 the tail's smallest term sat near 2.5e-116: the
+    # sums stopped on that floor from 120 digits on, H_n/n^2 was off by
+    # 1.25e-116 and I-9.1's lhs by 7.2e-82.  Every truncation (the tail's
+    # and psi_asymptotic's) now stops below its threshold, leaving only
+    # rounding at working precision.
     ctx = PrecisionContext.for_digits(digits)
     with mp.workdps(digits + 40):
-        refs = (mp.zeta(3) - mp.euler * mp.zeta(2), 2 * mp.zeta(3))
-    sides = (catalog._psi_over_square_series,
-             catalog._harmonic_sum_over_squares)
-    for side, ref in zip(sides, refs):
+        refs = stirling_refs()
+    for side, ref in zip(STIRLING_SIDES, refs):
         with ctx.working(), recording() as rec:
             v = side(ctx)
         assert rec["stop_small"] > 0, side.__name__
@@ -239,7 +249,7 @@ def test_95a_pair_is_the_symmetric_part_of_sondows_integrand(monkeypatch):
     # the sum of its symmetrized pair over the rule's triangle
     seen = []
 
-    def capture(f2, ctx, tol=None):
+    def capture(f2, ctx):
         seen.append(f2)
         return QuadratureResult(mpf(0), mpf(0), 0)
     monkeypatch.setattr(catalog, "integrate_unit_square", capture)
@@ -271,12 +281,12 @@ def test_95a_pair_is_the_symmetric_part_of_sondows_integrand(monkeypatch):
 def test_95a_settles_at_h_1_64_on_one_triangle(monkeypatch):
     xs = []
 
-    def spy(f2, ctx, tol=None):
+    def spy(f2, ctx):
         def node(x, xc):
             xs.append(x)
             return f2.node(x, xc)
         return integrate_unit_square(
-            Integrand2D(node, f2.pair, f2.symmetric), ctx, tol)
+            Integrand2D(node, f2.pair, f2.symmetric), ctx)
     monkeypatch.setattr(catalog, "integrate_unit_square", spy)
     (out,) = run_catalog("I-9.5a", ctx=CTX).outcomes
     assert out.passed

@@ -412,6 +412,29 @@ def test_hermite_grid_matches_mpmath(digits):
                 assert err <= mpf(10) ** -(digits + 17), (s, u, m, err)
 
 
+def test_exp_sinh_range_follows_the_digits():
+    # up to 60 digits the table keeps t_max = 5.6, so its node counts and
+    # every value there stay as they were.  At 120 digits its smallest
+    # node lies within a step (a factor 2) of 10^-(dps+10); with 5.6 it
+    # sat at 5.8e-93, and these Bose routes stalled at a level difference
+    # near 1e-93.  Measured: relative errors of 7.0e-141, 4.9e-140 and
+    # 1.4e-140.
+    for digits, n in ((15, 1433), (30, 2867), (60, 2867)):
+        dps = PrecisionContext.for_digits(digits).working_digits
+        assert quadrature._get_table("es0inf", dps).n == n
+    ctx = PrecisionContext.for_digits(120)
+    tab = quadrature._get_table("es0inf", ctx.working_digits)
+    assert tab.node(0).x < 2 * mpf(10) ** -(ctx.working_digits + 10)
+    values = (F.digamma("0.37", ctx, "bose"),
+              F.log_gamma("0.37", "binet1", ctx),
+              F.hurwitz_zeta_sderiv(2, 0, "0.37", ctx))
+    with mp.workdps(150):
+        u = mpf("0.37")
+        refs = (mp.psi(0, u), mp.loggamma(u), mp.zeta(0, u, 2))
+        for v, ref in zip(values, refs):
+            assert abs(v.value - ref) <= abs(ref) * mpf(10) ** -130, v.route
+
+
 # ---------------------------------------------------------------------------
 # Barnes G
 # ---------------------------------------------------------------------------

@@ -37,7 +37,11 @@ def eager_nodes(kind, dps, step=1):
     lvl = quadrature._finest_level(dps)
     with mp.workdps(dps + 10):
         h = mpf(1) / (1 << lvl)
-        tmax = quadrature._TMAX_TS if kind == "ts01" else quadrature._TMAX_ES
+        if kind == "ts01":
+            tmax = quadrature._TMAX_TS
+        else:   # the node at t_max is 10^-(dps+10), or t_max = 5.6
+            tmax = max(quadrature._TMAX_ES,
+                       mp.asinh(2 * mp.ln10 * (dps + 10) / mp.pi))
         n = int(mp.floor(tmax / h))
         nodes = {}
         half_pi = mp.pi / 2
@@ -380,16 +384,14 @@ class TestUnitSquare:
             assert abs(a.value - b.value) < mpf(10) ** -20
             assert abs(a.value - mpf(2) / 3) < mpf(10) ** -10
 
-    @pytest.mark.parametrize("symmetric, tol, stride", [
-        # tol 1 settles on the second level, 1e-60 runs all three
-        (False, 1, 4),
-        (True, mpf(10) ** -60, 2),
+    @pytest.mark.parametrize("symmetric, f, stride", [
+        # a smooth product settles on the second level, h = 1/64; the
+        # kink of min(x, y) on the diagonal runs all three
+        (False, lambda x, xc, y, yc: x * yc, 4),
+        (True, lambda x, xc, y, yc: min(x, y), 2),
     ], ids=["two-levels", "three-levels-symmetric"])
     def test_nested_levels_evaluate_each_node_and_pair_once(
-            self, symmetric, tol, stride):
-        def f(x, xc, y, yc):
-            return min(x, y) if symmetric else min(x, yc)
-
+            self, symmetric, f, stride):
         nodes, pairs = [], []
 
         def node(x, xc):
@@ -401,7 +403,7 @@ class TestUnitSquare:
             return f(*p, *q)
         with CTX.working():
             r = integrate_unit_square(Integrand2D(node, pair, symmetric),
-                                      CTX, tol=tol)
+                                      CTX)
         dps = min(CTX.working_digits, 45)
         tab = _get_table("ts01", dps)
         index = {tab.node(i).x: i for i in range(len(tab.nodes))}

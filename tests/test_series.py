@@ -50,11 +50,6 @@ def test_bernoulli_poly_exact():
     assert series.bernoulli_poly(0, Fraction(7, 3)) == 1
 
 
-def test_harmonic_numbers():
-    assert series.harmonic(1) == 1
-    assert series.harmonic(5) == Fraction(137, 60)
-
-
 # ---------------------------------------------------------------------------
 # truncation helper (exact Fractions, so sums compare exactly)
 # ---------------------------------------------------------------------------
@@ -406,14 +401,3 @@ class TestHasse:
             v = series.hasse_stieltjes(0, 1, CTX)
             ref = series.limit_stieltjes_oracle(0, 1, CTX)
             assert agreed_digits(v, ref, CTX) >= CTX.target_digits - 2
-
-
-# ---------------------------------------------------------------------------
-# closed-sum evaluators
-# ---------------------------------------------------------------------------
-
-def test_kanemitsu_sum_depth_stable():
-    with CTX.working():
-        a = series.kanemitsu_sum(CTX, N=40)
-        b = series.kanemitsu_sum(CTX, N=80)
-        assert abs(a - b) < mpf(10) ** -40

@@ -100,3 +100,95 @@ def test_unreferenced_definition_is_reported():
     }
     assert unreferenced_definitions(sources) == [("a", "_dead"),
                                                  ("a", "_recursive")]
+
+
+def _sets(call, arg, index) -> bool:
+    """Whether a call sets parameter arg, at positional index (None for
+    keyword-only), by name or by position; *args and **kwargs set all."""
+    if any(k.arg in (arg, None) for k in call.keywords):
+        return True
+    return index is not None and (
+        len(call.args) > index
+        or any(isinstance(a, ast.Starred) for a in call.args))
+
+
+def unset_defaults(sources: dict) -> list:
+    """Keyword defaults of module-level functions and methods that no call
+    in any module sets, by name or by position.
+
+    sources maps module names to their text.  A call reaches a definition
+    through its name: ``f(...)``, ``mod.f(...)``, ``obj.method(...)``,
+    and ``Class(...)`` for ``__init__``; a method's calls skip its first
+    parameter unless it is a staticmethod.  Nested functions and lambdas
+    are not checked: their defaults bind loop variables (``n=n``).
+    Returns (module, function, parameter) triples.
+    """
+    trees = {mod: ast.parse(text) for mod, text in sources.items()}
+    calls = collections.defaultdict(list)
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                f = node.func
+                calls[getattr(f, "id", getattr(f, "attr", None))].append(node)
+    unset = []
+    for mod, tree in sorted(trees.items()):
+        defs = [(fn, fn.name, 0) for fn in tree.body
+                if isinstance(fn, ast.FunctionDef)]
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for fn in cls.body:
+                if isinstance(fn, ast.FunctionDef):
+                    static = any(getattr(d, "id", None) == "staticmethod"
+                                 for d in fn.decorator_list)
+                    name = cls.name if fn.name == "__init__" else fn.name
+                    defs.append((fn, name, 0 if static else 1))
+        for fn, name, skip in defs:
+            a = fn.args
+            pos = a.posonlyargs + a.args
+            first = len(pos) - len(a.defaults)
+            params = [(p.arg, i - skip)
+                      for i, p in enumerate(pos[first:], first)]
+            params += [(p.arg, None)
+                       for p, d in zip(a.kwonlyargs, a.kw_defaults)
+                       if d is not None]
+            unset += [(mod, fn.name, arg) for arg, index in params
+                      if not any(_sets(c, arg, index) for c in calls[name])]
+    return unset
+
+
+#: Defaults that no call in the package sets, each with its reason.
+UNSET_ALLOWED = {
+    ("cli", "main", "argv"):
+        "the entry point: the console script calls main() with no "
+        "argument and it reads sys.argv",
+    ("quadrature", "integrate_bose", "oscillatory"):
+        "the kernel route is the tests' reference for the direct route; "
+        "no library route takes it",
+}
+
+
+def test_every_default_is_set_by_a_call():
+    sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert sorted(set(unset_defaults(sources)) - set(UNSET_ALLOWED)) == []
+    assert set(UNSET_ALLOWED) <= set(unset_defaults(sources))
+
+
+def test_unset_default_is_reported():
+    sources = {
+        "a": ("def f(x, n=4, *, k=1, j=2):\n    return x\n"
+              "def g(x, m=0, n=1):\n    return x\n"
+              "class C:\n"
+              "    def __init__(self, u=0):\n        pass\n"
+              "    def step(self, h=1, d=2):\n        return h\n"
+              "    @staticmethod\n"
+              "    def make(v=0):\n        return v\n"
+              "def outer():\n"
+              "    return [lambda i=i: i for i in range(3)]\n"),
+        "b": ("from .a import f, g, C\n"
+              "f(1, 5, j=3)\n"
+              "g(*[1, 2, 3])\n"
+              "C(2).step(3)\n"
+              "C.make(1)\n"),
+    }
+    assert unset_defaults(sources) == [("a", "f", "k"), ("a", "step", "d")]
