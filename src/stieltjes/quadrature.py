@@ -21,7 +21,8 @@ each level with one outward walk (_walk) that stops a side after 3
 negligible terms past the last non-negligible one of the level before.
 
 The rules take plain callables: f(x) on (0,inf) and f(x, 1 - x) on
-(0,1), the exact complement keeping f accurate next to 1.
+(0,1), the exact complement keeping f accurate next to 1.  The unit-square
+rule builds node records in mpf and sums their pairs in C decimal.
 
 The Bose-weight integrator sums g(x)/(e^(2 pi x) - 1) directly through
 the kernel.  Its kernel route, kept as the tests' reference, sums a mode
@@ -38,9 +39,11 @@ kernel-route calls pay for them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Context, Decimal, localcontext
 from typing import Callable, NamedTuple, Optional
 
 from mpmath import mp, mpf
+from mpmath.libmp import mpf_cosh_sinh
 
 from .precision import (
     DEFAULT_CONTEXT,
@@ -56,8 +59,10 @@ class Integrand2D:
     """Real integrand on the open unit square, f(x, y) = pair(p, q) with
     p = node(x, 1-x) and q = node(y, 1-y).
 
-    node gets each abscissa with its exact complement and returns whatever
-    one-variable factors pair needs; it runs once per node.
+    node gets each abscissa with its exact complement as mpf, may call mp
+    functions and returns the factors pair needs (a value or a tuple),
+    once per node.  pair gets them as Decimals and may use only arithmetic,
+    comparisons, min/max and ints: Decimal + mpf is a silent, slow mpf.
     symmetric=True promises pair(p, q) = pair(q, p) and halves the work.
     """
 
@@ -131,8 +136,7 @@ def _build_table(tab: _NodeTable, i: int) -> _Node:
     """Build node i of tab at the table's dps + 10 and store it."""
     with mp.workdps(tab.dps + 10):
         t = (i - tab.n) * tab.h
-        sh = mp.sinh(t)
-        ch = mp.cosh(t)
+        ch, sh = map(mp.make_mpf, mpf_cosh_sinh(t._mpf_, *mp._prec_rounding))
         if tab.kind == "ts01":
             e = mp.exp(-tab.c * sh)
             x = 1 / (1 + e)
@@ -460,6 +464,17 @@ def integrate_laplace(h, u, ctx: PrecisionContext = DEFAULT_CONTEXT
 # 2-D unit square
 # ---------------------------------------------------------------------------
 
+def _dec(v):
+    """mpf or int values, or a tuple of them, as Decimals rounded once."""
+    if isinstance(v, tuple):
+        return tuple(map(_dec, v))
+    s, m, e, _ = mpf(v)._mpf_
+    if not m:                   # 0, inf or nan
+        return Decimal(str(mpf(v)))
+    m = -m if s else m
+    return Decimal(m) * (1 << e) if e >= 0 else Decimal(m) / (1 << -e)
+
+
 def integrate_unit_square(f2: Integrand2D,
                           ctx: PrecisionContext = DEFAULT_CONTEXT
                           ) -> QuadratureResult:
@@ -470,16 +485,18 @@ def integrate_unit_square(f2: Integrand2D,
     levels settle when they differ by less than _TOL_2D = 1e-11.  The
     levels h = 1/32, 1/64, 1/128 are nested: each adds to one running sum
     only the pairs that no coarser level summed, and f2.node runs once per
-    node for all of them.  Each row is one exactly
-    rounded dot product over (pair value, y-weight): the products are
-    exact and the row is rounded once, so cancellation inside a row adds
-    no rounding error.
+    node for all of them.  Records and weights are rounded once to
+    Decimals of the rule's digits + 10; pairs, rows and the running sum
+    round each step at those digits, and each level returns to mpf once.
+    On the catalog's entries this lies within 1.7e-43 of the same sums in
+    mpf with exactly rounded rows (rows at twice the digits, with exact
+    products, came as close and took as long).
     A symmetric f2 sums one triangle and the diagonal.
     An undecided 1/128 level is returned with its difference from 1/64 as
     the error estimate.  nodes_used counts f2.pair evaluations.
     """
     dps = min(ctx.working_digits, 45)
-    with mp.workdps(dps + 10):
+    with mp.workdps(dps + 10), localcontext(Context(prec=dps + 10)):
         tab = _get_table("ts01", dps)
         # node records see exact complements and so stay finite arbitrarily
         # close to the edges; the stripped band only needs to sit below the
@@ -488,7 +505,7 @@ def integrate_unit_square(f2: Integrand2D,
         mid = tab.n
         built = tab.built
         recs: dict = {}     # node records of the last level's window
-        total = mpf(0)
+        total = Decimal(0)
         used = 0
 
         def window(stride):
@@ -505,15 +522,15 @@ def integrate_unit_square(f2: Integrand2D,
             nonlocal recs, total, used
             idxs = window(stride)
             new = [i not in recs for i in idxs]
-            ps = [f2.node(*tab.node(i)[:2]) if nw else recs[i]
+            ps = [_dec(f2.node(*tab.node(i)[:2])) if nw else recs[i]
                   for i, nw in zip(idxs, new)]
             recs = dict(zip(idxs, ps))
-            ws = [tab.node(i).w for i in idxs]
+            ws = [_dec(tab.node(i).w) for i in idxs]
             for a, p in enumerate(ps):
                 cols = range(a) if f2.symmetric else range(len(ps))
                 if not new[a]:
                     cols = [b for b in cols if new[b]]
-                row = mp.fdot((f2.pair(p, ps[b]), ws[b]) for b in cols)
+                row = sum([f2.pair(p, ps[b]) * ws[b] for b in cols])
                 used += len(cols)
                 if f2.symmetric:
                     total += 2 * row * ws[a]
@@ -523,7 +540,7 @@ def integrate_unit_square(f2: Integrand2D,
                 else:
                     total += row * ws[a]
             hs = tab.h * stride
-            return total * hs * hs
+            return mpf(str(total)) * hs * hs
 
         lvl_fin = _finest_level(dps)
         val, err, _ = _refine(

@@ -4,6 +4,8 @@ Numerical content of the entries is exercised in test_acceptance; here we
 check the registry invariants and the filter/failure behavior of the runner.
 """
 
+from decimal import Context, Decimal, localcontext
+
 import pytest
 from mpmath import mp, mpf
 
@@ -276,6 +278,41 @@ def test_95a_pair_is_the_symmetric_part_of_sondows_integrand(monkeypatch):
                 assert v == f2.pair(q, p)
                 mean = (sondow(p, q) + sondow(q, p)) / 2
                 assert abs(-v / 2 - mean) <= mpf(10) ** -50 * abs(mean)
+
+
+@pytest.mark.parametrize("eid", ["I-9.2", "I-9.4a", "I-9.5a"])
+def test_2d_pair_keeps_decimal_records_in_decimal(monkeypatch, eid):
+    # the rule hands pair Decimal records; a pair that used an mpf constant
+    # or an mp function would not fail but return an mpf (Decimal + mpf is
+    # an mpf), and every pair would pay mpmath's cost again
+    seen = []
+
+    def capture(f2, ctx):
+        seen.append(f2)
+        return QuadratureResult(mpf(0), mpf(0), 0)
+    monkeypatch.setattr(catalog, "integrate_unit_square", capture)
+    (entry,) = [e for e in all_entries() if e.id == eid]
+    entry.lhs(CTX)
+    (f2,) = seen
+    dps = min(CTX.working_digits, 45)
+    tab = _get_table("ts01", dps)
+    with mp.workdps(dps + 10), localcontext(Context(prec=dps + 10)):
+        inner = [i for i in range(len(tab.nodes))
+                 if tab.node(i).x > mpf("1e-30")
+                 and tab.node(i).xc > mpf("1e-30")]
+        # 9 nodes from edge to edge, as mpf records and as the rule's
+        picks = [inner[k * (len(inner) - 1) // 8] for k in range(9)]
+        ps = [f2.node(*tab.node(i)[:2]) for i in picks]
+        ds = [quadrature._dec(p) for p in ps]
+        for p, pd in zip(ps, ds):
+            for q, qd in zip(ps, ds):
+                v = f2.pair(pd, qd)
+                assert type(v) is Decimal
+                # the same function: I-9.4a's bracket cancels up to 34 of
+                # the 55 digits at the corners, so the two roundings part
+                # by up to 1.5e-21 relative there
+                ref = f2.pair(p, q)
+                assert abs(mpf(str(v)) - ref) <= mpf(10) ** -15 * abs(ref)
 
 
 def test_95a_settles_at_h_1_64_on_one_triangle(monkeypatch):

@@ -4,7 +4,7 @@ Every rule is exercised on integrals whose values are elementary, so a
 failure points at the rule rather than at the function layer built on it.
 """
 
-from decimal import MIN_EMIN, Context, Decimal, localcontext
+from decimal import MIN_EMIN, Context, Decimal, getcontext, localcontext
 from itertools import takewhile
 
 import pytest
@@ -383,6 +383,25 @@ class TestUnitSquare:
                                                   symmetric=True), CTX)
             assert abs(a.value - b.value) < mpf(10) ** -20
             assert abs(a.value - mpf(2) / 3) < mpf(10) ** -10
+
+    def test_pair_gets_decimal_records(self):
+        # node runs in mpf; pair gets the records as Decimals, in a decimal
+        # context of the rule's digits + 10, and the value returns as mpf
+        seen = []
+
+        def node(x, xc):
+            assert isinstance(x, mpf) and isinstance(xc, mpf)
+            return x, xc
+
+        def pair(p, q):
+            seen.append((tuple(map(type, p + q)), getcontext().prec))
+            return p[0] * q[1]
+        with CTX.working():
+            r = integrate_unit_square(Integrand2D(node, pair), CTX)
+        assert set(seen) == {((Decimal,) * 4,
+                              min(CTX.working_digits, 45) + 10)}
+        assert isinstance(r.value, mpf)
+        assert abs(r.value - mpf(1) / 4) < mpf(10) ** -10
 
     @pytest.mark.parametrize("symmetric, f, stride", [
         # a smooth product settles on the second level, h = 1/64; the
