@@ -246,30 +246,40 @@ def test_stirling_sums_start_past_the_tail_floor(digits):
 # I-9.5a: the symmetrized integrand on one triangle
 # ---------------------------------------------------------------------------
 
-def test_95a_pair_is_the_symmetric_part_of_sondows_integrand(monkeypatch):
-    # -(1-x)/((1-xy) log(xy)) in complements; the entry halves and negates
-    # the sum of its symmetrized pair over the rule's triangle
+def _unit_square_integrand(monkeypatch, eid):
+    """The Integrand2D that entry eid's lhs hands the 2-D rule, and the
+    rule's node table."""
     seen = []
 
     def capture(f2, ctx):
         seen.append(f2)
         return QuadratureResult(mpf(0), mpf(0), 0)
     monkeypatch.setattr(catalog, "integrate_unit_square", capture)
-    (entry,) = [e for e in all_entries() if e.id == "I-9.5a"]
+    (entry,) = [e for e in all_entries() if e.id == eid]
     entry.lhs(CTX)
     (f2,) = seen
+    return f2, _get_table("ts01", min(CTX.working_digits, 45))
+
+
+def _spread_nodes(tab, k):
+    """k node indices spread from edge to edge of the rule's window."""
+    inner = [i for i in range(len(tab.nodes))
+             if tab.node(i).x > mpf("1e-30") and tab.node(i).xc > mpf("1e-30")]
+    return {inner[j * (len(inner) - 1) // (k - 1)] for j in range(k)}
+
+
+def test_95a_pair_is_the_symmetric_part_of_sondows_integrand(monkeypatch):
+    # -(1-x)/((1-xy) log(xy)) in complements; the entry halves and negates
+    # the sum of its symmetrized pair over the rule's triangle
+    f2, tab = _unit_square_integrand(monkeypatch, "I-9.5a")
     assert f2.symmetric
 
     def sondow(p, q):
         (xc, lx), (yc, ly) = p, q
         return -xc / ((xc + yc - xc * yc) * (lx + ly))
-    tab = _get_table("ts01", min(CTX.working_digits, 45))
     with mp.workdps(tab.dps + 10):
-        inner = [i for i in range(len(tab.nodes))
-                 if tab.node(i).x > mpf("1e-30")
-                 and tab.node(i).xc > mpf("1e-30")]
         # 67 nodes spread from edge to edge: 67^2 = 4489 pairs
-        picks = {inner[k * (len(inner) - 1) // 66] for k in range(67)}
+        picks = _spread_nodes(tab, 67)
         assert len(picks) == 67
         ps = [f2.node(*tab.node(i)[:2]) for i in picks]
         for p in ps:
@@ -285,24 +295,10 @@ def test_2d_pair_keeps_decimal_records_in_decimal(monkeypatch, eid):
     # the rule hands pair Decimal records; a pair that used an mpf constant
     # or an mp function would not fail but return an mpf (Decimal + mpf is
     # an mpf), and every pair would pay mpmath's cost again
-    seen = []
-
-    def capture(f2, ctx):
-        seen.append(f2)
-        return QuadratureResult(mpf(0), mpf(0), 0)
-    monkeypatch.setattr(catalog, "integrate_unit_square", capture)
-    (entry,) = [e for e in all_entries() if e.id == eid]
-    entry.lhs(CTX)
-    (f2,) = seen
-    dps = min(CTX.working_digits, 45)
-    tab = _get_table("ts01", dps)
-    with mp.workdps(dps + 10), localcontext(Context(prec=dps + 10)):
-        inner = [i for i in range(len(tab.nodes))
-                 if tab.node(i).x > mpf("1e-30")
-                 and tab.node(i).xc > mpf("1e-30")]
+    f2, tab = _unit_square_integrand(monkeypatch, eid)
+    with mp.workdps(tab.dps + 10), localcontext(Context(prec=tab.dps + 10)):
         # 9 nodes from edge to edge, as mpf records and as the rule's
-        picks = [inner[k * (len(inner) - 1) // 8] for k in range(9)]
-        ps = [f2.node(*tab.node(i)[:2]) for i in picks]
+        ps = [f2.node(*tab.node(i)[:2]) for i in _spread_nodes(tab, 9)]
         ds = [quadrature._dec(p) for p in ps]
         for p, pd in zip(ps, ds):
             for q, qd in zip(ps, ds):
