@@ -21,7 +21,7 @@ from typing import Callable, Optional
 
 from mpmath import mp, mpf
 
-from .precision import DEFAULT_CONTEXT, PrecisionContext, recording, tally
+from .precision import DEFAULT_CONTEXT, PrecisionContext, recording
 from . import series
 from . import functions as F
 from .quadrature import (
@@ -178,44 +178,28 @@ def _binet_kernel_tail(t):
     return F._binet_series(x, 2)
 
 
-_ZETA_INT_CACHE: dict = {}
-
-
-def _zeta_int(k: int, ctx) -> mpf:
-    key = (k, mp.dps)
-    if key in _ZETA_INT_CACHE:
-        tally(em_cache_hits=1)
-    else:
-        _ZETA_INT_CACHE[key] = series.riemann_zeta_em(k, 0, ctx)
-    return _ZETA_INT_CACHE[key]
-
-
-def _psi_plus(x, ctx):
-    """w(x) = psi(x) + 1/x + gamma = sum_{k>=2} (-1)^k zeta(k) x^(k-1),
-    and its derivative; series on (0, 1/2], shifted asymptotics beyond."""
-    x = mpf(x)
-    if x > mpf(1) / 2:
-        g = _gam(0, 1, ctx)
-        w = series.psi_asymptotic(x, ctx) + 1 / x + g
-        wp = series.trigamma_asymptotic(x, ctx) - 1 / (x * x)
-        return w, wp
-    eps = mpf(10) ** (-(mp.dps + 4))
-    w = mpf(0)
-    wp = mpf(0)
-    xp = mpf(1)            # x^(k-2)
-    for k in range(2, 2000):
-        z = _zeta_int(k, ctx)
-        term = z * xp
-        if k % 2:
-            w -= term * x
-            wp -= term * (k - 1)
-        else:
-            w += term * x
-            wp += term * (k - 1)
-        if abs(term) * max(1, k) < eps:
-            break
-        xp *= x
-    return w, wp
+def _psi_plus(x, xc, ctx):
+    """w = psi(1+x) + gamma and w' = psi'(1+x), x + xc = 1, from one series
+    in a_k = zeta(k) - 1 <= 3 2^-k about whichever of 1 and 2 is nearer:
+    with Q(z) = sum_{k>=2} a_k z^(k-1),
+      x <= 1/2:  w = x/(1+x) - Q(-x),  w' = 1/(1+x)^2 + Q'(-x);
+      x > 1/2:   w = 1 - Q(xc),        w' = Q'(xc).
+    With y = min(x, xc) <= 1/2 the terms of Q' from k >= 3 on add up to at
+    most 3 (k-1) 2^-k y^(k-2) / (1 - 3/8) <= 4.8 y^-2 k (y/2)^k, which
+    bounds Q/z's too; the sums stop at the first k where that is below
+    10^-(dps+4)."""
+    low = x <= mpf(1) / 2
+    y = x if low else xc
+    k = series._stop_index(y, 3, 4.8, 2, 0.5, d=1)
+    a = series._row("zeta-1", lambda j: series.riemann_zeta_em(j, 0, ctx)
+                    - 1 if j > 1 else mpf(0), k)
+    da = series._row("zeta-1'", lambda j: (j - 1) * mp.make_mpf(a[j]), k)
+    z = -x if low else xc
+    q = z * series._horner(a, 2, k - 2, z)
+    dq = series._horner(da, 2, k - 2, z)
+    if low:
+        return x / (1 + x) - q, 1 / (1 + x) ** 2 + dq
+    return 1 - q, dq
 
 
 def _stirling_tail(acc, N: int, p: int, ctx):
@@ -1086,7 +1070,7 @@ def register_builtin_entries() -> None:
         g0sq = g0 * g0
 
         def f(x, xc):
-            w, wp = _psi_plus(x, ctx)
+            w, wp = _psi_plus(x, xc, ctx)
             return wp - w * w + 2 * w / x + g0sq
         return tanh_sinh_01(f, ctx).value
 

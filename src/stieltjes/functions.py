@@ -53,7 +53,7 @@ def binet_kernel(t):
     to 1/12 at t = 0.  Values are kept per mp.prec, keyed by t: callers
     pass exp-sinh nodes, so integrands reading a node share one evaluation.
     kernel_values_built tallies evaluations; a kept value tallies nothing,
-    its series' stop_small included.  Each is kept as one int, mantissa
+    its series' kernel_terms included.  Each is kept as one int, mantissa
     over biased exponent: a third of the bytes of its _mpf_ tuple.
     """
     vals = _BINET.setdefault(mp.prec, {})
@@ -73,18 +73,18 @@ def binet_kernel(t):
 
 def _binet_series(t, k_min: int, d: int = 0):
     """The d-th derivative (d in {0, 1}) of sum_{k>=k_min} B_2k
-    t^(2k-1)/(2k)!, summed term by term to 10^-(dps+4); |t| < 2 pi."""
-    t2 = t * t
-    eps = mpf(10) ** (-(mp.dps + 4))
-
-    def terms():
-        tp = t ** (1 - d) * t2 ** (k_min - 1)
-        for k in range(k_min, 300):
-            c = series._bern_coef(k)
-            yield (c * (2 * k - 1) if d else c) * tp
-            tp *= t2
-
-    return series._sum_terms(terms(), mpf(0), eps)
+    t^(2k-1)/(2k)!, |t| <= 1/4: t^(2 k_min - 1 - d) times a sum in t^2 by
+    Horner's rule.  As |B_2k|/(2k)! = 2 zeta(2k)/(2 pi)^2k < 3.3
+    (2 pi)^-2k (DLMF 25.6.2), that sum's terms from k on add up to less
+    than 3.4 (2k)^d |t|^(2k-2k_min) (2 pi)^-2k; it stops at the first k
+    where that is below 10^-(dps+4), so callers dividing by powers of t
+    keep every digit."""
+    k = series._stop_index(t, k_min + 1, 3.4 * 2 ** d, 2 * k_min,
+                           1 / (4 * math.pi ** 2), 2, d)
+    row = series._row("binet%d" % d, lambda j: (2 * j - 1) ** d
+                      * series._bern_coef(j), k)
+    return series._horner(row, k_min, k - k_min, t * t) \
+        * t ** (2 * k_min - 1 - d)
 
 
 def exp_square_kernel(y):
@@ -98,34 +98,27 @@ def exp_square_kernel(y):
 
 
 _GREGORY: list[Fraction] = [Fraction(1)]
-_GREGORY_MPF: dict = {}
 
 
-def _gregory(n: int) -> mpf:
-    """Coefficient G_n of e/log(1+e): G_0=1, G_1=1/2, G_2=-1/12, ...
-
-    Exact Fractions are built once; the mpf is cached per (n, mp.prec).
-    """
-    key = (n, mp.prec)
-    c = _GREGORY_MPF.get(key)
-    if c is None:
-        while len(_GREGORY) <= n:
-            m = len(_GREGORY)
-            acc = Fraction(0)
-            for k in range(m):
-                acc += _GREGORY[k] * Fraction((-1) ** (m - k), m - k + 1)
-            _GREGORY.append(-acc)
-        g = _GREGORY[n]
-        c = _GREGORY_MPF[key] = mpf(g.numerator) / g.denominator
-    return c
+def _gregory(n: int) -> Fraction:
+    """Coefficient G_n of e/log(1+e), exact: G_0=1, G_1=1/2, G_2=-1/12,
+    ...; built once."""
+    while len(_GREGORY) <= n:
+        m = len(_GREGORY)
+        acc = Fraction(0)
+        for k in range(m):
+            acc += _GREGORY[k] * Fraction((-1) ** (m - k), m - k + 1)
+        _GREGORY.append(-acc)
+    return _GREGORY[n]
 
 
 def one_over_log_kernel(y, yc=None):
     """R(y) = 1/log(y) - 1/(y-1), regular at y = 1 with R(1) = 1/2.
 
-    Near y = 1 (|y-1| <= 1/4) uses the Gregory series in e = y-1; passing
-    the exact complement yc = 1-y keeps e accurate when y is a
-    tanh-sinh node exponentially close to 1.
+    Near y = 1 (|y-1| <= 1/4) sums the Gregory series sum_{k>=1} G_k
+    e^(k-1) in e = y-1 by Horner's rule; passing the exact complement
+    yc = 1-y keeps e accurate when y is a tanh-sinh node exponentially
+    close to 1.
     """
     if yc is not None:
         e = -mpf(yc)
@@ -134,14 +127,13 @@ def one_over_log_kernel(y, yc=None):
     if abs(e) > mpf(1) / 4:
         y = 1 + e
         return 1 / mp.log(y) - 1 / e
-    # |G_k e^(k-1)| falls monotonically for |e| <= 1/4, so the sum stops
-    # on its first term below 10^-(dps+4)
-    def terms():
-        ep = mpf(1)
-        for k in range(1, 400):
-            yield _gregory(k) * ep
-            ep *= e
-    return series._sum_terms(terms(), mpf(0), mpf(10) ** (-(mp.dps + 4)))
+    # |G_k| = int_0^inf dx/((1+x)^k (pi^2 + log^2 x)) <= 1/(pi^2 (k-1)),
+    # falling with k, so the terms from k on add up to at most
+    # 4/3 |e|^(k-1)/(pi^2 (k-1)) <= 8/(3 pi^2) |e|^-1 k^-1 |e|^k
+    n = series._stop_index(e, 2, 8 / (3 * math.pi ** 2), 1, 1, d=-1) - 1
+    row = series._row("gregory", lambda k: mpf(_gregory(k).numerator)
+                      / _gregory(k).denominator, n + 1)
+    return series._horner(row, 1, n, e)
 
 
 # ---------------------------------------------------------------------------

@@ -111,8 +111,8 @@ def agreed_digits(a, b, ctx: PrecisionContext = DEFAULT_CONTEXT) -> int:
 
 #: The engines a value can come from.  Every tally key but _sum_terms'
 #: stop reasons (stop_small, stop_floor, stop_cap), the quadrature's
-#: table_nodes_built and binet_kernel's kernel_values_built starts with
-#: one of these and an underscore.
+#: table_nodes_built, binet_kernel's kernel_values_built and the series
+#: kernels' kernel_terms starts with one of these and an underscore.
 ENGINES = ("em", "bose", "exp_sinh", "tanh_sinh", "unit_square",
            "aux_lattice", "binomial", "stirling")
 

@@ -26,9 +26,12 @@ the depth, digits lost and tail estimate, and refuses a tail above the
 tolerance.  Both widen the working precision by ~0.302 digits per term of
 depth, which only Hasse's weights (growing like 2^D/D) need.
 
-_sum_terms truncates the package's Stirling and Bernoulli series and
-tallies why it stopped: "small" (a term fell below the threshold), "floor"
-(a term grew: an asymptotic floor) or "cap" (the terms ran out).
+_sum_terms truncates the package's term-by-term Stirling and Bernoulli
+series and tallies why it stopped: "small" (a term fell below the
+threshold), "floor" (a term grew: an asymptotic floor) or "cap" (the
+terms ran out).  The per-node power-series kernels instead take their
+term count up front from a bound and sum by Horner's rule on a kept
+coefficient row, _horner.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ import math
 from fractions import Fraction
 
 from mpmath import mp, mpf
+from mpmath.libmp import mpf_add, mpf_mul
 
 from .precision import (
     DEFAULT_CONTEXT,
@@ -133,6 +137,50 @@ def _sum_terms(terms, acc, eps):
         prev = t
     tally(stop_cap=1)
     return acc
+
+
+_ROWS: dict = {}       # (kernel, mp.prec) -> [coefficient _mpf_, ...]
+
+
+def _row(kernel: str, coef, n: int) -> list:
+    """The first n (or more) coefficients coef(k) of a kernel's power
+    series at mp.prec, as _mpf_ tuples: kept per (kernel, mp.prec), and
+    grown on first use."""
+    row = _ROWS.setdefault((kernel, mp.prec), [])
+    while len(row) < n:
+        row.append(coef(len(row))._mpf_)
+    return row
+
+
+def _stop_index(x, k: int, c: float, p: int, r: float, s: int = 1,
+                d: int = 0) -> int:
+    """The least j >= k at which c |x|^-p j^d (r |x|^s)^j, a bound on a
+    power series' terms from j on that falls with j, is below
+    10^-(dps+4); k for an x too small for a float."""
+    ax = abs(float(x))
+    if not ax:
+        return k
+    lx = math.log(ax)
+    a = s * lx + math.log(r)
+    L = p * lx - math.log(c) - (mp.dps + 4) * math.log(10)
+    j = max(k, math.floor(L / a) + 1)
+    while d * math.log(j) + j * a >= L:
+        j += 1
+    while j > k and d * math.log(j - 1) + (j - 1) * a < L:
+        j -= 1
+    return j
+
+
+def _horner(row: list, lo: int, n: int, x):
+    """sum_{j<n} row[lo+j] x^j by Horner's rule, each step rounded as mpf
+    arithmetic rounds it; tallies the n terms as kernel_terms."""
+    tally(kernel_terms=n)
+    prec, rnd = mp._prec_rounding
+    xv = x._mpf_
+    acc = row[lo + n - 1]
+    for k in range(lo + n - 2, lo - 1, -1):
+        acc = mpf_add(mpf_mul(acc, xv, prec, rnd), row[k], prec, rnd)
+    return mp.make_mpf(acc)
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +470,7 @@ def limit_stieltjes_oracle(n: int, u, ctx: PrecisionContext = DEFAULT_CONTEXT):
 
 
 # ---------------------------------------------------------------------------
-# asymptotic digamma/trigamma (internal tails; never user-facing routes)
+# asymptotic digamma (an internal tail; never a user-facing route)
 # ---------------------------------------------------------------------------
 
 def psi_asymptotic(x, ctx: PrecisionContext = DEFAULT_CONTEXT):
@@ -452,32 +500,6 @@ def psi_asymptotic(x, ctx: PrecisionContext = DEFAULT_CONTEXT):
             apow = A2
             for j in range(1, mp.dps):
                 yield -(_bern_mpf(2 * j) / (2 * j) / apow)
-                apow *= A2
-
-        tally(stirling_shift=m)
-        return +_sum_terms(terms(), acc, eps)
-
-
-def trigamma_asymptotic(x, ctx: PrecisionContext = DEFAULT_CONTEXT):
-    """psi'(x) by recurrence-shift plus Stirling series; x > 0."""
-    with ctx.working(10):
-        x = mpf(x)
-        if not 0 < x < mp.inf:
-            raise ValueError("trigamma_asymptotic requires finite x > 0")
-        shift_to = mpf(0.4) * mp.dps + 8
-        m = int(max(0, mp.ceil(shift_to - x)))
-        acc = mpf(0)
-        for i in range(m):
-            acc += 1 / (x + i) ** 2
-        A = x + m
-        acc += 1 / A + 1 / (2 * A * A)
-        A2 = A * A
-        eps = mpf(10) ** (-(mp.dps - 2))
-
-        def terms():
-            apow = A2 * A
-            for j in range(1, mp.dps):
-                yield _bern_mpf(2 * j) / apow
                 apow *= A2
 
         tally(stirling_shift=m)

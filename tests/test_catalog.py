@@ -349,3 +349,45 @@ def test_binet_kernel_tail_seam():
             err = abs(catalog._binet_kernel_tail(x) - ref)
             assert err <= mpf(10) ** -(mp.dps if abs(x) > 0.25
                                       else mp.dps + 5)
+
+
+# ---------------------------------------------------------------------------
+# I-9.5b: psi(1+x) + gamma and psi'(1+x) from one zeta(k) - 1 series
+# ---------------------------------------------------------------------------
+
+def _psi_nodes(ctx, k=30):
+    """k tanh-sinh nodes of ctx's table, from x just below 1e-40 to xc
+    just below 1e-40, on both sides of 1/2."""
+    tab = _get_table("ts01", ctx.working_digits)
+    with mp.workdps(30):
+        edge = int(mp.ceil(mp.asinh(40 * mp.ln10 / mp.pi) / tab.h))
+    lo, hi = tab.n - edge, tab.n + edge
+    return [tab.node(lo + j * (hi - lo) // (k - 1)) for j in range(k)]
+
+
+@pytest.mark.parametrize("digits", [15, 30, 60, 120])
+def test_psi_plus_matches_mpmath_on_tanh_sinh_nodes(digits):
+    # w = psi(1+x) + gamma and w' = psi'(1+x) at the rule's precision,
+    # the argument 2 - xc above 1/2, against mpmath 40 digits wider: to
+    # 10^(3-dps), the target of the EM zeta(k) in the series.  Below 1/2
+    # each sum takes at most two terms more than the term-by-term loop
+    # over zeta(k) x^(k-2) that stopped once k |zeta(k) x^(k-2)| < eps
+    ctx = PrecisionContext.for_digits(digits)
+    nodes = _psi_nodes(ctx)
+    assert nodes[0].x < mpf("1e-40") and nodes[-1].xc < mpf("1e-40")
+    assert sum(nd.x <= 0.5 for nd in nodes) >= 10
+    assert sum(nd.x > 0.5 for nd in nodes) >= 10
+    with ctx.working(10):
+        tol = mpf(10) ** (3 - mp.dps)
+        eps = mpf(10) ** -(mp.dps + 4)
+        for nd in nodes:
+            with recording() as rec:
+                w, wp = catalog._psi_plus(nd.x, nd.xc, ctx)
+            with mp.workdps(mp.dps + 40):
+                u = 1 + nd.x if nd.x <= 0.5 else 2 - nd.xc
+                assert abs(w - (mp.psi(0, u) + mp.euler)) <= tol, nd.x
+                assert abs(wp - mp.psi(1, u)) <= tol, nd.x
+            if nd.x <= 0.5:
+                loop = next(k - 1 for k in range(2, 2000)
+                            if k * abs(mp.zeta(k) * nd.x ** (k - 2)) < eps)
+                assert rec["kernel_terms"] <= 2 * (loop + 2), nd.x

@@ -73,19 +73,89 @@ class TestKernels:
 
     @pytest.mark.parametrize("digits", [15, 30, 60])
     def test_gregory_series_stops_on_its_threshold(self, digits):
-        # |G_k e^(k-1)| falls monotonically for |e| <= 1/4, so the series
-        # stops on a small term, never on a floor or the cap; checked
-        # against the direct form 40 digits wider
+        # the Gregory sum takes its term count from a bound at e and
+        # tallies it, never more than two past the term-by-term loop's;
+        # checked against the direct form 40 digits wider
         ctx = PrecisionContext.for_digits(digits)
         with ctx.working():
             for e in ("0.25", "-0.25", "0.01", "-1e-20"):
                 y = 1 + mpf(e)
                 with recording() as rec:
                     v = F.one_over_log_kernel(y)
-                assert dict(rec) == {"stop_small": 1}
+                assert list(rec) == ["kernel_terms"]
+                assert rec["kernel_terms"] <= gregory_loop_terms(mpf(e)) + 2
                 with mp.workdps(mp.dps + 40):
                     ref = 1 / mp.log(y) - 1 / (y - 1)
                 assert abs(v - ref) < mpf(10) ** (2 - mp.dps)
+
+
+def stop_on_small(terms):
+    """How many terms the term-by-term loop the kernels once ran added:
+    up to the first below 10^-(dps+4), that one included."""
+    eps = mpf(10) ** -(mp.dps + 4)
+    return next(n for n, term in enumerate(terms, 1) if abs(term) < eps)
+
+
+def gregory_loop_terms(e):
+    return stop_on_small(mpf(F._gregory(k).numerator) / F._gregory(k)
+                         .denominator * e ** (k - 1) for k in range(1, 500))
+
+
+def binet_loop_terms(t, k_min, d):
+    return stop_on_small(series._bern_coef(k) * (2 * k - 1) ** d
+                         * t ** (2 * k - 1 - d) for k in range(k_min, 500))
+
+
+def kernel_points(ctx):
+    """|t| = 1/4, 1/4 - 1e-4, 1e-3, 1e-30 and the smallest exp-sinh node,
+    each with both signs."""
+    tab = quadrature._get_table("es0inf", ctx.working_digits)
+    ts = [mpf("0.25"), mpf("0.25") - mpf("1e-4"), mpf("1e-3"),
+          mpf("1e-30"), tab.node(0).x]
+    return ts + [-t for t in ts]
+
+
+def direct(f, t):
+    """f(t) 40 digits wider, plus four digits per decade of t below 1 for
+    the direct forms' cancellation."""
+    with mp.workdps(mp.dps + 40 + 4 * max(0, -int(mp.log10(abs(t))))):
+        return f(mpf(t))
+
+
+@pytest.mark.parametrize("digits", [15, 30, 60, 120])
+def test_kernel_series_match_their_direct_forms(digits):
+    # K, K - t/12 and K' - 1/12 to 10^(2-dps) of their own size, so a
+    # caller dividing by t^3 keeps every digit; the Gregory sum at e = t
+    # and at the smallest complement of the tanh-sinh table; each term
+    # count at most two past the term-by-term loop's at the same point
+    ctx = PrecisionContext.for_digits(digits)
+    K = lambda t: 1 / mp.expm1(t) - 1 / t + mpf(1) / 2
+    kernels = (
+        (1, 0, K),
+        (2, 0, lambda t: K(t) - t / 12),
+        (2, 1, lambda t: 1 / t ** 2 - mp.exp(t) / mp.expm1(t) ** 2
+         - mpf(1) / 12),
+    )
+    ts01 = quadrature._get_table("ts01", ctx.working_digits)
+    with ctx.working(10):
+        for t in kernel_points(ctx):
+            for k_min, d, f in kernels:
+                with recording() as rec:
+                    v = F._binet_series(t, k_min, d)
+                ref = direct(f, t)
+                assert abs(v - ref) <= mpf(10) ** (2 - mp.dps) * abs(ref), \
+                    (t, k_min, d)
+                assert rec["kernel_terms"] \
+                    <= binet_loop_terms(t, k_min, d) + 2, (t, k_min, d)
+            with recording() as rec:
+                v = F.one_over_log_kernel(1 + t, -t)
+            ref = direct(lambda e: 1 / mp.log1p(e) - 1 / e, t)
+            assert abs(v - ref) <= mpf(10) ** (2 - mp.dps), t
+            assert rec["kernel_terms"] <= gregory_loop_terms(t) + 2, t
+        yc = ts01.node(len(ts01.nodes) - 1).xc
+        v = F.one_over_log_kernel(1 - yc, yc)
+        assert abs(v - direct(lambda e: 1 / mp.log1p(e) - 1 / e, -yc)) \
+            <= mpf(10) ** (2 - mp.dps)
 
 
 class TestBinetKernelCache:
@@ -627,7 +697,6 @@ def test_non_finite_u_is_rejected_before_any_quadrature(monkeypatch):
         lambda u: F.barnes_g_log(u, ctx=CTX),
         lambda u: F.sin_cos_integrals(u, CTX),
         lambda u: series.psi_asymptotic(u, CTX),
-        lambda u: series.trigamma_asymptotic(u, CTX),
     )
     for call in calls:
         for u in (mp.nan, mp.inf):

@@ -432,14 +432,15 @@ class TestUnitSquare:
         assert idxs == list(range(idxs[0], idxs[-1] + 1, stride))
         assert len(pairs) == (n * (n + 1) // 2 if symmetric else n * n)
         assert r.nodes_used == len(pairs)
+        with localcontext(Context(prec=2 * (dps + 10))):
+            # every row of the full n x n grid in decimal at twice the
+            # rule's digits, each node read to those digits
+            grid = [[Decimal(mp.nstr(v, 2 * (dps + 10))) for v in tab.node(i)]
+                    for i in idxs]
+            flat = sum(sum(f(x, xc, y, yc) * wy for y, yc, wy in grid) * wx
+                       for x, xc, wx in grid)
         with mp.workdps(dps + 10):
-            # every row of the full n x n grid, each an exact dot product
-            flat = mpf(0)
-            grid = [tab.node(i) for i in idxs]
-            for p in grid:
-                row = mp.fdot((f(p.x, p.xc, q.x, q.xc), q.w) for q in grid)
-                flat += row * p.w
-            flat *= (tab.h * stride) ** 2
+            flat = mpf(str(flat)) * (tab.h * stride) ** 2
             assert abs(r.value - flat) < mpf(10) ** -40
 
 

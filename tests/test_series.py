@@ -291,11 +291,6 @@ def test_psi_asymptotic_recurrence():
         assert abs(lhs - rhs) < tol()
 
 
-def test_trigamma_asymptotic_at_one():
-    with CTX.working():
-        assert abs(series.trigamma_asymptotic(1, CTX)
-                   - mp.pi ** 2 / 6) < tol()
-
 
 # ---------------------------------------------------------------------------
 # binomial machinery
