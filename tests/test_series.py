@@ -291,7 +291,6 @@ def test_psi_asymptotic_recurrence():
         assert abs(lhs - rhs) < tol()
 
 
-
 # ---------------------------------------------------------------------------
 # binomial machinery
 # ---------------------------------------------------------------------------
