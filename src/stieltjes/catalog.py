@@ -187,12 +187,12 @@ def _psi_plus(x, xc, ctx):
     With y = min(x, xc) <= 1/2 the terms of Q' from k >= 3 on add up to at
     most 3 (k-1) 2^-k y^(k-2) / (1 - 3/8) <= 4.8 y^-2 k (y/2)^k, which
     bounds Q/z's too; the sums stop at the first k where that is below
-    10^-(dps+4)."""
+    10^-(dps+4).  That k is largest at y = 1/2, so the a_k of
+    series._zeta_row up to y = 1/2's k serve every node."""
     low = x <= mpf(1) / 2
     y = x if low else xc
     k = series._stop_index(y, 3, 4.8, 2, 0.5, d=1)
-    a = series._row("zeta-1", lambda j: series.riemann_zeta_em(j, 0, ctx)
-                    - 1 if j > 1 else mpf(0), k)
+    a = series._zeta_row(series._stop_index(mpf(1) / 2, 3, 4.8, 2, 0.5, d=1))
     da = series._row("zeta-1'", lambda j: (j - 1) * mp.make_mpf(a[j]), k)
     z = -x if low else xc
     q = z * series._horner(a, 2, k - 2, z)

@@ -352,8 +352,16 @@ def barnes_g_log(t, route: str = "integral_6_7",
 
     integral_6_7     t^2/2 (log t - 3/2) + t log(2pi)/2 + zeta'(-1)
                      - int x log(t^2+x^2) /B dx
-    weierstrass_6_5  canonical-product partial sums with zeta-tail closure
+    weierstrass_6_5  (t/2) log 2pi - (gamma t^2 + t^2 + t)/2 + sum_k f(k),
+                     f(x) = x log(1+t/x) + t^2/(2x) - t: the first K terms
+                     directly, the rest by one Euler-Maclaurin closure
+                     (_weierstrass_tail)
     gosper_vardi_6_10  t logGamma(t) + zeta'(-1) - zeta'(-1,t)
+
+    K is max(60, 4t + 40), raised to dps ln 10/(2 pi) from about 134
+    digits on: then e^(-2 pi (K+1)), about the size of the closure's
+    smallest term, lies more than 4 digits below its threshold
+    10^-(dps-2).  The record tallies K as em_direct.
     """
     if route not in BARNES_G_ROUTES:
         raise ValueError("unknown barnes_g route %r" % route)
@@ -361,6 +369,16 @@ def barnes_g_log(t, route: str = "integral_6_7",
         tt = mpf(t)
         if not 0 < tt < mp.inf:
             raise ValueError("barnes_g_log requires finite t > 0")
+        if route == "weierstrass_6_5":
+            g = series.limit_stieltjes_oracle(0, 1, ctx)
+            K = max(60, int(4 * tt) + 40,
+                    math.ceil(mp.dps * math.log(10) / (2 * math.pi)))
+            tally(em_direct=K)
+            acc = (tt / 2 * mp.log(2 * mp.pi)
+                   - (g * tt * tt + tt * tt + tt) / 2)
+            for k in range(1, K + 1):
+                acc += k * mp.log1p(tt / k) + tt * tt / (2 * k) - tt
+            return FunctionValue(+_weierstrass_tail(tt, K + 1, acc), route)
         zp1 = series.riemann_zeta_em(-1, 1, ctx)
         if route == "integral_6_7":
             t2 = tt * tt
@@ -368,23 +386,56 @@ def barnes_g_log(t, route: str = "integral_6_7",
             val = (t2 / 2 * (mp.log(tt) - mpf(3) / 2)
                    + tt * mp.log(2 * mp.pi) / 2 + zp1 - res.value)
             return FunctionValue(+val, route)
-        if route == "gosper_vardi_6_10":
-            lg = log_gamma(tt, "binet2", ctx)
-            zd = hurwitz_zeta_sderiv(1, -1, tt, ctx)
-            return FunctionValue(+(tt * lg.value + zp1 - zd.value), route)
-        # weierstrass_6_5: (t/2) log 2pi - (gamma t^2 + t^2 + t)/2
-        #                  + sum_k [k log(1+t/k) + t^2/(2k) - t]
-        g = series.limit_stieltjes_oracle(0, 1, ctx)
-        K = max(60, int(4 * tt) + 40)
-        acc = tt / 2 * mp.log(2 * mp.pi) - (g * tt * tt + tt * tt + tt) / 2
-        for k in range(1, K + 1):
-            acc += k * mp.log1p(tt / k) + tt * tt / (2 * k) - tt
-        # remaining k > K: sum_m (-1)^(m+1) t^m/m * zeta(m-1, K+1), m >= 3
-        eps = mpf(10) ** (-(mp.dps - 2))
-        terms = ((-1) ** (m + 1) * mp.power(tt, m) / m
-                 * series.em_log_power_tail(m - 1, 0, K, 0, ctx)
-                 for m in range(3, 400))
-        return FunctionValue(+series._sum_terms(terms, acc, eps), route)
+        lg = log_gamma(tt, "binet2", ctx)
+        zd = hurwitz_zeta_sderiv(1, -1, tt, ctx)
+        return FunctionValue(+(tt * lg.value + zp1 - zd.value), route)
+
+
+def _weierstrass_tail(t, a: int, acc):
+    """acc + sum_{k>=a} f(k), f(x) = x log(1+t/x) + t^2/(2x) - t, by one
+    Euler-Maclaurin closure at a: the integral of f over (a, inf),
+
+        -(a^2 - t^2)/2 log(1+t/a) + t a/2 - t^2/4,
+
+    f(a)/2 and the terms -B_2j/(2j)! f^(2j-1)(a).  The first takes
+    f'(a) = log(1+t/a) - t/(a+t) - t^2/(2 a^2); from m = 2 on
+
+        f^(m)(x) = (-1)^m [(m-2)! ((x+t)^(1-m) - x^(1-m))
+                           + t (m-1)! (x+t)^-m + (t^2/2) m! x^(-m-1)],
+
+    so with p = 1/(a+t) and q = 1/a the j-th term is
+
+        B_2j/(2j) [(p^(2j-2) - q^(2j-2))/((2j-1)(2j-2))
+                   + t p^(2j-1)/(2j-1) + t^2 q^2j/2].
+
+    _sum_terms adds them until one is below 10^-(dps-2), out to one past
+    the smallest, near j = pi a, whose size is about e^(-2 pi a); tallies
+    the terms taken as em_terms.
+    """
+    eps = mpf(10) ** (-(mp.dps - 2))
+    L = mp.log1p(t / a)
+    taken = 0
+
+    def terms():
+        nonlocal taken
+        p, q = 1 / (a + t), mpf(1) / a
+        taken = 1
+        yield -(L - t * p - t * t * q * q / 2) / 12
+        p2, q2 = p * p, q * q
+        pw, qw = p2, q2         # p^(2j-2), q^(2j-2)
+        for j in range(2, math.ceil(math.pi * a) + 2):
+            taken = j
+            yield series._bern_mpf(2 * j) / (2 * j) * (
+                (pw - qw) / ((2 * j - 1) * (2 * j - 2))
+                + t * pw * p / (2 * j - 1) + t * t * qw * q2 / 2)
+            pw *= p2
+            qw *= q2
+
+    f_a = a * L + t * t / (2 * a) - t
+    integral = -(a * a - t * t) / 2 * L + t * a / 2 - t * t / 4
+    total = series._sum_terms(terms(), acc + integral + f_a / 2, eps)
+    tally(em_terms=taken)
+    return total
 
 
 # ---------------------------------------------------------------------------

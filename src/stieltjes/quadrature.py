@@ -43,7 +43,7 @@ from decimal import Context, Decimal, localcontext
 from typing import Callable, NamedTuple, Optional
 
 from mpmath import mp, mpf
-from mpmath.libmp import mpf_cosh_sinh
+from mpmath.libmp import fzero, mpf_add, mpf_cosh_sinh
 
 from .precision import (
     DEFAULT_CONTEXT,
@@ -250,25 +250,26 @@ def _stalled(err, tol) -> NonConvergenceError:
         % (mp.nstr(err, 3), mp.nstr(tol, 3)))
 
 
-def _walk(tab: _NodeTable, stride: int, term, eps, reach):
+def _walk(tab: _NodeTable, stride: int, small, reach):
     """Indices of the stride sub-grid from the center outward (the center,
-    the right side, the left) and, per side, the offset of the last term
-    with |term(i)| >= eps.  A side stops after 3 consecutive smaller terms
-    past its offset in reach, a coarser level's: a finer level never stops
-    in a negligible band that the coarse level stepped over to find mass."""
+    the right side, the left) and, per side, the offset of the last index
+    whose term is not small(i).  A side stops after 3 consecutive small
+    terms past its offset in reach, a coarser level's: a finer level never
+    stops in a negligible band that the coarse level stepped over to find
+    mass."""
     mid = tab.n
     idxs = [mid]
     reached = []
     for side, r in zip((1, -1), reach):
-        small = last = 0
+        run = last = 0
         off = stride
-        while off <= mid and (small < 3 or off <= r):
+        while off <= mid and (run < 3 or off <= r):
             i = mid + side * off
             idxs.append(i)
-            if abs(term(i)) < eps:
-                small += 1
+            if small(i):
+                run += 1
             else:
-                small, last = 0, off
+                run, last = 0, off
             off += stride
         reached.append(last)
     return idxs, reached
@@ -276,24 +277,28 @@ def _walk(tab: _NodeTable, stride: int, term, eps, reach):
 
 def _integrate_on_table(feval, tab: _NodeTable, tol, dps):
     """h sum f(x_i) w_i refined over the table, with feval(i) = f(x_i).
-    Each term is computed once and reused by every finer level."""
+    Each term is computed once, kept as its _mpf_ with whether it is below
+    tol 10^-6, and reused by every finer level; a level adds its terms in
+    walk order with libmp's mpf_add, rounding as mpf addition does."""
     terms: dict = {}
     eps_term = tol * mpf(10) ** (-6)
     reach = (0, 0)
 
-    def term(i):
-        t = terms.get(i)
-        if t is None:
-            t = terms[i] = feval(i) * tab.node(i).w
-        return t
+    def rec(i):
+        r = terms.get(i)
+        if r is None:
+            t = feval(i) * tab.node(i).w
+            r = terms[i] = (t._mpf_, abs(t) < eps_term)
+        return r
 
     def level(stride):
         nonlocal reach
-        idxs, reach = _walk(tab, stride, term, eps_term, reach)
-        total = mpf(0)
+        idxs, reach = _walk(tab, stride, lambda i: rec(i)[1], reach)
+        prec, rnd = mp._prec_rounding
+        total = fzero
         for i in idxs:
-            total += term(i)
-        return total * tab.h * stride
+            total = mpf_add(total, rec(i)[0], prec, rnd)
+        return mp.make_mpf(total) * tab.h * stride
 
     val, err, settled = _refine(level, _strides(dps), tol)
     if not settled:
@@ -409,11 +414,12 @@ class _BoseKernelSums:
         # window truncated on the n = 1 mode terms; the 1/(2 pi x) factor
         # of the closing integral term is folded into the test so the
         # small-x tail is not cut prematurely
-        idxs, self.reach = _walk(
-            tab, stride,
-            lambda i: gval(i) * _bose_value(tab, i, True).q
-            * (tab.node(i).w * (1 + 1 / (two_pi * tab.node(i).x))),
-            self.eps_term, self.reach)
+        def small(i):
+            nd = tab.node(i)
+            return abs(gval(i) * _bose_value(tab, i, True).q
+                       * (nd.w * (1 + 1 / (two_pi * nd.x)))) < self.eps_term
+
+        idxs, self.reach = _walk(tab, stride, small, self.reach)
         idxs.sort()
         hs = tab.h * stride
         nodes = [tab.node(i) for i in idxs]

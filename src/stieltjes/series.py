@@ -17,7 +17,11 @@ derivative recursion in _em_terms, closed by _em_tail.  How many terms to
 add directly before closing, and how many Euler-Maclaurin terms to take,
 is decided in one place, _em_plan, from a rigorous bound on the remainder
 (_em_bound) and the accuracy the caller aims at; a bound that cannot be
-met raises PrecisionExhaustedError.
+met raises PrecisionExhaustedError.  _zeta_row, the whole row
+zeta(k) - 1 that catalog entry I-9.5b reads, shares one such plan's
+direct terms between every k and closes each k with _em_bound's bound in
+closed form.  (The Weierstrass product of Barnes G, whose terms are not
+log powers, has its own closure in the functions module.)
 
 Both binomial transforms, Hasse's series and the alternating-zeta
 moments, are sum_{i<=D} c_i Delta^i v(0): _binomial_sums swaps the two
@@ -43,7 +47,7 @@ import math
 from fractions import Fraction
 
 from mpmath import mp, mpf
-from mpmath.libmp import mpf_add, mpf_mul
+from mpmath.libmp import fone, fzero, from_int, mpf_add, mpf_div, mpf_mul
 
 from .precision import (
     DEFAULT_CONTEXT,
@@ -327,7 +331,10 @@ def _em_tail(s, r: int, w, acc, eps):
     n, M = _em_plan(s, r, w, eps)
     tally(em_direct=n, em_terms=M)
     for k in range(1, n + 1):
-        acc += mp.log(w + k) ** r * mp.power(w + k, -s)
+        if r:
+            acc += mp.log(w + k) ** r * mp.power(w + k, -s)
+        else:
+            acc += mp.power(w + k, -s)
     w0 = w + n
     A = mp.log(w0)
     a = s - 1
@@ -357,6 +364,80 @@ def riemann_zeta_em(s, r: int = 0, ctx: PrecisionContext = DEFAULT_CONTEXT):
             raise ValueError("pole at s = 1")
         eps = mpf(10) ** (-(mp.dps - 3))
         return (-1) ** r * _em_tail(s, r, mpf(1), mpf(r == 0), eps)
+
+
+def _zeta_row(n: int) -> list:
+    """The row zeta(k) - 1 = sum_{m>=2} m^-k, k < n (0 at k = 0 and 1),
+    as _mpf_ tuples at mp.prec, each within 10^-(dps+4) before its one
+    rounding: kept in _ROWS under "zeta-1", and built whole again for a
+    longer n.
+
+    One Euler-Maclaurin plan serves the row, at dps + 10 with
+    eps = 10^-(dps+4): N, the direct terms _em_plan(2, 0, 1, eps/2) asks
+    for at s = 2.  The direct block steps each m^-k, m = 2 .. N+1, by one
+    product per k, and drops it from the first k where it is below
+    eps/(2N), so the dropped terms of any k add up to less than eps/2.
+    Each k is closed at w0 = N+1 from the shared powers w0^-i: the
+    integral w0^(1-k)/(k-1), -w0^-k/2 and the terms
+    B_2j/(2j)! (k)_(2j-1) w0^(-k-2j+1), j = 1 .. M_k, with M_k the fewest
+    whose remainder bound is at most eps/2.  For r = 0 _em_bound's bound
+    is |B_2M|/(2M)! Gamma(k+2M-1)/Gamma(k) w0^-(k+2M-1), so the one at
+    s = k is the plan's at s = 2 times
+
+        Gamma(k+2M-1) / (Gamma(k) (2M)!) w0^(2-k).
+
+    A k whose whole tail, below w0^(1-k)/(k-1), is that small takes no
+    closure.  Tallies em_direct N and em_terms, the M_k added up.
+    """
+    key = ("zeta-1", mp.prec)
+    row = _ROWS.get(key)
+    if row is not None and len(row) >= n:
+        return row
+    dps = mp.dps
+    with mp.workdps(dps + 10):
+        log_eps = -(dps + 4) * math.log(10) - math.log(2)     # of eps/2
+        N = _em_plan(2, 0, 1, mpf(10) ** -(dps + 4) / 2)[0]
+        prec, rnd = mp._prec_rounding
+        acc = [fzero] * n
+        drop = (log_eps - math.log(N)) / math.log(2)
+        for m in range(2, N + 2):
+            p = mpf_div(fone, from_int(m), prec, rnd)
+            pk = p
+            for k in range(2, n):
+                pk = mpf_mul(pk, p, prec, rnd)
+                if pk[2] + pk[3] <= drop:     # |pk| < 2^(exp + bc)
+                    break
+                acc[k] = mpf_add(acc[k], pk, prec, rnd)
+        w0 = N + 1
+        lw = math.log(w0)
+        m_max = mp.dps // 2
+        log_bound = _em_bound(2, 0, m_max)
+        winv = 1 / mpf(w0)
+        W = [mpf(1)]                            # W[i] = w0^-i
+        vals = [mpf(0)] * 2
+        terms = 0
+        for k in range(2, n):
+            v = mp.make_mpf(acc[k])
+            if (1 - k) * lw - math.log(k - 1) > log_eps:
+                M = next((M for M in range(1, m_max + 1)
+                          if log_bound(M, w0) + math.lgamma(k + 2 * M - 1)
+                          - math.lgamma(k) - math.lgamma(2 * M + 1)
+                          - (k - 2) * lw <= log_eps), None)
+                if M is None:
+                    raise PrecisionExhaustedError(
+                        "Euler-Maclaurin bound misses zeta(%d) - 1" % k)
+                while len(W) < k + 2 * M:
+                    W.append(W[-1] * winv)
+                v += W[k - 1] / (k - 1) - W[k] / 2
+                rising = k                      # (k)_(2j-1)
+                for j in range(1, M + 1):
+                    v += _bern_coef(j) * rising * W[k + 2 * j - 1]
+                    rising *= (k + 2 * j - 1) * (k + 2 * j)
+                terms += M
+            vals.append(v)
+        tally(em_direct=N, em_terms=terms)
+    row = _ROWS[key] = [(+v)._mpf_ for v in vals]
+    return row
 
 
 def em_log_power_tail(s, r: int, N: int, u=0,

@@ -122,12 +122,12 @@ SHARED_ENGINE = {
     "I-4.22a": "the inversion's rhs feeds the oracle's gamma_0 back in",
     "I-4.22b": "the inversion's rhs feeds the oracle's gamma_0..1 back in",
     "I-4.22c": "the inversion's rhs feeds the oracle's gamma_0..2 back in",
-    "I-6.10a": "the product closes with oracle gamma and EM zeta tails; "
-               "the rhs takes zeta'(-1) from EM zeta",
-    "I-6.10b": "the product closes with oracle gamma and EM zeta tails; "
-               "the rhs takes zeta'(-1) from EM zeta",
-    "I-6.11.1": "the product closes with oracle gamma and EM zeta tails; "
-                "the rhs takes zeta'(-1) from EM zeta",
+    "I-6.10a": "the product takes oracle gamma and one Euler-Maclaurin "
+               "closure; the rhs takes zeta'(-1) from EM zeta",
+    "I-6.10b": "the product takes oracle gamma and one Euler-Maclaurin "
+               "closure; the rhs takes zeta'(-1) from EM zeta",
+    "I-6.11.1": "the product takes oracle gamma and one Euler-Maclaurin "
+                "closure; the rhs takes zeta'(-1) from EM zeta",
     "I-7.2": "EM zeta against the EM oracle, nothing else on either side",
     "I-8.6": "the lhs closes with EM tails; the rhs is EM zeta and oracle "
              "gamma",

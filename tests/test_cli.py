@@ -119,17 +119,16 @@ class TestCompute:
         for v in diag.values():
             assert type(v) in (int, float), diag
 
-    def test_weierstrass_barnes_g_is_right_or_refuses(self, capsys):
-        # its zeta tails start Euler-Maclaurin at K = 60 whatever the digits
-        code, out, _ = run(capsys, [
+    def test_weierstrass_barnes_g_is_right_at_120_digits(self, capsys):
+        # one Euler-Maclaurin closure of the product's tail at K = 60
+        code, out, err = run(capsys, [
             "compute", "barnes_g", "--route", "weierstrass_6_5", "--t",
             "0.37", "--digits", "120", "--format", "json"])
-        assert code in (0, 3)
-        if code == 0:
-            with mp.workdps(150):
-                ref = mp.log(mp.barnesg(1 + mpf("0.37")))
-                err = abs(mpf(json.loads(out)["value"]) - ref)
-                assert err <= mpf(10) ** -115 * abs(ref)
+        assert code == 0, err
+        with mp.workdps(150):
+            ref = mp.log(mp.barnesg(1 + mpf("0.37")))
+            err = abs(mpf(json.loads(out)["value"]) - ref)
+            assert err <= mpf(10) ** -115 * abs(ref)
 
     def test_unknown_method_maps_to_exit_2(self, capsys):
         code, _, err = run(capsys, [

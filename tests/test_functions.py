@@ -530,23 +530,30 @@ class TestBarnesG:
             assert abs(vals[0] - vals[1]) < TOL
             assert abs(vals[0] - vals[2]) < TOL
 
-    def test_weierstrass_diagnostics(self, monkeypatch):
-        # K = max(60, 4t + 40) product terms, then one zeta tail from K for
-        # each of m = 3 .. 37, the first term below 10^-(dps-2) included
-        calls = []
-        em_tail = series.em_log_power_tail
+    def test_weierstrass_diagnostics(self):
+        # K = max(60, 4t + 40) product terms, then one Euler-Maclaurin
+        # closure whose terms fall below 10^-(dps-2); with gamma from the
+        # oracle cache the record holds nothing else
+        series.limit_stieltjes_oracle(0, 1, CTX)
+        for t, terms in (("1.5", 21), ("0.25", 20)):
+            with recording() as rec:
+                F.barnes_g_log(mpf(t), "weierstrass_6_5", CTX)
+            assert rec == {"em_cache_hits": 1, "em_direct": 60,
+                           "em_terms": terms, "stop_small": 1}, t
 
-        def spy(s, r, N, u, ctx):
-            calls.append((s, N))
-            return em_tail(s, r, N, u, ctx)
-        monkeypatch.setattr(series, "em_log_power_tail", spy)
-        with recording() as rec:
-            F.barnes_g_log(mpf("1.5"), "weierstrass_6_5", CTX)
-        assert calls == [(m - 1, 60) for m in range(3, 38)]
-        assert rec["stop_small"] == 1 and "stop_floor" not in rec
-        calls.clear()
-        F.barnes_g_log(mpf("0.25"), "weierstrass_6_5", CTX)
-        assert calls == [(m - 1, 60) for m in range(3, 26)]
+    @pytest.mark.parametrize("digits, K_min", [(15, 0), (60, 0), (200, 85)])
+    def test_weierstrass_matches_mpmath(self, digits, K_min):
+        # K = max(60, 4t + 40) until, from 134 digits on, the digits raise
+        # it to K_min = dps ln 10/(2 pi)
+        ctx = PrecisionContext.for_digits(digits)
+        for t, K in (("0.01", 60), ("0.25", 60), ("4", 60), ("30", 160)):
+            with recording() as rec:
+                v = F.barnes_g_log(t, "weierstrass_6_5", ctx).value
+            assert rec["em_direct"] == max(K, K_min), t
+            assert rec["stop_small"] == 1 and "stop_floor" not in rec, t
+            with mp.workdps(digits + 40):
+                ref = mp.log(mp.barnesg(1 + mpf(t)))
+                assert abs(v - ref) <= mpf(10) ** -(digits + 10) * abs(ref), t
 
     def test_gamma_recurrence(self):
         # G(2+t) = Gamma(1+t) G(1+t)

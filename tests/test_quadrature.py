@@ -457,7 +457,8 @@ def test_walk_counts_small_terms_only_past_the_coarser_reach():
             return 100 * mp.exp(-100 * tab.node(i).x) * tab.node(i).w
 
         def level(stride, reach):
-            idxs, reach = _walk(tab, stride, term, eps, reach)
+            idxs, reach = _walk(tab, stride, lambda i: abs(term(i)) < eps,
+                                reach)
             return sum(term(i) for i in idxs) * tab.h * stride, reach
 
         coarse, reach = level(16, (0, 0))

@@ -251,6 +251,24 @@ class TestLogPowerTails:
             series.em_log_power_tail(2, 1, 0, 0, CTX)
 
 
+@pytest.mark.parametrize("digits", [15, 30, 60, 120])
+def test_zeta_row_matches_mpmath(digits):
+    # every k of the row I-9.5b's psi reads, at the precision it reads it:
+    # within 10^-(dps+4) before the one rounding, which adds at most
+    # |zeta(k) - 1| 2^-prec
+    ctx = PrecisionContext.for_digits(digits)
+    with ctx.working(10):
+        n = series._stop_index(mpf(1) / 2, 3, 4.8, 2, 0.5, d=1)
+        row = series._zeta_row(n)
+        assert len(row) >= n and row[:2] == [mpf(0)._mpf_] * 2
+        dps, prec = mp.dps, mp.prec
+        with mp.workdps(dps + 40):
+            for k in range(2, len(row)):
+                ref = mp.zeta(k) - 1
+                assert abs(mp.make_mpf(row[k]) - ref) <= (
+                    mpf(10) ** -(dps + 4) + abs(ref) * mpf(2) ** -prec), k
+
+
 @pytest.mark.parametrize("s", ["1", "1.5", "3"])
 def test_em_bound_covers_the_remainder(s):
     # remainder of sum_{k>=0} g(w0+k) after M terms, g = log^r(x) x^-s;
