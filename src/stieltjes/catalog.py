@@ -21,7 +21,8 @@ from typing import Callable, Optional
 
 from mpmath import mp, mpf
 
-from .precision import DEFAULT_CONTEXT, PrecisionContext, recording
+from .precision import (DEFAULT_CONTEXT, PrecisionContext, expm1, log1p,
+                        recording)
 from . import series
 from . import functions as F
 from .quadrature import (
@@ -173,12 +174,12 @@ def _binet_kernel_tail(t):
     """K(t) - t/12 = sum_{k>=2} B_2k t^(2k-1)/(2k)!: the series below
     |t| = 1/4, binet_kernel's own seam, where t/12 would cancel K."""
     x = mpf(t)
-    if abs(x) > mpf(1) / 4:
+    if abs(x) > F._SEAM:
         return F.binet_kernel(t) - x / 12
     return F._binet_series(x, 2)
 
 
-def _psi_plus(x, xc, ctx):
+def _psi_plus(x, xc):
     """w = psi(1+x) + gamma and w' = psi'(1+x), x + xc = 1, from one series
     in a_k = zeta(k) - 1 <= 3 2^-k about whichever of 1 and 2 is nearer:
     with Q(z) = sum_{k>=2} a_k z^(k-1),
@@ -384,7 +385,7 @@ def register_builtin_entries() -> None:
                     "(1-e^-t)/t^2 equals exactly 1/4.",
         paper_anchor="I-2.20",
         lhs=lambda ctx: exp_sinh_0inf(
-            lambda t: -mp.expm1(-t) / (t * t) * F.binet_kernel(t), ctx).value,
+            lambda t: -expm1(-t) / (t * t) * F.binet_kernel(t), ctx).value,
         rhs=lambda ctx: mpf(1) / 4,
         lhs_route="exp_sinh_quadrature", rhs_route="exact_rational",
         tags=Q))
@@ -397,7 +398,7 @@ def register_builtin_entries() -> None:
 
         def rhs_223(ctx, yv=yv):
             y = mpf(yv)
-            return 1 / (y * y) - mp.exp(y) / mp.expm1(y) ** 2
+            return 1 / (y * y) - mp.exp(y) / expm1(y) ** 2
 
         register(E(
             id="I-2.23" + tag,
@@ -418,7 +419,7 @@ def register_builtin_entries() -> None:
                     "e^-y/y; the +1/12 regularization is required for "
                     "convergence and is restored here.",
         paper_anchor="I-2.25",
-        lhs=lambda ctx: _bose(lambda x: x * mp.log1p(x * x), ctx),
+        lhs=lambda ctx: _bose(lambda x: x * log1p(x * x), ctx),
         rhs=lambda ctx: integrate_laplace(
             lambda y: F.exp_square_kernel(y) / y, mpf(1), ctx).value,
         lhs_route="bose_quadrature", rhs_route="laplace_quadrature",
@@ -466,7 +467,7 @@ def register_builtin_entries() -> None:
         description="x log(1+x^2) Bose moment equals "
                     "zeta'(-1) - 3/4 + log(2 pi)/2.",
         paper_anchor="I-3.6",
-        lhs=lambda ctx: _bose(lambda x: x * mp.log1p(x * x), ctx),
+        lhs=lambda ctx: _bose(lambda x: x * log1p(x * x), ctx),
         rhs=lambda ctx: _zeta(-1, ctx, 1) - mpf(3) / 4
         + mp.log(2 * mp.pi) / 2,
         lhs_route="bose_quadrature", rhs_route="em_zeta",
@@ -697,7 +698,7 @@ def register_builtin_entries() -> None:
                     "s-derivative of zeta at 0 (t = 1 point).",
         paper_anchor="I-5.3",
         lhs=lambda ctx: _bose(
-            lambda x: mp.log1p(x * x) * mp.atan(x), ctx),
+            lambda x: log1p(x * x) * mp.atan(x), ctx),
         rhs=rhs_53,
         lhs_route="bose_quadrature", rhs_route="em_oracle",
         tags=Q))
@@ -710,7 +711,7 @@ def register_builtin_entries() -> None:
             main = ((t * t - t) / 2 * lt - t * t / 4 + t / 2
                     - t * t / 2 + t / 2 * mp.log(2 * mp.pi))
             intg = exp_sinh_0inf(
-                lambda y: F.binet_kernel(y) * (-mp.expm1(-t * y)) / (y * y),
+                lambda y: F.binet_kernel(y) * (-expm1(-t * y)) / (y * y),
                 ctx).value
             return main + intg
 
@@ -778,7 +779,7 @@ def register_builtin_entries() -> None:
         def g(x):
             at = mp.atan2(1, x)
             return (mp.atan(x) / 2 - x / 2 + x * x / 2 * at
-                    + x / 2 * mp.log1p(x * x))
+                    + x / 2 * log1p(x * x))
         return mpf(-1) / 72 + 2 * _bose(g, ctx)
 
     def rhs_614(ctx):
@@ -1007,7 +1008,7 @@ def register_builtin_entries() -> None:
 
     def lhs_94a(ctx):
         def node(x, xc):
-            la = mp.log1p(-xc)
+            la = log1p(-xc)
             return xc, la, la + xc, F.one_over_log_kernel(x, xc)
 
         def pair(p, q):
@@ -1039,7 +1040,7 @@ def register_builtin_entries() -> None:
 
     def lhs_95a(ctx):
         def node(x, xc):
-            return xc, mp.log1p(-xc)
+            return xc, log1p(-xc)
 
         def pair(p, q):
             (xc, lx), (yc, ly) = p, q
@@ -1070,7 +1071,7 @@ def register_builtin_entries() -> None:
         g0sq = g0 * g0
 
         def f(x, xc):
-            w, wp = _psi_plus(x, xc, ctx)
+            w, wp = _psi_plus(x, xc)
             return wp - w * w + 2 * w / x + g0sq
         return tanh_sinh_01(f, ctx).value
 

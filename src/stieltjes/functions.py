@@ -16,11 +16,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath import mp, mpf
-from mpmath.libmp import from_man_exp, to_man_exp
+from mpmath.libmp import (fhalf, fone, from_man_exp, mpf_add, mpf_cos_sin,
+                          mpf_div, mpf_sub, to_man_exp)
 
 from .precision import (
     DEFAULT_CONTEXT,
     PrecisionContext,
+    expm1,
+    log1p,
     tally,
 )
 from . import series
@@ -45,24 +48,32 @@ class FunctionValue:
 
 _BINET: dict = {}      # mp.prec -> {t: K(t) as man << 32 | exp + 2^31}
 
+#: Where the kernels switch from their series to the direct form.
+_SEAM = mpf(1) / 4
+
 
 def binet_kernel(t):
     """K(t) = 1/(e^t - 1) - 1/t + 1/2 = sum_{k>=1} B_2k t^(2k-1)/(2k)!.
 
-    Series below |t| = 1/4, direct expm1 arithmetic above.  K(t)/t extends
-    to 1/12 at t = 0.  Values are kept per mp.prec, keyed by t: callers
-    pass exp-sinh nodes, so integrands reading a node share one evaluation.
-    kernel_values_built tallies evaluations; a kept value tallies nothing,
-    its series' kernel_terms included.  Each is kept as one int, mantissa
-    over biased exponent: a third of the bytes of its _mpf_ tuple.
+    Series below |t| = 1/4 (_SEAM), direct expm1 arithmetic above, its
+    divisions and sums in libmp as mpf arithmetic rounds them.  K(t)/t
+    extends to 1/12 at t = 0.  Values are kept per mp.prec, keyed by t:
+    callers pass exp-sinh nodes, so integrands reading a node share one
+    evaluation.  kernel_values_built tallies evaluations; a kept value
+    tallies nothing, its series' kernel_terms included.  Each is kept as
+    one int, mantissa over biased exponent: a third of the bytes of its
+    _mpf_ tuple.
     """
     vals = _BINET.setdefault(mp.prec, {})
     k = vals.get(t)
     if k is not None:
         return mp.make_mpf(from_man_exp(k >> 32, (k & 0xFFFFFFFF) - 2**31))
     x = mpf(t)
-    if abs(x) > mpf(1) / 4:
-        k = 1 / mp.expm1(x) - 1 / x + mpf(1) / 2
+    if abs(x) > _SEAM:
+        prec, rnd = mp._prec_rounding
+        k = mp.make_mpf(mpf_add(mpf_sub(
+            mpf_div(fone, expm1(x)._mpf_, prec, rnd),
+            mpf_div(fone, x._mpf_, prec, rnd), prec, rnd), fhalf, prec, rnd))
     else:
         k = _binet_series(x, 1)
     man, exp = to_man_exp(k._mpf_)
@@ -91,24 +102,29 @@ def exp_square_kernel(y):
     """e^y/(e^y-1)^2 - 1/y^2 + 1/12 = -K'(y) + 1/12, K = binet_kernel: by
     K's series below |y| = 1/4, direct above; leading term y^2/240."""
     y = mpf(y)
-    if abs(y) > mpf(1) / 4:
-        em = mp.expm1(y)
+    if abs(y) > _SEAM:
+        em = expm1(y)
         return mp.exp(y) / (em * em) - 1 / (y * y) + mpf(1) / 12
     return -_binet_series(y, 2, 1)
 
 
 _GREGORY: list[Fraction] = [Fraction(1)]
+_STIRLING: list[int] = [1]      # s(m, k), k = 0 .. m, m = len(_GREGORY) - 1
 
 
 def _gregory(n: int) -> Fraction:
     """Coefficient G_n of e/log(1+e), exact: G_0=1, G_1=1/2, G_2=-1/12,
-    ...; built once."""
+    ...; built once.  G_m = int_0^1 x(x-1)...(x-m+1) dx / m!
+    = sum_k s(m,k)/(k+1) / m!, s the signed Stirling numbers of the first
+    kind, s(m,k) = s(m-1,k-1) - (m-1) s(m-1,k): one Fraction per m."""
     while len(_GREGORY) <= n:
         m = len(_GREGORY)
-        acc = Fraction(0)
-        for k in range(m):
-            acc += _GREGORY[k] * Fraction((-1) ** (m - k), m - k + 1)
-        _GREGORY.append(-acc)
+        _STIRLING[:] = [a - (m - 1) * b
+                        for a, b in zip([0] + _STIRLING, _STIRLING + [0])]
+        d = math.lcm(*range(1, m + 2))
+        _GREGORY.append(Fraction(
+            sum(c * (d // (k + 1)) for k, c in enumerate(_STIRLING)),
+            d * math.factorial(m)))
     return _GREGORY[n]
 
 
@@ -124,7 +140,7 @@ def one_over_log_kernel(y, yc=None):
         e = -mpf(yc)
     else:
         e = mpf(y) - 1
-    if abs(e) > mpf(1) / 4:
+    if abs(e) > _SEAM:
         y = 1 + e
         return 1 / mp.log(y) - 1 / e
     # |G_k| = int_0^inf dx/((1+x)^k (pi^2 + log^2 x)) <= 1/(pi^2 (k-1)),
@@ -292,7 +308,8 @@ def _hermite(m: int, s, u, ctx: PrecisionContext):
     R = (u^2+x^2)^(-s/2), P + iQ = (L + i theta)^m, L = log(u^2+x^2)/2,
     theta = atan2(x, u); the main term's m-th derivative is one Leibniz
     sum.  Valid on the analytic continuation: the integral converges for
-    every real s.
+    every real s.  cos(s theta) and sin(s theta) come from one libmp
+    mpf_cos_sin, the routine behind mp.cos and mp.sin, so bit for bit.
     """
     with ctx.working(10):
         s = mpf(s)
@@ -302,17 +319,19 @@ def _hermite(m: int, s, u, ctx: PrecisionContext):
         if s == 1:
             raise ValueError("pole at s = 1")
         u2 = uu * uu
+        prec, rnd = mp._prec_rounding
 
         def g(x):
             r2 = u2 + x * x
             th = mp.atan2(x, uu)
-            v = mp.sin(s * th)
+            cos, v = map(mp.make_mpf,
+                         mpf_cos_sin((s * th)._mpf_, prec, rnd))
             if m:
                 L = mp.log(r2) / 2
                 p, q = L, th
                 for _ in range(m - 1):
                     p, q = p * L - q * th, p * th + q * L
-                c = q * mp.cos(s * th)
+                c = q * cos
                 v = c - p * v if m % 2 else p * v - c
             return mp.power(r2, -s / 2) * v
 
@@ -377,7 +396,7 @@ def barnes_g_log(t, route: str = "integral_6_7",
             acc = (tt / 2 * mp.log(2 * mp.pi)
                    - (g * tt * tt + tt * tt + tt) / 2)
             for k in range(1, K + 1):
-                acc += k * mp.log1p(tt / k) + tt * tt / (2 * k) - tt
+                acc += k * log1p(tt / k) + tt * tt / (2 * k) - tt
             return FunctionValue(+_weierstrass_tail(tt, K + 1, acc), route)
         zp1 = series.riemann_zeta_em(-1, 1, ctx)
         if route == "integral_6_7":
@@ -413,7 +432,7 @@ def _weierstrass_tail(t, a: int, acc):
     the terms taken as em_terms.
     """
     eps = mpf(10) ** (-(mp.dps - 2))
-    L = mp.log1p(t / a)
+    L = log1p(t / a)
     taken = 0
 
     def terms():
@@ -557,6 +576,6 @@ def polylog_bose(s, ctx: PrecisionContext = DEFAULT_CONTEXT):
     with ctx.working(10):
         s = mpf(s)
         eps = mpf(10) ** (-(mp.dps + 2))
-        terms = (1 / (mp.power(n, s) * mp.expm1(2 * mp.pi * n))
+        terms = (1 / (mp.power(n, s) * expm1(2 * mp.pi * n))
                  for n in range(1, 2000))
         return +series._sum_terms(terms, mpf(0), eps)

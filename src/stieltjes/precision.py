@@ -18,6 +18,10 @@ ambient ``mp.dps`` happens to be.
 How a value was produced is kept in one provenance record: ``recording()``
 opens a flat dict of numbers, and the engines ``tally`` their counts into
 it at their exits.  With no record open a tally does nothing.
+
+expm1 and log1p are mpmath's own, bit for bit, at the working precision,
+computed in libmp (mpmath's low-level layer): without mpmath's wrappers,
+and for expm1 its sum_accurately loop, they take about half the time.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 
 from mpmath import mp, mpf
+from mpmath.libmp import fnone, fone, mpf_add, mpf_exp, mpf_log, mpf_pos
 
 
 class PrecisionExhaustedError(Exception):
@@ -143,3 +148,34 @@ def tally(**counts) -> None:
 def engines(record) -> set:
     """The ENGINES that tallied into a record."""
     return {e for e in ENGINES if any(k.startswith(e + "_") for k in record)}
+
+
+def expm1(x: mpf) -> mpf:
+    """mp.expm1(x) for an mpf x, bit for bit.  As mpmath 1.3 does it:
+    exp(x) at prec + 25 bits, minus 1 at that precision, rounded once to
+    prec.  Where that cancels 10 bits or more, for |x| < 2^-(prec+10) and
+    for 0, inf and nan, mp.expm1 itself."""
+    prec, rnd = mp._prec_rounding
+    v = x._mpf_
+    if v[1] and v[2] + v[3] >= -(prec + 10):
+        wp = prec + 25
+        e = mpf_exp(v, wp, rnd)
+        s = mpf_add(e, fnone, wp, rnd)
+        if s[1] and max(e[2] + e[3], 1) - (s[2] + s[3]) < 10:
+            return mp.make_mpf(mpf_pos(s, prec, rnd))
+    return mp.expm1(x)
+
+
+def log1p(x: mpf) -> mpf:
+    """mp.log1p(x) for an mpf x, bit for bit.  As mpmath 1.3 does it: log
+    at prec + 10 bits of 1 + x formed at twice that, rounded once to prec.
+    For |x| < 2^-(prec+10), x <= -1 and 0, inf and nan, mp.log1p
+    itself."""
+    prec, rnd = mp._prec_rounding
+    v = x._mpf_
+    wp = prec + 10
+    if v[1] and v[2] + v[3] >= -wp:
+        y = mpf_add(fone, v, 2 * wp, rnd)
+        if y[1] and not y[0]:
+            return mp.make_mpf(mpf_pos(mpf_log(y, wp, rnd), prec, rnd))
+    return mp.log1p(x)

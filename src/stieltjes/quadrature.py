@@ -24,6 +24,13 @@ The rules take plain callables: f(x) on (0,inf) and f(x, 1 - x) on
 (0,1), the exact complement keeping f accurate next to 1.  The unit-square
 rule builds node records in mpf and sums their pairs in C decimal.
 
+The per-node steps of the 1-D rules run in libmp, mpmath's low-level
+layer, on _mpf_ tuples: the nodes (_build_table), each term f(x_i) w_i
+with its smallness flag, the Bose division by expm1(2 pi x) and the
+Laplace factor e^(-u t).  Each is the operation mpf arithmetic would do,
+at the same precision and rounding and in the same order, so every value
+is bit for bit the one mpf arithmetic gives, without its wrappers' cost.
+
 The Bose-weight integrator sums g(x)/(e^(2 pi x) - 1) directly through
 the kernel.  Its kernel route, kept as the tests' reference, sums a mode
 expansion sum_n e^(-2 pi n x) whose tail over the mode index is closed by
@@ -43,12 +50,15 @@ from decimal import Context, Decimal, localcontext
 from typing import Callable, NamedTuple, Optional
 
 from mpmath import mp, mpf
-from mpmath.libmp import fzero, mpf_add, mpf_cosh_sinh
+from mpmath.libmp import (dps_to_prec, fone, fzero, mpf_abs, mpf_add,
+                          mpf_cosh_sinh, mpf_div, mpf_exp, mpf_lt, mpf_mul,
+                          mpf_mul_int, mpf_neg, round_nearest)
 
 from .precision import (
     DEFAULT_CONTEXT,
     NonConvergenceError,
     PrecisionContext,
+    expm1,
     tally,
 )
 from .series import _bern_coef, _sum_terms
@@ -107,10 +117,11 @@ class _NodeTable:
     dps: int
     h: mpf                      # finest step
     n: int                      # index of t = 0: floor(t_max / h)
-    c: mpf                      # pi (ts01) or pi/2 (es0inf), dps + 10
+    prec: int                   # bits of dps + 10, the nodes' precision
+    c: tuple                    # _mpf_ of pi (ts01) or pi/2 (es0inf)
     nodes: list                 # _Node by index, None until first read
     built: int = 0
-    qs: Optional[dict] = None   # expm1(2 pi x) by node index, built lazily
+    qs: Optional[dict] = None   # expm1(2 pi x)'s _mpf_ by node index
     modes: Optional[dict] = None    # _BoseModes by node index, likewise
 
     def node(self, i: int) -> _Node:
@@ -133,20 +144,31 @@ def _finest_level(dps: int) -> int:
 
 
 def _build_table(tab: _NodeTable, i: int) -> _Node:
-    """Build node i of tab at the table's dps + 10 and store it."""
-    with mp.workdps(tab.dps + 10):
-        t = (i - tab.n) * tab.h
-        ch, sh = map(mp.make_mpf, mpf_cosh_sinh(t._mpf_, *mp._prec_rounding))
-        if tab.kind == "ts01":
-            e = mp.exp(-tab.c * sh)
-            x = 1 / (1 + e)
-            xc = e / (1 + e)
-            w = tab.c * ch * x * xc
-        else:
-            x = mp.exp(tab.c * sh)
-            xc = None
-            w = tab.c * ch * x
-        node = tab.nodes[i] = _Node(x, xc, w)
+    """Build node i of tab and store it: in libmp at the table's dps + 10,
+    each step of the mpf formulas
+
+      ts01:   e = e^(-c sinh t), x = 1/(1 + e), 1 - x = e/(1 + e),
+              w = c cosh t x (1 - x),
+      es0inf: x = e^(c sinh t), w = c cosh t x,
+
+    in their order and rounded as mpf arithmetic rounds it, whatever the
+    ambient precision."""
+    prec, c, rnd = tab.prec, tab.c, round_nearest
+    t = mpf_mul_int(tab.h._mpf_, i - tab.n, prec, rnd)
+    ch, sh = mpf_cosh_sinh(t, prec, rnd)
+    cch = mpf_mul(c, ch, prec, rnd)
+    if tab.kind == "ts01":
+        e = mpf_exp(mpf_mul(mpf_neg(c), sh, prec, rnd), prec, rnd)
+        d = mpf_add(fone, e, prec, rnd)
+        x = mpf_div(fone, d, prec, rnd)
+        xc = mpf_div(e, d, prec, rnd)
+        w = mpf_mul(mpf_mul(cch, x, prec, rnd), xc, prec, rnd)
+        xc = mp.make_mpf(xc)
+    else:
+        x = mpf_exp(mpf_mul(c, sh, prec, rnd), prec, rnd)
+        xc = None
+        w = mpf_mul(cch, x, prec, rnd)
+    node = tab.nodes[i] = _Node(mp.make_mpf(x), xc, mp.make_mpf(w))
     tab.built += 1
     return node
 
@@ -165,8 +187,9 @@ def _get_table(kind: str, dps: int) -> _NodeTable:
                             mp.asinh(2 * mp.ln10 * (dps + 10) / mp.pi))
                 c = mp.pi / 2
             n = int(mp.floor(t_max / h))
-        tab = _TABLES[key] = _NodeTable(kind=kind, dps=dps, h=h, n=n, c=c,
-                                        nodes=[None] * (2 * n + 1))
+        tab = _TABLES[key] = _NodeTable(
+            kind=kind, dps=dps, h=h, n=n, prec=dps_to_prec(dps + 10),
+            c=c._mpf_, nodes=[None] * (2 * n + 1))
     return tab
 
 
@@ -181,8 +204,9 @@ class _BoseModes(NamedTuple):
 
 def _bose_qs(tab: _NodeTable, i: int, modes: bool = False):
     """Build node i's expm1(2 pi x), all the direct route reads, into
-    tab.qs or, with modes, its _BoseModes for N = max(20, int(0.8 dps))
-    modes into tab.modes, at the table's dps + 10; tally bose_records_built.
+    tab.qs as its _mpf_ or, with modes, its _BoseModes for
+    N = max(20, int(0.8 dps)) modes into tab.modes, at the table's
+    dps + 10; tally bose_records_built.
 
     The mode sum is split in binary: G(m) = 1 + q + ... + q^(m-1) and
     P(m) = q^m double as G(2m) = G(m)(1 + P(m)), P(2m) = P(m)^2 and step
@@ -197,7 +221,7 @@ def _bose_qs(tab: _NodeTable, i: int, modes: bool = False):
     with mp.workdps(tab.dps + 10):
         y = 2 * mp.pi * tab.node(i).x
         if not modes:
-            tab.qs[i] = rec = mp.expm1(y)
+            tab.qs[i] = rec = expm1(y)._mpf_
             return rec
         q = mp.exp(-y)
         g, p = mpf(0), mpf(1)
@@ -210,7 +234,8 @@ def _bose_qs(tab: _NodeTable, i: int, modes: bool = False):
 
 
 def _bose_value(tab: _NodeTable, i: int, modes: bool = False):
-    """Node i's expm1(2 pi x), or its _BoseModes, built on first use."""
+    """Node i's expm1(2 pi x) as its _mpf_, or its _BoseModes, built on
+    first use."""
     v = ((tab.modes if modes else tab.qs) or {}).get(i)
     return v if v is not None else _bose_qs(tab, i, modes)
 
@@ -276,25 +301,26 @@ def _walk(tab: _NodeTable, stride: int, small, reach):
 
 
 def _integrate_on_table(feval, tab: _NodeTable, tol, dps):
-    """h sum f(x_i) w_i refined over the table, with feval(i) = f(x_i).
-    Each term is computed once, kept as its _mpf_ with whether it is below
+    """h sum f(x_i) w_i refined over the table, with feval(i) the _mpf_ of
+    f(x_i).  Each term is computed once in libmp, rounded as mpf
+    arithmetic rounds it, kept as its _mpf_ with whether it is below
     tol 10^-6, and reused by every finer level; a level adds its terms in
-    walk order with libmp's mpf_add, rounding as mpf addition does."""
+    walk order with libmp's mpf_add."""
     terms: dict = {}
-    eps_term = tol * mpf(10) ** (-6)
+    prec, rnd = mp._prec_rounding
+    eps_term = (tol * mpf(10) ** (-6))._mpf_
     reach = (0, 0)
 
     def rec(i):
         r = terms.get(i)
         if r is None:
-            t = feval(i) * tab.node(i).w
-            r = terms[i] = (t._mpf_, abs(t) < eps_term)
+            t = mpf_mul(feval(i), tab.node(i).w._mpf_, prec, rnd)
+            r = terms[i] = (t, mpf_lt(mpf_abs(t), eps_term))
         return r
 
     def level(stride):
         nonlocal reach
         idxs, reach = _walk(tab, stride, lambda i: rec(i)[1], reach)
-        prec, rnd = mp._prec_rounding
         total = fzero
         for i in idxs:
             total = mpf_add(total, rec(i)[0], prec, rnd)
@@ -326,13 +352,13 @@ def _rule(engine: str, kind: str, ctx: PrecisionContext, f_node,
           integrate) -> QuadratureResult:
     """The body of every 1-D rule.  At ctx's working digits + 10, runs
     integrate(feval, tab, tol, dps) on the kind's table for the working
-    digits, with feval(i) = f_node(tab.node(i)) and the default tol, and
-    tallies the result for the engine."""
+    digits, with feval(i) = f_node(tab.node(i))._mpf_ and the default tol,
+    and tallies the result for the engine."""
     with ctx.working(10):
         dps = ctx.working_digits
         tab = _get_table(kind, dps)
         built = tab.built
-        res = integrate(lambda i: f_node(tab.node(i)), tab,
+        res = integrate(lambda i: f_node(tab.node(i))._mpf_, tab,
                         _default_tol(ctx), dps)
         return _tallied(engine, res, tab.built - built)
 
@@ -360,21 +386,24 @@ def exp_sinh_0inf(f, ctx: PrecisionContext = DEFAULT_CONTEXT
 
 def _bose_direct(gval, tab: _NodeTable, tol, dps):
     """The direct route: the transformed integral of
-    gval(i)/expm1(2 pi x_i), gval(i) = g(x_i)."""
+    gval(i)/expm1(2 pi x_i), gval(i) the _mpf_ of g(x_i), divided in
+    libmp."""
+    prec, rnd = mp._prec_rounding
     return _integrate_on_table(
-        lambda i: gval(i) / _bose_value(tab, i), tab, tol, dps)
+        lambda i: mpf_div(gval(i), _bose_value(tab, i), prec, rnd),
+        tab, tol, dps)
 
 
 def _bose_kernel(gval, tab: _NodeTable, tol, dps):
     """The kernel route: the mode expansion of _BoseKernelSums refined on
     its own, with g read from one cache of node values, so nodes_used
-    counts distinct calls of gval(i) = g(x_i)."""
+    counts distinct calls of gval(i), the _mpf_ of g(x_i)."""
     gvals: dict = {}
 
     def cached(i):
         v = gvals.get(i)
         if v is None:
-            v = gvals[i] = gval(i)
+            v = gvals[i] = mp.make_mpf(gval(i))
         return v
 
     val, err, settled = _refine(_BoseKernelSums(cached, tab, tol).value,
@@ -458,12 +487,15 @@ def integrate_bose(g, ctx: PrecisionContext = DEFAULT_CONTEXT,
 
 def integrate_laplace(h, u, ctx: PrecisionContext = DEFAULT_CONTEXT
                       ) -> QuadratureResult:
-    """int_0^inf e^(-u t) h(t) dt for u > 0."""
+    """int_0^inf e^(-u t) h(t) dt for u > 0; e^(-u t) in libmp."""
     with ctx.working(10):
         uu = mpf(u)
         if not 0 < uu < mp.inf:
             raise ValueError("integrate_laplace requires finite u > 0")
-        return exp_sinh_0inf(lambda t: h(t) * mp.exp(-uu * t), ctx)
+        prec, rnd = mp._prec_rounding
+        nu = (-uu)._mpf_
+        return exp_sinh_0inf(lambda t: h(t) * mp.make_mpf(
+            mpf_exp(mpf_mul(nu, t._mpf_, prec, rnd), prec, rnd)), ctx)
 
 
 # ---------------------------------------------------------------------------

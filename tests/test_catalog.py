@@ -382,7 +382,7 @@ def test_psi_plus_matches_mpmath_on_tanh_sinh_nodes(digits):
         eps = mpf(10) ** -(mp.dps + 4)
         for nd in nodes:
             with recording() as rec:
-                w, wp = catalog._psi_plus(nd.x, nd.xc, ctx)
+                w, wp = catalog._psi_plus(nd.x, nd.xc)
             with mp.workdps(mp.dps + 40):
                 u = 1 + nd.x if nd.x <= 0.5 else 2 - nd.xc
                 assert abs(w - (mp.psi(0, u) + mp.euler)) <= tol, nd.x

@@ -1,6 +1,8 @@
 """Special-function web: every route against closed forms, recurrences,
 reflections, and the other routes."""
 
+from fractions import Fraction
+
 import pytest
 from mpmath import mp, mpf
 
@@ -87,6 +89,15 @@ class TestKernels:
                 with mp.workdps(mp.dps + 40):
                     ref = 1 / mp.log(y) - 1 / (y - 1)
                 assert abs(v - ref) < mpf(10) ** (2 - mp.dps)
+
+    def test_gregory_coefficients_match_their_recurrence(self):
+        # G_m = -sum_{k<m} G_k (-1)^(m-k)/(m-k+1), from e = (e/log(1+e))
+        # log(1+e), exact, against the Stirling-number sum
+        ref = [Fraction(1)]
+        for m in range(1, 160):
+            ref.append(-sum(ref[k] * Fraction((-1) ** (m - k), m - k + 1)
+                            for k in range(m)))
+        assert [F._gregory(n) for n in range(160)] == ref
 
 
 def stop_on_small(terms):

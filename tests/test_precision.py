@@ -1,8 +1,12 @@
 """Precision-context and numeric-primitive behavior."""
 
+import collections
+import random
+
 import pytest
 from mpmath import mp, mpf
 
+from stieltjes import precision
 from stieltjes.precision import (
     DEFAULT_CONTEXT,
     PrecisionContext,
@@ -106,3 +110,50 @@ class TestRecord:
                         "aux_lattice_n": 4}) == {"exp_sinh", "em",
                                                  "aux_lattice"}
         assert engines({"stop_small": 3}) == set()
+
+
+def _args(rng, prec):
+    """mpf arguments at precision prec: random prec-bit mantissas of both
+    signs at magnitudes 2^-8 to 2^6, 2^-(prec/2) to 2^-10, exactly
+    2^-(prec+10) and below it; then 0, inf, -inf, nan, -1, a value below
+    -1 and -1 + 2^-prec."""
+    out = []
+    for lo, hi in ((-8, 6), (-(prec // 2), -10),
+                   (-(prec + 10), -(prec + 10)), (-2 * prec, -(prec + 11))):
+        for _ in range(8):
+            man = rng.getrandbits(prec) | 1 << (prec - 1)
+            out.append(rng.choice((1, -1)) * mpf(man)
+                       * mpf(2) ** (rng.randint(lo, hi) - prec))
+    return out + [mpf(0), mp.inf, -mp.inf, mp.nan, mpf(-1),
+                  -1 - mpf(rng.random()), -1 + mpf(2) ** -prec]
+
+
+@pytest.mark.parametrize("name", ["expm1", "log1p"])
+def test_expm1_and_log1p_match_mpmath_bit_for_bit(monkeypatch, name):
+    # on a seeded random set at 25 to 130 digits, through every branch:
+    # the libmp path and each fallback to mpmath's own function
+    helper, real = getattr(precision, name), getattr(mp, name)
+    fell_back = []
+    monkeypatch.setattr(mp, name, lambda x: fell_back.append(x) or real(x))
+    rng = random.Random(26)
+    branches = collections.Counter()
+    for _ in range(40):
+        with mp.workdps(rng.randint(25, 130)):
+            for x in _args(rng, mp.prec):
+                before = len(fell_back)
+                got, want = helper(x), real(x)
+                assert type(got) is type(want), x
+                assert getattr(got, "_mpf_", None) == getattr(
+                    want, "_mpf_", None), x
+                assert getattr(got, "_mpc_", None) == getattr(
+                    want, "_mpc_", None), x
+                _, man, exp, bc = x._mpf_
+                if len(fell_back) == before:
+                    branches["libmp"] += 1
+                elif not man:
+                    branches["0, inf or nan"] += 1
+                elif exp + bc < -(mp.prec + 10):
+                    branches["below 2^-(prec+10)"] += 1
+                else:   # expm1 cancels 10 bits, or log1p's x <= -1
+                    branches["other"] += 1
+    assert len(branches) == 4 and min(branches.values()) >= 40, branches

@@ -4,11 +4,13 @@ Every rule is exercised on integrals whose values are elementary, so a
 failure points at the rule rather than at the function layer built on it.
 """
 
+import random
 from decimal import MIN_EMIN, Context, Decimal, getcontext, localcontext
 from itertools import takewhile
 
 import pytest
 from mpmath import mp, mpf
+from mpmath.libmp import mpf_cosh_sinh
 
 from stieltjes import quadrature
 from stieltjes.precision import DEFAULT_CONTEXT as CTX
@@ -77,6 +79,38 @@ class TestNodeTable:
         for i, node in ref.items():
             assert tuple(tab.node(i)) == node
         assert tab.built == len(ref)
+
+    @pytest.mark.parametrize("digits", [15, 30, 60, 120])
+    @pytest.mark.parametrize("kind", ["ts01", "es0inf"])
+    def test_libmp_nodes_match_the_mpf_formulas(self, monkeypatch, kind,
+                                                digits):
+        # the reference is _build_table as it was in mpf arithmetic at the
+        # table's dps + 10; the nodes are read at another ambient precision,
+        # which must not reach them
+        monkeypatch.setattr(quadrature, "_TABLES", {})
+        dps = PrecisionContext.for_digits(digits).working_digits
+        tab = _get_table(kind, dps)
+        idxs = random.Random(digits).sample(range(len(tab.nodes)), 40)
+        ref = {}
+        with mp.workdps(dps + 10):
+            c = +mp.pi if kind == "ts01" else mp.pi / 2
+            for i in idxs + [0, tab.n, 2 * tab.n]:
+                t = (i - tab.n) * tab.h
+                ch, sh = map(mp.make_mpf,
+                             mpf_cosh_sinh(t._mpf_, *mp._prec_rounding))
+                if kind == "ts01":
+                    e = mp.exp(-c * sh)
+                    x = 1 / (1 + e)
+                    xc = e / (1 + e)
+                    w = c * ch * x * xc
+                else:
+                    x = mp.exp(c * sh)
+                    xc = None
+                    w = c * ch * x
+                ref[i] = (x, xc, w)
+        with mp.workdps(7):
+            for i, node in ref.items():
+                assert tuple(tab.node(i)) == node, i
 
     def test_a_call_builds_only_the_nodes_it_reads(self, monkeypatch):
         read = set()
