@@ -161,7 +161,7 @@ def expm1(x: mpf) -> mpf:
         wp = prec + 25
         e = mpf_exp(v, wp, rnd)
         s = mpf_add(e, fnone, wp, rnd)
-        if s[1] and max(e[2] + e[3], 1) - (s[2] + s[3]) < 10:
+        if max(e[2] + e[3], 1) - (s[2] + s[3]) < 10:
             return mp.make_mpf(mpf_pos(s, prec, rnd))
     return mp.expm1(x)
 
