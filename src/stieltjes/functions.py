@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath import mp, mpf
-from mpmath.libmp import (fhalf, fone, from_man_exp, mpf_add, mpf_cos_sin,
-                          mpf_div, mpf_sub, to_man_exp)
+from mpmath.libmp import (fhalf, fone, from_int, from_man_exp, mpf_add,
+                          mpf_cos_sin, mpf_div, mpf_mul, mpf_sub, to_man_exp)
 
 from .precision import (
     DEFAULT_CONTEXT,
@@ -100,11 +100,18 @@ def _binet_series(t, k_min: int, d: int = 0):
 
 def exp_square_kernel(y):
     """e^y/(e^y-1)^2 - 1/y^2 + 1/12 = -K'(y) + 1/12, K = binet_kernel: by
-    K's series below |y| = 1/4, direct above; leading term y^2/240."""
+    K's series below |y| = 1/4, direct above, where e^y = expm1(y) + 1
+    serves both factors and the rest runs in libmp; leading term
+    y^2/240."""
     y = mpf(y)
     if abs(y) > _SEAM:
-        em = expm1(y)
-        return mp.exp(y) / (em * em) - 1 / (y * y) + mpf(1) / 12
+        prec, rnd = mp._prec_rounding
+        em, y = expm1(y)._mpf_, y._mpf_
+        return mp.make_mpf(mpf_add(mpf_sub(
+            mpf_div(mpf_add(em, fone, prec, rnd),
+                    mpf_mul(em, em, prec, rnd), prec, rnd),
+            mpf_div(fone, mpf_mul(y, y, prec, rnd), prec, rnd), prec, rnd),
+            mpf_div(fone, from_int(12), prec, rnd), prec, rnd))
     return -_binet_series(y, 2, 1)
 
 

@@ -1,15 +1,20 @@
 """Double-exponential quadrature cores.
 
-Two transforms cover everything in this package:
+Three transforms cover everything in this package:
 
-  * tanh-sinh on (0,1):   x(t) = 1/(1 + e^(-pi sinh t)),
-  * exp-sinh on (0,inf):  x(t) = e^((pi/2) sinh t),
+  * tanh-sinh on (0,1):     x(t) = 1/(1 + e^(-pi sinh t)),
+  * exp-sinh on (0,inf):    x(t) = e^((pi/2) sinh t), for algebraic decay,
+  * exp-decay on (0,inf):   x(t) = e^(t - e^(-t)), for e^(-u x) (Takahasi
+                            and Mori 1974), the Laplace rule's map,
 
 each evaluated on a fine grid in t, one table per working precision shared
 by every integral at that precision.  A tanh-sinh table runs to |t| = 6.3,
 whose nodes come within 3e-372 of 0 and 1.  An exp-sinh table runs to
 t_max = max(5.6, asinh(2 ln 10 (dps + 10)/pi)), where the node is
 10^-(dps+10): 5.6 up to about 60 digits, 6.09 at 120 and 6.51 at 200.
+An exp-decay table runs from t = -ln((dps + 10) ln 10), where the node is
+10^-(dps+10), to t = 40, where it is e^40 = 2.4e17: e^(-u x) has decayed
+there for every u down to about 1e-15 at 15 digits and 1e-14 at 200.
 A table holds no node until one is read: each node is built on its first
 read, with the same formulas at every index, and kept, so a table costs
 only the nodes that walks reach and its t range costs nothing beyond
@@ -17,8 +22,12 @@ them.  Every rule, 1-D and 2-D, hands one driver (_refine) its value on a
 stride sub-grid of the cached grid; the driver halves the stride until
 two levels agree and reports their difference as the error estimate.
 Every rule reuses integrand values across levels; the 1-D rules truncate
-each level with one outward walk (_walk) that stops a side after 3
-negligible terms past the last non-negligible one of the level before.
+each level with one outward walk (_walk).  It stops a side after 3
+negligible terms past the last non-negligible one of the level before,
+but only once it has seen a term that is not negligible, so a level never
+sums a negligible band around the center and misses mass further out.  A
+level whose walk runs out of table on a term at or above the tolerance
+raises NonConvergenceError rather than return the truncated sum.
 
 The rules take plain callables: f(x) on (0,inf) and f(x, 1 - x) on
 (0,1), the exact complement keeping f accurate next to 1.  The unit-square
@@ -52,7 +61,7 @@ from typing import Callable, NamedTuple, Optional
 from mpmath import mp, mpf
 from mpmath.libmp import (dps_to_prec, fone, fzero, mpf_abs, mpf_add,
                           mpf_cosh_sinh, mpf_div, mpf_exp, mpf_lt, mpf_mul,
-                          mpf_mul_int, mpf_neg, round_nearest)
+                          mpf_mul_int, mpf_neg, mpf_sub, round_nearest)
 
 from .precision import (
     DEFAULT_CONTEXT,
@@ -98,7 +107,8 @@ class QuadratureResult:
 
 class _Node(NamedTuple):
     """One node of a table: its abscissa, the complement 1 - x (tanh-sinh
-    only; None on exp-sinh) and the weight dx/dt without the h factor."""
+    only; None on the half line) and the weight dx/dt without the h
+    factor."""
 
     x: mpf
     xc: Optional[mpf]
@@ -107,8 +117,9 @@ class _Node(NamedTuple):
 
 @dataclass
 class _NodeTable:
-    """The nodes t = (i - n) h, i = 0 .. 2n, of one transform at one
-    working precision.  node(i) reads node i and builds it with
+    """The nodes t = (i - n) h, i = 0 .. len(nodes) - 1, of one transform
+    at one working precision; only the exp-decay table (ed0inf) has more
+    nodes right of t = 0 than left.  node(i) reads node i and builds it with
     _build_table on its first read, so a table costs only the nodes that
     walks reach, and a wider t range costs nothing until one reaches it.
     built counts the nodes built so far."""
@@ -116,9 +127,9 @@ class _NodeTable:
     kind: str
     dps: int
     h: mpf                      # finest step
-    n: int                      # index of t = 0: floor(t_max / h)
+    n: int                      # index of t = 0: floor(t_left / h)
     prec: int                   # bits of dps + 10, the nodes' precision
-    c: tuple                    # _mpf_ of pi (ts01) or pi/2 (es0inf)
+    c: Optional[tuple]          # _mpf_ of pi (ts01), pi/2 (es0inf), None
     nodes: list                 # _Node by index, None until first read
     built: int = 0
     qs: Optional[dict] = None   # expm1(2 pi x)'s _mpf_ by node index
@@ -132,6 +143,7 @@ _TABLES: dict = {}
 
 _TMAX_TS = mpf("6.3")
 _TMAX_ES = mpf("5.6")      # the least exp-sinh t_max; see _get_table
+_TMAX_ED = 40              # the exp-decay table's right end
 _TOL_2D = mpf("1e-11")
 
 
@@ -150,24 +162,30 @@ def _build_table(tab: _NodeTable, i: int) -> _Node:
       ts01:   e = e^(-c sinh t), x = 1/(1 + e), 1 - x = e/(1 + e),
               w = c cosh t x (1 - x),
       es0inf: x = e^(c sinh t), w = c cosh t x,
+      ed0inf: e = e^(-t), x = e^(t - e), w = x (1 + e),
 
     in their order and rounded as mpf arithmetic rounds it, whatever the
     ambient precision."""
     prec, c, rnd = tab.prec, tab.c, round_nearest
     t = mpf_mul_int(tab.h._mpf_, i - tab.n, prec, rnd)
-    ch, sh = mpf_cosh_sinh(t, prec, rnd)
-    cch = mpf_mul(c, ch, prec, rnd)
-    if tab.kind == "ts01":
-        e = mpf_exp(mpf_mul(mpf_neg(c), sh, prec, rnd), prec, rnd)
-        d = mpf_add(fone, e, prec, rnd)
-        x = mpf_div(fone, d, prec, rnd)
-        xc = mpf_div(e, d, prec, rnd)
-        w = mpf_mul(mpf_mul(cch, x, prec, rnd), xc, prec, rnd)
-        xc = mp.make_mpf(xc)
+    xc = None
+    if tab.kind == "ed0inf":
+        e = mpf_exp(mpf_neg(t), prec, rnd)
+        x = mpf_exp(mpf_sub(t, e, prec, rnd), prec, rnd)
+        w = mpf_mul(x, mpf_add(fone, e, prec, rnd), prec, rnd)
     else:
-        x = mpf_exp(mpf_mul(c, sh, prec, rnd), prec, rnd)
-        xc = None
-        w = mpf_mul(cch, x, prec, rnd)
+        ch, sh = mpf_cosh_sinh(t, prec, rnd)
+        cch = mpf_mul(c, ch, prec, rnd)
+        if tab.kind == "ts01":
+            e = mpf_exp(mpf_mul(mpf_neg(c), sh, prec, rnd), prec, rnd)
+            d = mpf_add(fone, e, prec, rnd)
+            x = mpf_div(fone, d, prec, rnd)
+            xc = mpf_div(e, d, prec, rnd)
+            w = mpf_mul(mpf_mul(cch, x, prec, rnd), xc, prec, rnd)
+            xc = mp.make_mpf(xc)
+        else:
+            x = mpf_exp(mpf_mul(c, sh, prec, rnd), prec, rnd)
+            w = mpf_mul(cch, x, prec, rnd)
     node = tab.nodes[i] = _Node(mp.make_mpf(x), xc, mp.make_mpf(w))
     tab.built += 1
     return node
@@ -179,17 +197,23 @@ def _get_table(kind: str, dps: int) -> _NodeTable:
     if tab is None:
         h = mpf(1) / (1 << _finest_level(dps))
         with mp.workdps(dps + 10):
+            c = None
             if kind == "ts01":
-                t_max, c = _TMAX_TS, +mp.pi
-            else:
+                lo = hi = _TMAX_TS
+                c = +mp.pi
+            elif kind == "es0inf":
                 # the node at -t_max, e^(-c sinh t_max), is 10^-(dps+10)
-                t_max = max(_TMAX_ES,
-                            mp.asinh(2 * mp.ln10 * (dps + 10) / mp.pi))
+                lo = hi = max(_TMAX_ES,
+                              mp.asinh(2 * mp.ln10 * (dps + 10) / mp.pi))
                 c = mp.pi / 2
-            n = int(mp.floor(t_max / h))
+            else:
+                # the node at -lo, e^(-lo - e^lo), is below 10^-(dps+10)
+                lo, hi = mp.ln((dps + 10) * mp.ln10), _TMAX_ED
+            n = int(mp.floor(lo / h))
+            m = int(mp.floor(hi / h))
         tab = _TABLES[key] = _NodeTable(
             kind=kind, dps=dps, h=h, n=n, prec=dps_to_prec(dps + 10),
-            c=c._mpf_, nodes=[None] * (2 * n + 1))
+            c=None if c is None else c._mpf_, nodes=[None] * (n + m + 1))
     return tab
 
 
@@ -277,27 +301,35 @@ def _stalled(err, tol) -> NonConvergenceError:
 
 def _walk(tab: _NodeTable, stride: int, small, reach):
     """Indices of the stride sub-grid from the center outward (the center,
-    the right side, the left) and, per side, the offset of the last index
-    whose term is not small(i).  A side stops after 3 consecutive small
-    terms past its offset in reach, a coarser level's: a finer level never
-    stops in a negligible band that the coarse level stepped over to find
-    mass."""
+    the right side, the left) and, per side (right, left), the offset of
+    the last index whose term is not small(i).
+
+    A side stops after 3 consecutive small terms past its offset in reach,
+    a coarser level's, so a finer level never stops in a negligible band
+    that the coarse level stepped over to find mass; and only once mass
+    has been seen: at the center, on either side at this level or in
+    reach.  The left side is walked first, so that mass found there lets
+    the right side stop.  A side may run out of table; _integrate_on_table
+    refuses a level that did so on a term that matters."""
     mid = tab.n
-    idxs = [mid]
-    reached = []
-    for side, r in zip((1, -1), reach):
+    seen = not small(mid) or any(reach)
+    sides = []
+    for side, r, end in ((-1, reach[1], mid),
+                         (1, reach[0], len(tab.nodes) - 1 - mid)):
+        idxs = []
         run = last = 0
         off = stride
-        while off <= mid and (run < 3 or off <= r):
+        while off <= end and (run < 3 or off <= r or not seen):
             i = mid + side * off
             idxs.append(i)
             if small(i):
                 run += 1
             else:
-                run, last = 0, off
+                run, last, seen = 0, off, True
             off += stride
-        reached.append(last)
-    return idxs, reached
+        sides.append((idxs, last))
+    (left, l_last), (right, r_last) = sides
+    return [mid] + right + left, [r_last, l_last]
 
 
 def _integrate_on_table(feval, tab: _NodeTable, tol, dps):
@@ -324,7 +356,20 @@ def _integrate_on_table(feval, tab: _NodeTable, tol, dps):
         total = fzero
         for i in idxs:
             total = mpf_add(total, rec(i)[0], prec, rnd)
-        return mp.make_mpf(total) * tab.h * stride
+        val = mp.make_mpf(total) * tab.h * stride
+        # a side whose last term that is not small sits on the table's
+        # last node of this grid ran out of table, not of mass; it leaves
+        # out about that term, so the level fails where the term is above
+        # the tolerance _refine settles on
+        for side, last, end in ((1, reach[0], len(tab.nodes) - 1 - tab.n),
+                                (-1, reach[1], tab.n)):
+            if last > end - stride and abs(mp.make_mpf(
+                    rec(tab.n + side * last)[0])) >= tol * max(1, abs(val)):
+                raise NonConvergenceError(
+                    "quadrature walk reached the %s end of its %s table on a"
+                    " term that is not negligible"
+                    % ("right" if side > 0 else "left", tab.kind))
+        return val
 
     val, err, settled = _refine(level, _strides(dps), tol)
     if not settled:
@@ -487,15 +532,18 @@ def integrate_bose(g, ctx: PrecisionContext = DEFAULT_CONTEXT,
 
 def integrate_laplace(h, u, ctx: PrecisionContext = DEFAULT_CONTEXT
                       ) -> QuadratureResult:
-    """int_0^inf e^(-u t) h(t) dt for u > 0; e^(-u t) in libmp."""
+    """int_0^inf e^(-u t) h(t) dt for u > 0 on the exp-decay table, with
+    e^(-u t) in libmp; tallied as the exp_sinh engine."""
     with ctx.working(10):
         uu = mpf(u)
         if not 0 < uu < mp.inf:
             raise ValueError("integrate_laplace requires finite u > 0")
         prec, rnd = mp._prec_rounding
         nu = (-uu)._mpf_
-        return exp_sinh_0inf(lambda t: h(t) * mp.make_mpf(
-            mpf_exp(mpf_mul(nu, t._mpf_, prec, rnd), prec, rnd)), ctx)
+        return _rule("exp_sinh", "ed0inf", ctx,
+                     lambda nd: h(nd.x) * mp.make_mpf(mpf_exp(
+                         mpf_mul(nu, nd.x._mpf_, prec, rnd), prec, rnd)),
+                     _integrate_on_table)
 
 
 # ---------------------------------------------------------------------------

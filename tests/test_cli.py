@@ -94,6 +94,13 @@ class TestCompute:
             assert code == 2, argv
             assert err.startswith("error: "), argv
 
+    def test_laplace_past_its_table_exits_3(self, capsys):
+        code, out, err = run(capsys, ["compute", "digamma", "--u", "1e-50",
+                                      "--route", "laplace", "--digits", "15"])
+        assert code == 3
+        assert out == ""
+        assert "right end" in err
+
     def test_non_convergence_maps_to_exit_3(self, capsys, monkeypatch):
         def stall(*args, **kwargs):
             raise NonConvergenceError("quadrature stalled: forced")

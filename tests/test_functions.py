@@ -244,11 +244,15 @@ class TestBinetKernelCache:
             F.log_gamma(mpf("2.5"), "binet1", CTX)
             exp_sinh_0inf(
                 lambda t: -mp.expm1(-t) / (t * t) * F.binet_kernel(t), CTX)
-        tab = quadrature._get_table("es0inf", CTX.working_digits)
+        # the Laplace calls read the exp-decay table, the last call the
+        # exp-sinh one: the cache holds built nodes of the two alone
+        tabs = [quadrature._get_table(kind, CTX.working_digits)
+                for kind in ("ed0inf", "es0inf")]
         (vals,) = F._BINET.values()
-        xs = {nd.x for nd in tab.nodes if nd is not None}
-        assert 0 < len(vals) <= tab.built == len(xs)
-        assert set(vals) <= xs
+        xs = [{nd.x for nd in tab.nodes if nd is not None} for tab in tabs]
+        assert all(0 < tab.built == len(x) for tab, x in zip(tabs, xs))
+        assert 0 < len(vals) <= sum(tab.built for tab in tabs)
+        assert set(vals) <= xs[0] | xs[1]
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +287,11 @@ class TestDigamma:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             F.digamma(0, CTX)
+
+    def test_laplace_counts_its_nodes(self):
+        with recording() as rec:
+            F.digamma(1, PrecisionContext.for_digits(30), "laplace")
+        assert rec["exp_sinh_nodes"] <= 320
 
 
 class TestTrigamma:
@@ -371,6 +380,20 @@ class TestLogGamma:
         with mp.workdps(45):
             ref = mp.psi(0, u) if what == "digamma" else mp.loggamma(u)
             assert abs(val - ref) <= ctx.tolerance * abs(ref)
+
+    @pytest.mark.parametrize("digits", [15, 60])
+    @pytest.mark.parametrize("u", ["300", "1e3", "1e4"])
+    def test_laplace_routes_keep_the_whole_integral(self, digits, u):
+        # the integral is 1/(12 u^2) for psi and 1/(12 u) for log Gamma;
+        # every term near the walk's center is negligible here, and a walk
+        # that stopped there missed all of it
+        ctx = PrecisionContext.for_digits(digits)
+        psi = F.digamma(u, ctx, "laplace").value
+        lg = F.log_gamma(u, "binet1", ctx).value
+        with mp.workdps(digits + 30):
+            for v, ref in ((psi, mp.psi(0, mpf(u))),
+                           (lg, mp.loggamma(mpf(u)))):
+                assert abs(v - ref) <= mpf(10) ** -(digits + 10) * abs(ref)
 
     def test_binomial_series_honest_within_its_own_tail(self):
         # the route reports its truncation tail, returns a value only when

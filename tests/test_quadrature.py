@@ -12,9 +12,10 @@ import pytest
 from mpmath import mp, mpf
 from mpmath.libmp import mpf_cosh_sinh
 
-from stieltjes import quadrature
+from stieltjes import functions, quadrature
 from stieltjes.precision import DEFAULT_CONTEXT as CTX
-from stieltjes.precision import PrecisionContext, recording
+from stieltjes.precision import (NonConvergenceError, PrecisionContext,
+                                 recording)
 from stieltjes.quadrature import (
     Integrand2D,
     _bose_value,
@@ -81,7 +82,7 @@ class TestNodeTable:
         assert tab.built == len(ref)
 
     @pytest.mark.parametrize("digits", [15, 30, 60, 120])
-    @pytest.mark.parametrize("kind", ["ts01", "es0inf"])
+    @pytest.mark.parametrize("kind", ["ts01", "es0inf", "ed0inf"])
     def test_libmp_nodes_match_the_mpf_formulas(self, monkeypatch, kind,
                                                 digits):
         # the reference is _build_table as it was in mpf arithmetic at the
@@ -94,11 +95,16 @@ class TestNodeTable:
         ref = {}
         with mp.workdps(dps + 10):
             c = +mp.pi if kind == "ts01" else mp.pi / 2
-            for i in idxs + [0, tab.n, 2 * tab.n]:
+            for i in idxs + [0, tab.n, len(tab.nodes) - 1]:
                 t = (i - tab.n) * tab.h
                 ch, sh = map(mp.make_mpf,
                              mpf_cosh_sinh(t._mpf_, *mp._prec_rounding))
-                if kind == "ts01":
+                if kind == "ed0inf":
+                    e = mp.exp(-t)
+                    x = mp.exp(t - e)
+                    xc = None
+                    w = x * (1 + e)
+                elif kind == "ts01":
                     e = mp.exp(-c * sh)
                     x = 1 / (1 + e)
                     xc = e / (1 + e)
@@ -391,6 +397,47 @@ class TestLaplace:
             r = integrate_laplace(lambda t: -mp.expm1(-t) / t, mpf(1), CTX)
             assert abs(r.value - mp.log(2)) < TOL
 
+    def test_exp_decay_table_ends(self):
+        # left end near 10^-(dps+10), right end at t = 40
+        for digits in (15, 60, 200):
+            dps = PrecisionContext.for_digits(digits).working_digits
+            tab = _get_table("ed0inf", dps)
+            with mp.workdps(dps + 10):
+                assert mpf(10) ** -(dps + 13) < tab.node(0).x \
+                    < mpf(10) ** -(dps + 10)
+                assert tab.node(len(tab.nodes) - 1).x \
+                    == mp.exp(40 - mp.exp(-40))
+
+    @pytest.mark.parametrize("digits", [15, 60])
+    def test_sweep_matches_mpmath(self, digits):
+        # h = K, K/t and 1/(1 + t^2), K the Binet kernel: log u - 1/(2u)
+        # - psi(u), log Gamma(u) less Stirling's main term, and the
+        # auxiliary f(u) of Ci and si.  The worst errors measured are 18.5
+        # digits past the target at 15 digits and 19.1 at 60.
+        K = functions.binet_kernel
+        hs = (K, lambda t: K(t) / t, lambda t: 1 / (1 + t * t))
+        ctx = PrecisionContext.for_digits(digits)
+        for u in ("1e-7", "1e-3", "0.25", "1", "4", "148", "1e3", "1e4",
+                  "1e5"):
+            with mp.workdps(digits + 40):
+                x = mpf(u)
+                refs = (mp.log(x) - 1 / (2 * x) - mp.psi(0, x),
+                        mp.loggamma(x) - (x - mpf(1) / 2) * mp.log(x) + x
+                        - mp.log(2 * mp.pi) / 2,
+                        mp.ci(x) * mp.sin(x)
+                        + (mp.pi / 2 - mp.si(x)) * mp.cos(x))
+            for k, (h, ref) in enumerate(zip(hs, refs)):
+                v = integrate_laplace(h, u, ctx).value
+                with mp.workdps(digits + 40):
+                    assert abs(v - ref) <= mpf(10) ** -(digits + 17) \
+                        * max(1, abs(ref)), (u, k)
+
+    def test_table_end_refuses(self):
+        # e^(-u t) at u = 1e-50 is still 1 at the right end, x = 2.4e17
+        ctx = PrecisionContext.for_digits(15)
+        with pytest.raises(NonConvergenceError, match="right end"):
+            integrate_laplace(lambda t: mpf(1), "1e-50", ctx)
+
 
 class TestUnitSquare:
     def test_product_polynomial(self):
@@ -480,9 +527,9 @@ class TestUnitSquare:
 
 def test_walk_counts_small_terms_only_past_the_coarser_reach():
     # u e^(-ux) on exp-sinh at u = 100 has its mass near x = 1e-2 and is
-    # negligible around x = 1: a fine walk from the center alone stops in
-    # that band and sums about 0; started from the coarse level's reach
-    # it keeps the mass
+    # negligible around x = 1: a fine walk from the center alone does not
+    # stop in that band, since it has seen no mass there, and keeps the
+    # mass; started from the coarse level's reach it keeps it too
     tab = _get_table("es0inf", 35)
     with mp.workdps(45):
         eps = mpf("1e-31")
@@ -497,7 +544,7 @@ def test_walk_counts_small_terms_only_past_the_coarser_reach():
 
         coarse, reach = level(16, (0, 0))
         assert abs(coarse - 1) < mpf("1e-30")
-        assert level(1, (0, 0))[0] < mpf("1e-30")
+        assert abs(level(1, (0, 0))[0] - 1) < mpf("1e-30")
         fine, fine_reach = level(1, reach)
         assert abs(fine - 1) < mpf("1e-30")
         assert all(f >= r for f, r in zip(fine_reach, reach))
