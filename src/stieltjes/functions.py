@@ -16,8 +16,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath import mp, mpf
-from mpmath.libmp import (fhalf, fone, from_int, from_man_exp, mpf_add,
-                          mpf_cos_sin, mpf_div, mpf_mul, mpf_sub, to_man_exp)
+from mpmath.libmp import (fhalf, fone, from_int, from_man_exp, fzero,
+                          mpf_add, mpf_atan2, mpf_cos_sin, mpf_div, mpf_exp,
+                          mpf_log, mpf_mul, mpf_pos, mpf_pow, mpf_shift,
+                          mpf_sub, to_man_exp)
 
 from .precision import (
     DEFAULT_CONTEXT,
@@ -55,14 +57,15 @@ _SEAM = mpf(1) / 4
 def binet_kernel(t):
     """K(t) = 1/(e^t - 1) - 1/t + 1/2 = sum_{k>=1} B_2k t^(2k-1)/(2k)!.
 
-    Series below |t| = 1/4 (_SEAM), direct expm1 arithmetic above, its
-    divisions and sums in libmp as mpf arithmetic rounds them.  K(t)/t
-    extends to 1/12 at t = 0.  Values are kept per mp.prec, keyed by t:
-    callers pass exp-sinh nodes, so integrands reading a node share one
-    evaluation.  kernel_values_built tallies evaluations; a kept value
-    tallies nothing, its series' kernel_terms included.  Each is kept as
-    one int, mantissa over biased exponent: a third of the bytes of its
-    _mpf_ tuple.
+    Series below |t| = 1/4 (_SEAM), direct expm1 arithmetic above, in
+    libmp at prec + 20 bits and rounded once: just above the seam its
+    terms near 4 cancel to K near 1/48, about 2 digits (with 10 extra bits
+    K was still off by up to 1.3e-(dps+1) relative).  K(t)/t extends to
+    1/12 at t = 0.  Values are kept per mp.prec, keyed by t: callers pass
+    table nodes, so integrands reading a node share one evaluation.
+    kernel_values_built tallies evaluations; a kept value tallies nothing,
+    its series' kernel_terms included.  Each is kept as one int, mantissa
+    over biased exponent: a third of the bytes of its _mpf_ tuple.
     """
     vals = _BINET.setdefault(mp.prec, {})
     k = vals.get(t)
@@ -71,9 +74,12 @@ def binet_kernel(t):
     x = mpf(t)
     if abs(x) > _SEAM:
         prec, rnd = mp._prec_rounding
-        k = mp.make_mpf(mpf_add(mpf_sub(
-            mpf_div(fone, expm1(x)._mpf_, prec, rnd),
-            mpf_div(fone, x._mpf_, prec, rnd), prec, rnd), fhalf, prec, rnd))
+        wp = prec + 20
+        # e^t - 1 cancels under 3 bits for |t| > 1/4
+        em = mpf_sub(mpf_exp(x._mpf_, wp + 10, rnd), fone, wp, rnd)
+        k = mp.make_mpf(mpf_pos(mpf_add(mpf_sub(
+            mpf_div(fone, em, wp, rnd), mpf_div(fone, x._mpf_, wp, rnd),
+            wp, rnd), fhalf, wp, rnd), prec, rnd))
     else:
         k = _binet_series(x, 1)
     man, exp = to_man_exp(k._mpf_)
@@ -159,6 +165,24 @@ def one_over_log_kernel(y, yc=None):
     return series._horner(row, 1, n, e)
 
 
+def _log_power(L, th, m: int, prec: int, rnd):
+    """(P, Q) with P + iQ = (L + i th)^m, m >= 0, for _mpf_ L and th: by
+    squaring and multiplying, each real product and sum an mpf_mul or
+    mpf_add rounded to prec, so for m <= 2 it is the running product
+    (L + i th)(L + i th)... in mpf arithmetic, bit for bit."""
+    p, q = fone, fzero
+    for bit in bin(m)[2:]:
+        p, q = (mpf_sub(mpf_mul(p, p, prec, rnd), mpf_mul(q, q, prec, rnd),
+                        prec, rnd),
+                mpf_shift(mpf_mul(p, q, prec, rnd), 1))
+        if bit == "1":
+            p, q = (mpf_sub(mpf_mul(p, L, prec, rnd),
+                            mpf_mul(q, th, prec, rnd), prec, rnd),
+                    mpf_add(mpf_mul(p, th, prec, rnd),
+                            mpf_mul(q, L, prec, rnd), prec, rnd))
+    return p, q
+
+
 # ---------------------------------------------------------------------------
 # Stieltjes constants, four routes
 # ---------------------------------------------------------------------------
@@ -169,17 +193,24 @@ def _stieltjes_coffey(n: int, u, ctx: PrecisionContext) -> FunctionValue:
       gamma_n(u) = log^n(u)/(2u) - log^(n+1)(u)/(n+1)
                    + 2 int_0^inf (u Q_n + x P_n)/((u^2+x^2) B(x)) dx,
 
-    P_n + i Q_n = (A - i theta)^n, A = log(u^2+x^2)/2, theta = atan(x/u).
+    P_n + i Q_n = (A - i theta)^n, A = log(u^2+x^2)/2, theta = atan(x/u):
+    the conjugate of _log_power's (A + i theta)^n, in libmp.
     """
     with ctx.working(10):
         uu = mpf(u)
         if not 0 < uu < mp.inf:
             raise ValueError("coffey route requires finite u > 0")
-        u2 = uu * uu
+        prec, rnd = mp._prec_rounding
+        um, u2 = uu._mpf_, (uu * uu)._mpf_
 
         def g(x):
-            z = mp.mpc(mp.log(u2 + x * x) / 2, -mp.atan2(x, uu)) ** n
-            return (uu * z.imag + x * z.real) / (u2 + x * x)
+            x = x._mpf_
+            r2 = mpf_add(u2, mpf_mul(x, x, prec, rnd), prec, rnd)
+            p, q = _log_power(mpf_shift(mpf_log(r2, prec, rnd), -1),
+                              mpf_atan2(x, um, prec, rnd), n, prec, rnd)
+            return mp.make_mpf(mpf_div(mpf_sub(
+                mpf_mul(x, p, prec, rnd), mpf_mul(um, q, prec, rnd),
+                prec, rnd), r2, prec, rnd))
 
         res = integrate_bose(g, ctx)
         lu = mp.log(uu)
@@ -315,8 +346,11 @@ def _hermite(m: int, s, u, ctx: PrecisionContext):
     R = (u^2+x^2)^(-s/2), P + iQ = (L + i theta)^m, L = log(u^2+x^2)/2,
     theta = atan2(x, u); the main term's m-th derivative is one Leibniz
     sum.  Valid on the analytic continuation: the integral converges for
-    every real s.  cos(s theta) and sin(s theta) come from one libmp
-    mpf_cos_sin, the routine behind mp.cos and mp.sin, so bit for bit.
+    every real s.  The integrand runs in libmp: cos(s theta) and
+    sin(s theta) from one mpf_cos_sin, the routine behind mp.cos and
+    mp.sin; for m >= 1, log(u^2+x^2) is taken once at prec + 10 bits, R is
+    mp.power's own e^(-(s/2) log(u^2+x^2)) from it, bit for bit, and L is
+    it rounded to prec and halved; (L + i theta)^m is _log_power's.
     """
     with ctx.working(10):
         s = mpf(s)
@@ -325,22 +359,29 @@ def _hermite(m: int, s, u, ctx: PrecisionContext):
             raise ValueError("hurwitz_zeta requires finite u > 0")
         if s == 1:
             raise ValueError("pole at s = 1")
-        u2 = uu * uu
         prec, rnd = mp._prec_rounding
+        um, u2, sm = uu._mpf_, (uu * uu)._mpf_, s._mpf_
+        t = (-s / 2)._mpf_
+        # mpf_pow takes e^(t log r2) with the log at prec + 10 bits unless
+        # t is an integer or half an integer
+        general = t[2] < -1
 
         def g(x):
-            r2 = u2 + x * x
-            th = mp.atan2(x, uu)
-            cos, v = map(mp.make_mpf,
-                         mpf_cos_sin((s * th)._mpf_, prec, rnd))
+            x = x._mpf_
+            r2 = mpf_add(u2, mpf_mul(x, x, prec, rnd), prec, rnd)
+            th = mpf_atan2(x, um, prec, rnd)
+            cos, v = mpf_cos_sin(mpf_mul(sm, th, prec, rnd), prec, rnd)
             if m:
-                L = mp.log(r2) / 2
-                p, q = L, th
-                for _ in range(m - 1):
-                    p, q = p * L - q * th, p * th + q * L
-                c = q * cos
-                v = c - p * v if m % 2 else p * v - c
-            return mp.power(r2, -s / 2) * v
+                lr = mpf_log(r2, prec + 10, rnd)
+                p, q = _log_power(mpf_shift(mpf_pos(lr, prec, rnd), -1), th,
+                                  m, prec, rnd)
+                c = mpf_mul(q, cos, prec, rnd)
+                pv = mpf_mul(p, v, prec, rnd)
+                v = (mpf_sub(c, pv, prec, rnd) if m % 2
+                     else mpf_sub(pv, c, prec, rnd))
+            R = (mpf_exp(mpf_mul(t, lr), prec, rnd) if m and general
+                 else mpf_pow(r2, t, prec, rnd))
+            return mp.make_mpf(mpf_mul(R, v, prec, rnd))
 
         res = integrate_bose(g, ctx)
         # d^m/ds^m [u^-s/2 + u^(1-s)/(s-1)] = (-1)^m [lu^m u^-s/2

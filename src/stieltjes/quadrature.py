@@ -5,7 +5,8 @@ Three transforms cover everything in this package:
   * tanh-sinh on (0,1):     x(t) = 1/(1 + e^(-pi sinh t)),
   * exp-sinh on (0,inf):    x(t) = e^((pi/2) sinh t), for algebraic decay,
   * exp-decay on (0,inf):   x(t) = e^(t - e^(-t)), for e^(-u x) (Takahasi
-                            and Mori 1974), the Laplace rule's map,
+                            and Mori 1974), the Laplace rule's map and,
+                            in y = 2 pi x, the Bose rule's,
 
 each evaluated on a fine grid in t, one table per working precision shared
 by every integral at that precision.  A tanh-sinh table runs to |t| = 6.3,
@@ -35,27 +36,34 @@ rule builds node records in mpf and sums their pairs in C decimal.
 
 The per-node steps of the 1-D rules run in libmp, mpmath's low-level
 layer, on _mpf_ tuples: the nodes (_build_table), each term f(x_i) w_i
-with its smallness flag, the Bose division by expm1(2 pi x) and the
-Laplace factor e^(-u t).  Each is the operation mpf arithmetic would do,
-at the same precision and rounding and in the same order, so every value
-is bit for bit the one mpf arithmetic gives, without its wrappers' cost.
+with its smallness flag, the Bose division and the Laplace factor
+e^(-u t).  Each is the operation mpf arithmetic would do, at the same
+precision and rounding and in the same order, so every value is bit for
+bit the one mpf arithmetic gives, without its wrappers' cost.
 
-The Bose-weight integrator sums g(x)/(e^(2 pi x) - 1) directly through
-the kernel.  Its kernel route, kept as the tests' reference, sums a mode
-expansion sum_n e^(-2 pi n x) whose tail over the mode index is closed by
+The Bose-weight integrator's direct route sums
+
+  int_0^inf g(x)/(e^(2 pi x) - 1) dx = int_0^inf g(y/2 pi)/(2 pi (e^y - 1)) dy
+
+on the exp-decay table, whose map is made for the e^(-y) decay of the
+Bose weight in y = 2 pi x.  Each node's record, 2 pi expm1(y), is built
+on first use and kept with the table for every later call at that
+precision; x = y/2 pi is rounded once per call.  So the 1/(2 pi) sits in
+every term and the refinement tests the integral in x itself.  Its kernel route, kept as the
+tests' reference, stays on the exp-sinh table: it sums a mode expansion
+sum_n e^(-2 pi n x) whose tail over the mode index is closed by
 Euler-Maclaurin; on the same nodes that closure is the Bernoulli
-expansion of the kernel.  The catalog checks every Bose value against
-another engine.  What a route reads of a node alone is built on first use
-and kept with the node table for every later call at that precision:
-expm1(2 pi x) for the direct route; q = e^(-2 pi x), the mode sum
-q + ... + q^(N-1) in closed form and q^N for the kernel route, so only
-kernel-route calls pay for them.
+expansion of the kernel.  It keeps q = e^(-2 pi x), the mode sum
+q + ... + q^(N-1) in closed form and q^N per node, so only kernel-route
+calls pay for them.  The catalog checks every Bose value against another
+engine.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import Context, Decimal, localcontext
+from functools import partial
 from typing import Callable, NamedTuple, Optional
 
 from mpmath import mp, mpf
@@ -129,10 +137,11 @@ class _NodeTable:
     h: mpf                      # finest step
     n: int                      # index of t = 0: floor(t_left / h)
     prec: int                   # bits of dps + 10, the nodes' precision
-    c: Optional[tuple]          # _mpf_ of pi (ts01), pi/2 (es0inf), None
+    c: tuple                    # _mpf_ of pi (ts01), pi/2 (es0inf),
+                                # 2 pi (ed0inf, the Bose rule's y/x)
     nodes: list                 # _Node by index, None until first read
     built: int = 0
-    qs: Optional[dict] = None   # expm1(2 pi x)'s _mpf_ by node index
+    qs: Optional[dict] = None   # 2 pi expm1(y)'s _mpf_ by node index
     modes: Optional[dict] = None    # _BoseModes by node index, likewise
 
     def node(self, i: int) -> _Node:
@@ -197,7 +206,6 @@ def _get_table(kind: str, dps: int) -> _NodeTable:
     if tab is None:
         h = mpf(1) / (1 << _finest_level(dps))
         with mp.workdps(dps + 10):
-            c = None
             if kind == "ts01":
                 lo = hi = _TMAX_TS
                 c = +mp.pi
@@ -209,11 +217,12 @@ def _get_table(kind: str, dps: int) -> _NodeTable:
             else:
                 # the node at -lo, e^(-lo - e^lo), is below 10^-(dps+10)
                 lo, hi = mp.ln((dps + 10) * mp.ln10), _TMAX_ED
+                c = 2 * mp.pi
             n = int(mp.floor(lo / h))
             m = int(mp.floor(hi / h))
         tab = _TABLES[key] = _NodeTable(
             kind=kind, dps=dps, h=h, n=n, prec=dps_to_prec(dps + 10),
-            c=None if c is None else c._mpf_, nodes=[None] * (n + m + 1))
+            c=c._mpf_, nodes=[None] * (n + m + 1))
     return tab
 
 
@@ -227,10 +236,11 @@ class _BoseModes(NamedTuple):
 
 
 def _bose_qs(tab: _NodeTable, i: int, modes: bool = False):
-    """Build node i's expm1(2 pi x), all the direct route reads, into
-    tab.qs as its _mpf_ or, with modes, its _BoseModes for
-    N = max(20, int(0.8 dps)) modes into tab.modes, at the table's
-    dps + 10; tally bose_records_built.
+    """Build node i's Bose record at the table's dps + 10 and keep it;
+    tally bose_records_built.  For the direct route, on the exp-decay
+    table, whose node is y = 2 pi x, the record in tab.qs is the _mpf_ of
+    2 pi expm1(y).  With modes, on the exp-sinh table, it is the node's
+    _BoseModes for N = max(20, int(0.8 dps)) modes, in tab.modes.
 
     The mode sum is split in binary: G(m) = 1 + q + ... + q^(m-1) and
     P(m) = q^m double as G(2m) = G(m)(1 + P(m)), P(2m) = P(m)^2 and step
@@ -243,11 +253,11 @@ def _bose_qs(tab: _NodeTable, i: int, modes: bool = False):
         tab.qs, tab.modes = {}, {}
     tally(bose_records_built=1)
     with mp.workdps(tab.dps + 10):
-        y = 2 * mp.pi * tab.node(i).x
+        v = tab.node(i).x
         if not modes:
-            tab.qs[i] = rec = expm1(y)._mpf_
+            tab.qs[i] = rec = (mp.make_mpf(tab.c) * expm1(v))._mpf_
             return rec
-        q = mp.exp(-y)
+        q = mp.exp(-2 * mp.pi * v)
         g, p = mpf(0), mpf(1)
         for bit in bin(max(20, int(0.8 * tab.dps)) - 1)[2:]:
             g, p = g * (1 + p), p * p
@@ -258,7 +268,7 @@ def _bose_qs(tab: _NodeTable, i: int, modes: bool = False):
 
 
 def _bose_value(tab: _NodeTable, i: int, modes: bool = False):
-    """Node i's expm1(2 pi x) as its _mpf_, or its _BoseModes, built on
+    """Node i's 2 pi expm1(y) as its _mpf_, or its _BoseModes, built on
     first use."""
     v = ((tab.modes if modes else tab.qs) or {}).get(i)
     return v if v is not None else _bose_qs(tab, i, modes)
@@ -393,19 +403,24 @@ def _default_tol(ctx: PrecisionContext):
         return mpf(10) ** -ctx.aim_digits
 
 
-def _rule(engine: str, kind: str, ctx: PrecisionContext, f_node,
+def _rule(engine: str, kind: str, ctx: PrecisionContext,
           integrate) -> QuadratureResult:
     """The body of every 1-D rule.  At ctx's working digits + 10, runs
-    integrate(feval, tab, tol, dps) on the kind's table for the working
-    digits, with feval(i) = f_node(tab.node(i))._mpf_ and the default tol,
-    and tallies the result for the engine."""
+    integrate(tab, tol, dps) on the kind's table for the working digits
+    with the default tol, and tallies the result for the engine."""
     with ctx.working(10):
         dps = ctx.working_digits
         tab = _get_table(kind, dps)
         built = tab.built
-        res = integrate(lambda i: f_node(tab.node(i))._mpf_, tab,
-                        _default_tol(ctx), dps)
+        res = integrate(tab, _default_tol(ctx), dps)
         return _tallied(engine, res, tab.built - built)
+
+
+def _on_nodes(f_node):
+    """integrate for _rule: _integrate_on_table with
+    feval(i) = f_node(tab.node(i))._mpf_."""
+    return lambda tab, tol, dps: _integrate_on_table(
+        lambda i: f_node(tab.node(i))._mpf_, tab, tol, dps)
 
 
 def tanh_sinh_01(f, ctx: PrecisionContext = DEFAULT_CONTEXT
@@ -413,42 +428,43 @@ def tanh_sinh_01(f, ctx: PrecisionContext = DEFAULT_CONTEXT
     """integral of f(x, 1 - x) over (0,1).  f gets each node with its
     exact complement, which stays accurate exponentially close to 1; f
     must be safe at every interior node (x can be as small as ~1e-90)."""
-    return _rule("tanh_sinh", "ts01", ctx, lambda nd: f(nd.x, nd.xc),
-                 _integrate_on_table)
+    return _rule("tanh_sinh", "ts01", ctx,
+                 _on_nodes(lambda nd: f(nd.x, nd.xc)))
 
 
 def exp_sinh_0inf(f, ctx: PrecisionContext = DEFAULT_CONTEXT
                   ) -> QuadratureResult:
     """integral of f(x) over (0,inf); f must decay essentially
     exponentially."""
-    return _rule("exp_sinh", "es0inf", ctx, lambda nd: f(nd.x),
-                 _integrate_on_table)
+    return _rule("exp_sinh", "es0inf", ctx, _on_nodes(lambda nd: f(nd.x)))
 
 
 # ---------------------------------------------------------------------------
 # Bose-weight integrals over the Bose values kept per node
 # ---------------------------------------------------------------------------
 
-def _bose_direct(gval, tab: _NodeTable, tol, dps):
-    """The direct route: the transformed integral of
-    gval(i)/expm1(2 pi x_i), gval(i) the _mpf_ of g(x_i), divided in
-    libmp."""
+def _bose_direct(g, tab: _NodeTable, tol, dps):
+    """The direct route on the exp-decay table: the transformed integral
+    of g(x_i)/(2 pi expm1(y_i)), with x_i = y_i/2 pi rounded once per
+    call and the divisions in libmp."""
     prec, rnd = mp._prec_rounding
-    return _integrate_on_table(
-        lambda i: mpf_div(gval(i), _bose_value(tab, i), prec, rnd),
-        tab, tol, dps)
+
+    def feval(i):
+        x = mp.make_mpf(mpf_div(tab.node(i).x._mpf_, tab.c, prec, rnd))
+        return mpf_div(g(x)._mpf_, _bose_value(tab, i), prec, rnd)
+    return _integrate_on_table(feval, tab, tol, dps)
 
 
-def _bose_kernel(gval, tab: _NodeTable, tol, dps):
-    """The kernel route: the mode expansion of _BoseKernelSums refined on
-    its own, with g read from one cache of node values, so nodes_used
-    counts distinct calls of gval(i), the _mpf_ of g(x_i)."""
+def _bose_kernel(g, tab: _NodeTable, tol, dps):
+    """The kernel route on the exp-sinh table: the mode expansion of
+    _BoseKernelSums refined on its own, with g read from one cache of
+    node values, so nodes_used counts distinct calls of g."""
     gvals: dict = {}
 
     def cached(i):
         v = gvals.get(i)
         if v is None:
-            v = gvals[i] = mp.make_mpf(gval(i))
+            v = gvals[i] = g(tab.node(i).x)
         return v
 
     val, err, settled = _refine(_BoseKernelSums(cached, tab, tol).value,
@@ -518,16 +534,18 @@ class _BoseKernelSums:
 
 def integrate_bose(g, ctx: PrecisionContext = DEFAULT_CONTEXT,
                    oscillatory: bool = False) -> QuadratureResult:
-    """int_0^inf g(x)/(e^(2 pi x) - 1) dx by the direct route.
+    """int_0^inf g(x)/(e^(2 pi x) - 1) dx by the direct route, on the
+    exp-decay table in y = 2 pi x.
 
-    oscillatory=True takes the kernel route instead; it is kept as the
-    tests' reference for the direct route, and every Bose value in the
-    catalog is checked against another engine.  table_nodes_built
-    tallies the table nodes this call had to build, and _bose_qs each
-    Bose value of a node it builds.
+    oscillatory=True takes the kernel route on the exp-sinh table
+    instead; it is kept as the tests' reference for the direct route, and
+    every Bose value in the catalog is checked against another engine.
+    table_nodes_built tallies the table nodes this call had to build, and
+    _bose_qs each Bose record of a node it builds.
     """
-    return _rule("bose", "es0inf", ctx, lambda nd: g(nd.x),
-                 _bose_kernel if oscillatory else _bose_direct)
+    if oscillatory:
+        return _rule("bose", "es0inf", ctx, partial(_bose_kernel, g))
+    return _rule("bose", "ed0inf", ctx, partial(_bose_direct, g))
 
 
 def integrate_laplace(h, u, ctx: PrecisionContext = DEFAULT_CONTEXT
@@ -540,10 +558,9 @@ def integrate_laplace(h, u, ctx: PrecisionContext = DEFAULT_CONTEXT
             raise ValueError("integrate_laplace requires finite u > 0")
         prec, rnd = mp._prec_rounding
         nu = (-uu)._mpf_
-        return _rule("exp_sinh", "ed0inf", ctx,
-                     lambda nd: h(nd.x) * mp.make_mpf(mpf_exp(
-                         mpf_mul(nu, nd.x._mpf_, prec, rnd), prec, rnd)),
-                     _integrate_on_table)
+        return _rule("exp_sinh", "ed0inf", ctx, _on_nodes(
+            lambda nd: h(nd.x) * mp.make_mpf(mpf_exp(
+                mpf_mul(nu, nd.x._mpf_, prec, rnd), prec, rnd))))
 
 
 # ---------------------------------------------------------------------------

@@ -147,8 +147,10 @@ class TestNodeTable:
                 assert rec["table_nodes_built"] == tab.built == len(read)
                 assert tab.built < len(tab.nodes) / 2
                 first.append((r, rec["table_nodes_built"], len(tab.nodes)))
-            # a wider t range costs nothing the walks do not reach
+            # a wider t range costs nothing the walks do not reach: the
+            # exp-sinh rule's table and the Bose rule's exp-decay table
             monkeypatch.setattr(quadrature, "_TMAX_ES", mpf("6.6"))
+            monkeypatch.setattr(quadrature, "_TMAX_ED", 45)
             for (rule, f), (r0, built0, size0) in zip(calls, first):
                 r, rec, tab, _ = run(rule, f)
                 assert len(tab.nodes) > size0
@@ -351,14 +353,15 @@ class TestBose:
                 assert abs(dec(rec.qn) - qk) <= bound * qk
 
     def test_second_call_builds_no_records(self, monkeypatch):
-        # the direct route builds expm1(2 pi x) alone for each node it reads
+        # the direct route builds 2 pi expm1(y) alone for each exp-decay
+        # node y it reads
         monkeypatch.setattr(quadrature, "_TABLES", {})
         with CTX.working():
             with recording() as first:
                 r = integrate_bose(mp.atan, CTX)
             with recording() as second:
                 integrate_bose(mp.atan, CTX)
-        tab = _get_table("es0inf", CTX.working_digits)
+        tab = _get_table("ed0inf", CTX.working_digits)
         assert first["bose_records_built"] == r.nodes_used > 0
         assert len(tab.qs) == r.nodes_used
         assert first["table_nodes_built"] == r.nodes_used
@@ -368,16 +371,29 @@ class TestBose:
 
     def test_direct_route_builds_no_mode_fields(self, monkeypatch):
         # q, the mode sum and q^N are built for kernel-route calls alone,
-        # and only for the nodes their walks read
+        # on the exp-sinh table, and only for the nodes their walks read
         monkeypatch.setattr(quadrature, "_TABLES", {})
         with CTX.working():
             integrate_bose(mp.atan, CTX)
-            tab = _get_table("es0inf", CTX.working_digits)
+            tab = _get_table("ed0inf", CTX.working_digits)
             assert tab.modes == {}
             with recording() as rec:
                 r = integrate_bose(mp.sin, CTX, oscillatory=True)
-        assert 0 < len(tab.modes) == rec["bose_records_built"] \
+        kernel_tab = _get_table("es0inf", CTX.working_digits)
+        assert 0 < len(kernel_tab.modes) == rec["bose_records_built"] \
             <= r.nodes_used
+        assert tab.modes == {}
+
+    def test_direct_route_runs_on_the_exp_decay_map(self, monkeypatch):
+        # digamma at u = 1 reads the exp-decay table alone; its node count
+        # at 30 and 200 digits is 311 and 1603 (419 and 7893 on exp-sinh)
+        monkeypatch.setattr(quadrature, "_TABLES", {})
+        for digits, most in ((30, 320), (200, 3300)):
+            ctx = PrecisionContext.for_digits(digits)
+            with recording() as rec:
+                functions.digamma(1, ctx, "bose")
+            assert 0 < rec["bose_nodes"] <= most
+        assert {kind for kind, _ in quadrature._TABLES} == {"ed0inf"}
 
 
 class TestLaplace:
