@@ -26,7 +26,6 @@ from .precision import (DEFAULT_CONTEXT, PrecisionContext, expm1, log1p,
 from . import series
 from . import functions as F
 from .quadrature import (
-    Integrand2D,
     exp_sinh_0inf,
     integrate_bose,
     integrate_laplace,
@@ -968,19 +967,23 @@ def register_builtin_entries() -> None:
         def node(x, xc):
             return x, xc, mp.log(x), F.one_over_log_kernel(x, xc)
 
-        def pair(p, q):
+        def raw(p, q):
             _, xc, lx, _ = p
             y, yc, _, R = q
             den = 1 - xc * y
             return lx * yc * R / (den * den)
-        return integrate_unit_square(Integrand2D(node, pair), ctx).value
+
+        def pair(p, q):
+            return (raw(p, q) + raw(q, p)) / 2
+        return integrate_unit_square(node, pair, ctx).value
 
     register(E(
         id="I-9.2",
         description="Double-integral form of the harmonic series above, "
                     "with the divergent printed bracket repaired by the "
                     "exact inner cancellation (and the same gamma_1 sign "
-                    "correction in the closed form).",
+                    "correction in the closed form); summed as its "
+                    "symmetrized integrand over one triangle.",
         paper_anchor="I-9.2",
         lhs=lhs_92, rhs=rhs_91,
         lhs_route="unit_square_quadrature", rhs_route="em_oracle",
@@ -1019,8 +1022,7 @@ def register_builtin_entries() -> None:
             Qv = (la + lb) / den
             Qp1 = (pa + pb - ab) / den
             return Qp1 / ab - Qv * (Rx / b + Ry / a) + (Qv - 1) * Rx * Ry
-        return integrate_unit_square(
-            Integrand2D(node, pair, symmetric=True), ctx).value / 2
+        return integrate_unit_square(node, pair, ctx).value / 2
 
     register(E(
         id="I-9.4a",
@@ -1047,8 +1049,7 @@ def register_builtin_entries() -> None:
             om = xc + yc - xc * yc
             lg = lx + ly
             return (xc + yc) / (om * lg)
-        return -integrate_unit_square(
-            Integrand2D(node, pair, symmetric=True), ctx).value / 2
+        return -integrate_unit_square(node, pair, ctx).value / 2
 
     register(E(
         id="I-9.5a",

@@ -26,6 +26,7 @@ from .precision import (
     PrecisionContext,
     expm1,
     log1p,
+    positive,
     tally,
 )
 from . import series
@@ -197,9 +198,7 @@ def _stieltjes_coffey(n: int, u, ctx: PrecisionContext) -> FunctionValue:
     the conjugate of _log_power's (A + i theta)^n, in libmp.
     """
     with ctx.working(10):
-        uu = mpf(u)
-        if not 0 < uu < mp.inf:
-            raise ValueError("coffey route requires finite u > 0")
+        uu = positive(u, "coffey route")
         prec, rnd = mp._prec_rounding
         um, u2 = uu._mpf_, (uu * uu)._mpf_
 
@@ -257,9 +256,7 @@ def digamma(u, ctx: PrecisionContext = DEFAULT_CONTEXT,
              subtracted Bose/Binet kernel.
     """
     with ctx.working(10):
-        uu = mpf(u)
-        if not 0 < uu < mp.inf:
-            raise ValueError("digamma requires finite u > 0")
+        uu = positive(u, "digamma")
         if route == "bose":
             u2 = uu * uu
             res = integrate_bose(lambda x: x / (u2 + x * x), ctx)
@@ -275,9 +272,7 @@ def digamma(u, ctx: PrecisionContext = DEFAULT_CONTEXT,
 def trigamma(u, ctx: PrecisionContext = DEFAULT_CONTEXT) -> FunctionValue:
     """psi'(u) = 1/u + 1/(2u^2) + 4u int x/((u^2+x^2)^2 B) dx, u > 0."""
     with ctx.working(10):
-        uu = mpf(u)
-        if not 0 < uu < mp.inf:
-            raise ValueError("trigamma requires finite u > 0")
+        uu = positive(u, "trigamma")
         u2 = uu * uu
         res = integrate_bose(lambda x: x / (u2 + x * x) ** 2, ctx)
         val = 1 / uu + 1 / (2 * u2) + 4 * uu * res.value
@@ -300,7 +295,8 @@ def log_gamma(u, route: str = "binet2",
     binet1          Stirling main term + int e^(-ut) K(t)/t dt
     bourguet        Stirling main term + sum_n f(2 pi n u)/(pi n), f the
                     sine/cosine-integral auxiliary function: the lattice
-                    sum of _aux_lattice_sum, its length from the digits
+                    sum of _aux_lattice_sum, its length from the digits;
+                    below u = 1 at u + 1, less log u
     binomial_series Lerch form zeta'(0,u) + log(2pi)/2 with zeta'(0,u)
                     from Hasse's binomial double sum, shifted to u + M
                     like the hasse_sum route; raises
@@ -310,9 +306,7 @@ def log_gamma(u, route: str = "binet2",
     if route not in LOG_GAMMA_ROUTES:
         raise ValueError("unknown log_gamma route %r" % route)
     with ctx.working(10):
-        uu = mpf(u)
-        if not 0 < uu < mp.inf:
-            raise ValueError("log_gamma requires finite u > 0")
+        uu = positive(u, "log_gamma")
         if route == "binet2":
             res = integrate_bose(lambda x: mp.atan2(x, uu), ctx)
             return FunctionValue(+(_stirling_main(uu) + 2 * res.value),
@@ -321,8 +315,14 @@ def log_gamma(u, route: str = "binet2",
             res = integrate_laplace(lambda t: binet_kernel(t) / t, uu, ctx)
             return FunctionValue(+(_stirling_main(uu) + res.value), "binet1")
         if route == "bourguet":
-            part = _aux_lattice_sum(0, 1, 2 * mp.pi * uu, ctx) / mp.pi
-            return FunctionValue(+(_stirling_main(uu) + part), "bourguet")
+            # below u = 1 the lattice runs at u + 1, log Gamma(u) =
+            # log Gamma(u + 1) - log u, so N is at most its value at u = 1
+            v = uu + 1 if uu < 1 else uu
+            part = _aux_lattice_sum(0, 1, 2 * mp.pi * v, ctx) / mp.pi
+            val = _stirling_main(v) + part
+            if uu < 1:
+                val -= mp.log(uu)
+            return FunctionValue(+val, "bourguet")
         # binomial_series: Hasse's sum of x log x - x is zeta'(0,x), and
         # zeta'(0,u) = zeta'(0,u+1) - log u
         zeta_p0 = series._shifted_hasse_sum(
@@ -354,9 +354,7 @@ def _hermite(m: int, s, u, ctx: PrecisionContext):
     """
     with ctx.working(10):
         s = mpf(s)
-        uu = mpf(u)
-        if not 0 < uu < mp.inf:
-            raise ValueError("hurwitz_zeta requires finite u > 0")
+        uu = positive(u, "hurwitz_zeta")
         if s == 1:
             raise ValueError("pole at s = 1")
         prec, rnd = mp._prec_rounding
@@ -433,9 +431,7 @@ def barnes_g_log(t, route: str = "integral_6_7",
     if route not in BARNES_G_ROUTES:
         raise ValueError("unknown barnes_g route %r" % route)
     with ctx.working(10):
-        tt = mpf(t)
-        if not 0 < tt < mp.inf:
-            raise ValueError("barnes_g_log requires finite t > 0")
+        tt = positive(t, "barnes_g_log", "t")
         if route == "weierstrass_6_5":
             g = series.limit_stieltjes_oracle(0, 1, ctx)
             K = max(60, int(4 * tt) + 40,
@@ -580,9 +576,7 @@ def sin_cos_integrals(x, ctx: PrecisionContext = DEFAULT_CONTEXT):
     in Ci), the auxiliary functions of _si_ci_aux beyond.
     """
     with ctx.working(10):
-        x = mpf(x)
-        if not 0 < x < mp.inf:
-            raise ValueError("sin_cos_integrals requires finite x > 0")
+        x = positive(x, "sin_cos_integrals", "x")
         if x <= _SICI_SERIES_MAX:
             eps = mpf(10) ** (-(mp.dps + 2))
             si_acc = mpf(0)

@@ -1,4 +1,5 @@
-"""Precision policy, digit agreement and the error types.
+"""Precision policy, digit agreement, the error types and the one check
+of a positive argument (positive).
 
 Everything numerical in this package runs through a PrecisionContext.  It
 holds one number, target_digits, what the caller wants to trust; the rest
@@ -112,6 +113,15 @@ def agreed_digits(a, b, ctx: PrecisionContext = DEFAULT_CONTEXT) -> int:
         scale = max(abs(a), mpf(1))
         d = -mp.log10(diff / scale)
         return max(0, min(ctx.working_digits, int(mp.floor(d))))
+
+
+def positive(v, who: str, name: str = "u") -> mpf:
+    """v as an mpf at the caller's working precision; ValueError
+    "<who> requires finite <name> > 0" unless 0 < v < inf (nan fails)."""
+    v = mpf(v)
+    if not 0 < v < mp.inf:
+        raise ValueError("%s requires finite %s > 0" % (who, name))
+    return v
 
 
 #: The engines a value can come from.  Every tally key but _sum_terms'

@@ -21,7 +21,9 @@ read, with the same formulas at every index, and kept, so a table costs
 only the nodes that walks reach and its t range costs nothing beyond
 them.  Every rule, 1-D and 2-D, hands one driver (_refine) its value on a
 stride sub-grid of the cached grid; the driver halves the stride until
-two levels agree and reports their difference as the error estimate.
+two levels agree and reports their difference as the error estimate, and
+raises NonConvergenceError when the finest level still disagrees, so no
+rule returns a value that did not settle.
 Every rule reuses integrand values across levels; the 1-D rules truncate
 each level with one outward walk (_walk).  It stops a side after 3
 negligible terms past the last non-negligible one of the level before,
@@ -32,7 +34,9 @@ raises NonConvergenceError rather than return the truncated sum.
 
 The rules take plain callables: f(x) on (0,inf) and f(x, 1 - x) on
 (0,1), the exact complement keeping f accurate next to 1.  The unit-square
-rule builds node records in mpf and sums their pairs in C decimal.
+rule takes two, node(x, 1 - x), run once per node in mpf, and a symmetric
+pair(p, q) of two node records; it sums pairs over one triangle and the
+diagonal in C decimal.
 
 The per-node steps of the 1-D rules run in libmp, mpmath's low-level
 layer, on _mpf_ tuples: the nodes (_build_table), each term f(x_i) w_i
@@ -64,7 +68,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Context, Decimal, localcontext
 from functools import partial
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from mpmath import mp, mpf
 from mpmath.libmp import (dps_to_prec, fone, fzero, mpf_abs, mpf_add,
@@ -76,32 +80,16 @@ from .precision import (
     NonConvergenceError,
     PrecisionContext,
     expm1,
+    positive,
     tally,
 )
 from .series import _bern_coef, _sum_terms
 
 
 @dataclass
-class Integrand2D:
-    """Real integrand on the open unit square, f(x, y) = pair(p, q) with
-    p = node(x, 1-x) and q = node(y, 1-y).
-
-    node gets each abscissa with its exact complement as mpf, may call mp
-    functions and returns the factors pair needs (a value or a tuple),
-    once per node.  pair gets them as Decimals and may use only arithmetic,
-    comparisons, min/max and ints: Decimal + mpf is a silent, slow mpf.
-    symmetric=True promises pair(p, q) = pair(q, p) and halves the work.
-    """
-
-    node: Callable
-    pair: Callable
-    symmetric: bool = False
-
-
-@dataclass
 class QuadratureResult:
     """A rule's value, its error estimate and how many integrand values it
-    took: f2.pair calls for integrate_unit_square, distinct integrand
+    took: pair calls for integrate_unit_square, distinct integrand
     calls for the 1-D rules."""
 
     value: object
@@ -282,10 +270,10 @@ def _refine(level, strides, tol):
     """Coarse-to-fine refinement shared by every rule.
 
     level(stride) is the rule's value on one stride sub-grid of a node
-    table; strides run coarse to fine.  Returns (value, error, settled)
-    for the first level whose difference from the level before is below
-    tol (relative once |value| > 1), or for the finest level with settled
-    False when no level gets there.
+    table; strides run coarse to fine.  Returns (value, error) for the
+    first level whose difference from the level before is below tol
+    (relative once |value| > 1); raises NonConvergenceError when no level
+    gets there.
     """
     prev = err = None
     for stride in strides:
@@ -293,20 +281,16 @@ def _refine(level, strides, tol):
         if prev is not None:
             err = abs(val - prev)
             if err < tol * max(1, abs(val)):
-                return val, err, True
+                return val, err
         prev = val
-    return val, err, False
+    raise NonConvergenceError(
+        "quadrature stalled: level difference %s above tol %s"
+        % (mp.nstr(err, 3), mp.nstr(tol, 3)))
 
 
 def _strides(dps: int) -> list:
     """1-D strides over the finest table: h = 1/4 down to the finest step."""
     return [1 << k for k in range(_finest_level(dps) - 2, -1, -1)]
-
-
-def _stalled(err, tol) -> NonConvergenceError:
-    return NonConvergenceError(
-        "quadrature stalled: level difference %s above tol %s"
-        % (mp.nstr(err, 3), mp.nstr(tol, 3)))
 
 
 def _walk(tab: _NodeTable, stride: int, small, reach):
@@ -381,9 +365,7 @@ def _integrate_on_table(feval, tab: _NodeTable, tol, dps):
                     % ("right" if side > 0 else "left", tab.kind))
         return val
 
-    val, err, settled = _refine(level, _strides(dps), tol)
-    if not settled:
-        raise _stalled(err, tol)
+    val, err = _refine(level, _strides(dps), tol)
     return QuadratureResult(value=+val, error_estimate=+err,
                             nodes_used=len(terms))
 
@@ -467,10 +449,8 @@ def _bose_kernel(g, tab: _NodeTable, tol, dps):
             v = gvals[i] = g(tab.node(i).x)
         return v
 
-    val, err, settled = _refine(_BoseKernelSums(cached, tab, tol).value,
-                                _strides(dps), tol)
-    if not settled:
-        raise _stalled(err, tol)
+    val, err = _refine(_BoseKernelSums(cached, tab, tol).value,
+                       _strides(dps), tol)
     return QuadratureResult(+val, +err, len(gvals))
 
 
@@ -553,9 +533,7 @@ def integrate_laplace(h, u, ctx: PrecisionContext = DEFAULT_CONTEXT
     """int_0^inf e^(-u t) h(t) dt for u > 0 on the exp-decay table, with
     e^(-u t) in libmp; tallied as the exp_sinh engine."""
     with ctx.working(10):
-        uu = mpf(u)
-        if not 0 < uu < mp.inf:
-            raise ValueError("integrate_laplace requires finite u > 0")
+        uu = positive(u, "integrate_laplace")
         prec, rnd = mp._prec_rounding
         nu = (-uu)._mpf_
         return _rule("exp_sinh", "ed0inf", ctx, _on_nodes(
@@ -578,25 +556,32 @@ def _dec(v):
     return Decimal(m) * (1 << e) if e >= 0 else Decimal(m) / (1 << -e)
 
 
-def integrate_unit_square(f2: Integrand2D,
-                          ctx: PrecisionContext = DEFAULT_CONTEXT
+def integrate_unit_square(node, pair, ctx: PrecisionContext = DEFAULT_CONTEXT
                           ) -> QuadratureResult:
-    """Tensor tanh-sinh over (0,1)^2, clipped 1e-30 from the edges.
+    """Tensor tanh-sinh over (0,1)^2, clipped 1e-30 from the edges, of
+    f(x, y) = pair(p, q) with p = node(x, 1 - x) and q = node(y, 1 - y).
+
+    node gets each abscissa with its exact complement as mpf, may call mp
+    functions and returns the factors pair needs (a value or a tuple); it
+    runs once per node.  pair gets them as Decimals and may use only
+    arithmetic, comparisons, min/max and ints: Decimal + mpf is a silent,
+    slow mpf.  pair must be symmetric, pair(p, q) = pair(q, p): the rule
+    sums one triangle and the diagonal.  A non-symmetric integrand is
+    passed as its symmetric part, (f(p, q) + f(q, p))/2.
 
     Always works at min(ctx.working_digits, 45) digits, however many ctx
     asks for: the 2-D entries are pinned between 1e-10 and 1e-28, and two
     levels settle when they differ by less than _TOL_2D = 1e-11.  The
     levels h = 1/32, 1/64, 1/128 are nested: each adds to one running sum
-    only the pairs that no coarser level summed, and f2.node runs once per
-    node for all of them.  Records and weights are rounded once to
-    Decimals of the rule's digits + 10; pairs, rows and the running sum
-    round each step at those digits, and each level returns to mpf once.
-    On the catalog's entries this lies within 1.7e-43 of the same sums in
-    mpf with exactly rounded rows (rows at twice the digits, with exact
-    products, came as close and took as long).
-    A symmetric f2 sums one triangle and the diagonal.
-    An undecided 1/128 level is returned with its difference from 1/64 as
-    the error estimate.  nodes_used counts f2.pair evaluations.
+    only the pairs that no coarser level summed.  Records and weights are
+    rounded once to Decimals of the rule's digits + 10; pairs, rows and
+    the running sum round each step at those digits, and each level
+    returns to mpf once.  On the catalog's entries this lies within
+    1.7e-43 of the same sums in mpf with exactly rounded rows (rows at
+    twice the digits, with exact products, came as close and took as
+    long).  When no level settles, the last being 1/128 against 1/64,
+    the rule raises NonConvergenceError.  nodes_used counts pair
+    evaluations.
     """
     dps = min(ctx.working_digits, 45)
     with mp.workdps(dps + 10), localcontext(Context(prec=dps + 10)):
@@ -625,28 +610,23 @@ def integrate_unit_square(f2: Integrand2D,
             nonlocal recs, total, used
             idxs = window(stride)
             new = [i not in recs for i in idxs]
-            ps = [_dec(f2.node(*tab.node(i)[:2])) if nw else recs[i]
+            ps = [_dec(node(*tab.node(i)[:2])) if nw else recs[i]
                   for i, nw in zip(idxs, new)]
             recs = dict(zip(idxs, ps))
             ws = [_dec(tab.node(i).w) for i in idxs]
             for a, p in enumerate(ps):
-                cols = range(a) if f2.symmetric else range(len(ps))
-                if not new[a]:
-                    cols = [b for b in cols if new[b]]
-                row = sum([f2.pair(p, ps[b]) * ws[b] for b in cols])
+                cols = range(a) if new[a] else [b for b in range(a) if new[b]]
+                row = sum([pair(p, ps[b]) * ws[b] for b in cols])
                 used += len(cols)
-                if f2.symmetric:
-                    total += 2 * row * ws[a]
-                    if new[a]:
-                        total += f2.pair(p, p) * ws[a] * ws[a]
-                        used += 1
-                else:
-                    total += row * ws[a]
+                total += 2 * row * ws[a]
+                if new[a]:
+                    total += pair(p, p) * ws[a] * ws[a]
+                    used += 1
             hs = tab.h * stride
             return mpf(str(total)) * hs * hs
 
         lvl_fin = _finest_level(dps)
-        val, err, _ = _refine(
+        val, err = _refine(
             level_value, [1 << (lvl_fin - s) for s in (5, 6, 7)], _TOL_2D)
         return _tallied("unit_square", QuadratureResult(+val, +err, used),
                         tab.built - built)

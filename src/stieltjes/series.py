@@ -54,6 +54,7 @@ from .precision import (
     NonConvergenceError,
     PrecisionContext,
     PrecisionExhaustedError,
+    positive,
     tally,
 )
 
@@ -509,9 +510,7 @@ def stieltjes_oracle_table(n_max: int, u,
         with ctx.working():
             return [+v for v in cached[:n_max + 1]]
     with ctx.working(10 + n_max):
-        uu = mpf(u)
-        if not 0 < uu < mp.inf:
-            raise ValueError("oracle requires finite u > 0")
+        uu = positive(u, "oracle")
         eps = mpf(10) ** (-(mp.dps + 2))
         N = 1 + max(_em_plan(1, n, 1 + uu, eps)[0] for n in range(n_max + 1))
         tally(em_oracle_n=N)
@@ -562,9 +561,7 @@ def psi_asymptotic(x, ctx: PrecisionContext = DEFAULT_CONTEXT):
     this one in the tests.
     """
     with ctx.working(10):
-        x = mpf(x)
-        if not 0 < x < mp.inf:
-            raise ValueError("psi_asymptotic requires finite x > 0")
+        x = positive(x, "psi_asymptotic", "x")
         shift_to = mpf(0.4) * mp.dps + 8
         m = int(max(0, mp.ceil(shift_to - x)))
         acc = mpf(0)
@@ -667,9 +664,7 @@ def _shifted_hasse_sum(g, head, u, ctx: PrecisionContext):
     """
     depth = _hasse_depth(ctx)
     with ctx.working(int(math.ceil(0.302 * depth)) + 10):
-        uu = mpf(u)
-        if not 0 < uu < mp.inf:
-            raise ValueError("Hasse's sum requires finite u > 0")
+        uu = positive(u, "Hasse's sum")
         heads = [head(uu + k) for k in range(depth)]
         rows = [[g(uu + depth + j)] for j in range(depth + 1)]
         return +_binomial_sums(_hasse_weights(depth), rows,
@@ -724,9 +719,7 @@ def alt_zeta_hasse(s, u, k_max: int,
     depth = _altzeta_depth(ctx)
     with ctx.working(int(math.ceil(0.302 * depth)) + 10):
         s = mpf(s)
-        uu = mpf(u)
-        if not 0 < uu < mp.inf:
-            raise ValueError("alt_zeta_hasse requires finite u > 0")
+        uu = positive(u, "alt_zeta_hasse")
         rows = [list(itertools.accumulate(
             [mp.power(uu + j, -s)] + [mp.log(uu + j)] * k_max, mpf.__mul__))
             for j in range(depth + 1)]

@@ -9,7 +9,7 @@ from decimal import Context, Decimal, localcontext
 import pytest
 from mpmath import mp, mpf
 
-from stieltjes import catalog, quadrature
+from stieltjes import catalog, functions, quadrature
 from stieltjes.catalog import (
     ALLOWED_TAGS,
     EntryOutcome,
@@ -22,7 +22,6 @@ from stieltjes.catalog import (
 from stieltjes.precision import DEFAULT_CONTEXT as CTX
 from stieltjes.precision import PrecisionContext, recording
 from stieltjes.quadrature import (
-    Integrand2D,
     QuadratureResult,
     _finest_level,
     _get_table,
@@ -243,22 +242,22 @@ def test_stirling_sums_start_past_the_tail_floor(digits):
 
 
 # ---------------------------------------------------------------------------
-# I-9.5a: the symmetrized integrand on one triangle
+# the 2-D entries: symmetrized integrands on one triangle
 # ---------------------------------------------------------------------------
 
 def _unit_square_integrand(monkeypatch, eid):
-    """The Integrand2D that entry eid's lhs hands the 2-D rule, and the
+    """The (node, pair) that entry eid's lhs hands the 2-D rule, and the
     rule's node table."""
     seen = []
 
-    def capture(f2, ctx):
-        seen.append(f2)
+    def capture(node, pair, ctx):
+        seen.append((node, pair))
         return QuadratureResult(mpf(0), mpf(0), 0)
     monkeypatch.setattr(catalog, "integrate_unit_square", capture)
     (entry,) = [e for e in all_entries() if e.id == eid]
     entry.lhs(CTX)
-    (f2,) = seen
-    return f2, _get_table("ts01", min(CTX.working_digits, 45))
+    ((node, pair),) = seen
+    return node, pair, _get_table("ts01", min(CTX.working_digits, 45))
 
 
 def _spread_nodes(tab, k):
@@ -268,26 +267,41 @@ def _spread_nodes(tab, k):
     return {inner[j * (len(inner) - 1) // (k - 1)] for j in range(k)}
 
 
+def _check_symmetric_part(monkeypatch, eid, raw, scale):
+    """Entry eid's pair is symmetric and scale times the mean of raw(p, q)
+    and raw(q, p) on 67 nodes spread from edge to edge: 67^2 = 4489
+    pairs."""
+    node, pair, tab = _unit_square_integrand(monkeypatch, eid)
+    with mp.workdps(tab.dps + 10):
+        picks = _spread_nodes(tab, 67)
+        assert len(picks) == 67
+        ps = [node(*tab.node(i)[:2]) for i in picks]
+        for p in ps:
+            for q in ps:
+                v = pair(p, q)
+                assert v == pair(q, p)
+                mean = (raw(p, q) + raw(q, p)) / 2
+                assert abs(scale * v - mean) <= mpf(10) ** -50 * abs(mean)
+
+
 def test_95a_pair_is_the_symmetric_part_of_sondows_integrand(monkeypatch):
     # -(1-x)/((1-xy) log(xy)) in complements; the entry halves and negates
     # the sum of its symmetrized pair over the rule's triangle
-    f2, tab = _unit_square_integrand(monkeypatch, "I-9.5a")
-    assert f2.symmetric
-
     def sondow(p, q):
         (xc, lx), (yc, ly) = p, q
         return -xc / ((xc + yc - xc * yc) * (lx + ly))
-    with mp.workdps(tab.dps + 10):
-        # 67 nodes spread from edge to edge: 67^2 = 4489 pairs
-        picks = _spread_nodes(tab, 67)
-        assert len(picks) == 67
-        ps = [f2.node(*tab.node(i)[:2]) for i in picks]
-        for p in ps:
-            for q in ps:
-                v = f2.pair(p, q)
-                assert v == f2.pair(q, p)
-                mean = (sondow(p, q) + sondow(q, p)) / 2
-                assert abs(-v / 2 - mean) <= mpf(10) ** -50 * abs(mean)
+    _check_symmetric_part(monkeypatch, "I-9.5a", sondow, mpf(-1) / 2)
+
+
+def test_92_pair_is_the_symmetric_part_of_the_harmonic_integrand(
+        monkeypatch):
+    # log x (1-y) R(y)/(1-(1-x)y)^2, R(y) = 1/log y + 1/(1-y), from the
+    # abscissas in the records rather than their log and R fields
+    def harmonic(p, q):
+        (x, xc, _, _), (y, yc, _, _) = p, q
+        r = functions.one_over_log_kernel(y, yc)
+        return mp.log(x) * yc * r / (1 - xc * y) ** 2
+    _check_symmetric_part(monkeypatch, "I-9.2", harmonic, 1)
 
 
 @pytest.mark.parametrize("eid", ["I-9.2", "I-9.4a", "I-9.5a"])
@@ -295,31 +309,30 @@ def test_2d_pair_keeps_decimal_records_in_decimal(monkeypatch, eid):
     # the rule hands pair Decimal records; a pair that used an mpf constant
     # or an mp function would not fail but return an mpf (Decimal + mpf is
     # an mpf), and every pair would pay mpmath's cost again
-    f2, tab = _unit_square_integrand(monkeypatch, eid)
+    node, pair, tab = _unit_square_integrand(monkeypatch, eid)
     with mp.workdps(tab.dps + 10), localcontext(Context(prec=tab.dps + 10)):
         # 9 nodes from edge to edge, as mpf records and as the rule's
-        ps = [f2.node(*tab.node(i)[:2]) for i in _spread_nodes(tab, 9)]
+        ps = [node(*tab.node(i)[:2]) for i in _spread_nodes(tab, 9)]
         ds = [quadrature._dec(p) for p in ps]
         for p, pd in zip(ps, ds):
             for q, qd in zip(ps, ds):
-                v = f2.pair(pd, qd)
+                v = pair(pd, qd)
                 assert type(v) is Decimal
                 # the same function: I-9.4a's bracket cancels up to 34 of
                 # the 55 digits at the corners, so the two roundings part
                 # by up to 1.5e-21 relative there
-                ref = f2.pair(p, q)
+                ref = pair(p, q)
                 assert abs(mpf(str(v)) - ref) <= mpf(10) ** -15 * abs(ref)
 
 
 def test_95a_settles_at_h_1_64_on_one_triangle(monkeypatch):
     xs = []
 
-    def spy(f2, ctx):
-        def node(x, xc):
+    def spy(node, pair, ctx):
+        def seen(x, xc):
             xs.append(x)
-            return f2.node(x, xc)
-        return integrate_unit_square(
-            Integrand2D(node, f2.pair, f2.symmetric), ctx)
+            return node(x, xc)
+        return integrate_unit_square(seen, pair, ctx)
     monkeypatch.setattr(catalog, "integrate_unit_square", spy)
     (out,) = run_catalog("I-9.5a", ctx=CTX).outcomes
     assert out.passed

@@ -1,6 +1,7 @@
 """Special-function web: every route against closed forms, recurrences,
 reflections, and the other routes."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -380,13 +381,17 @@ class TestLogGamma:
             assert abs(a - b) < mpf(10) ** -30
 
     @pytest.mark.parametrize("digits", [15, 60])
-    @pytest.mark.parametrize("u", ["0.73", "10"])
+    @pytest.mark.parametrize("u", ["1e-7", "1e-3", "0.73", "10"])
     def test_bourguet_matches_mpmath(self, digits, u):
         # the lattice length and the si/ci tier boundary follow the
-        # digits; fixed ones left 7e-4 at 15 digits and 5e-47 at 60
+        # digits; fixed ones left 7e-4 at 15 digits and 5e-47 at 60.  Its
+        # length grows like 1/u, so below u = 1 the lattice runs at u + 1
+        # and every call stays within a few seconds
         ctx = PrecisionContext.for_digits(digits)
         uu = mpf(u)
+        start = time.perf_counter()
         val = F.log_gamma(uu, "bourguet", ctx).value
+        assert time.perf_counter() - start < 5
         with mp.workdps(digits + 30):
             assert abs(val - mp.loggamma(uu)) <= ctx.tolerance
 

@@ -50,6 +50,15 @@ def test_invalid_contexts_rejected():
             PrecisionContext.for_digits(target)
 
 
+def test_positive_converts_at_the_working_precision_and_names_its_caller():
+    with mp.workdps(40):
+        assert precision.positive("0.1", "digamma") == mpf("0.1")
+    for v in (0, -1, mp.nan, mp.inf, "-inf"):
+        with pytest.raises(ValueError,
+                           match=r"^barnes_g_log requires finite t > 0$"):
+            precision.positive(v, "barnes_g_log", "t")
+
+
 def test_working_context_manager_sets_and_restores():
     before = mp.dps
     with DEFAULT_CONTEXT.working():

@@ -17,7 +17,6 @@ from stieltjes.precision import DEFAULT_CONTEXT as CTX
 from stieltjes.precision import (NonConvergenceError, PrecisionContext,
                                  recording)
 from stieltjes.quadrature import (
-    Integrand2D,
     _bose_value,
     _BoseKernelSums,
     _default_tol,
@@ -458,28 +457,24 @@ class TestLaplace:
 class TestUnitSquare:
     def test_product_polynomial(self):
         with CTX.working():
-            r = integrate_unit_square(Integrand2D(
-                node=lambda x, xc: x, pair=lambda p, q: p * q), CTX)
+            r = integrate_unit_square(lambda x, xc: x,
+                                      lambda p, q: p * q, CTX)
             assert abs(r.value - mpf(1) / 4) < mpf(10) ** -10
 
     def test_full_form_with_complements(self):
         with CTX.working():
-            r = integrate_unit_square(Integrand2D(
-                node=lambda x, xc: xc, pair=lambda p, q: p * q), CTX)
+            r = integrate_unit_square(lambda x, xc: xc,
+                                      lambda p, q: p * q, CTX)
             assert abs(r.value - mpf(1) / 4) < mpf(10) ** -10
 
-    def test_symmetric_flag_consistency(self):
-        def node(x, xc):
-            return x * x
-
-        def pair(p, q):
-            return p + q
+    def test_unsettled_levels_refuse(self):
+        # sin(1000 x) sin(1000 y) swings some 160 times across each side;
+        # h = 1/128 cannot resolve it, so the last two levels disagree
         with CTX.working():
-            a = integrate_unit_square(Integrand2D(node, pair), CTX)
-            b = integrate_unit_square(Integrand2D(node, pair,
-                                                  symmetric=True), CTX)
-            assert abs(a.value - b.value) < mpf(10) ** -20
-            assert abs(a.value - mpf(2) / 3) < mpf(10) ** -10
+            with pytest.raises(NonConvergenceError,
+                               match="quadrature stalled"):
+                integrate_unit_square(lambda x, xc: mp.sin(1000 * x),
+                                      lambda p, q: p * q, CTX)
 
     def test_pair_gets_decimal_records(self):
         # node runs in mpf; pair gets the records as Decimals, in a decimal
@@ -492,22 +487,22 @@ class TestUnitSquare:
 
         def pair(p, q):
             seen.append((tuple(map(type, p + q)), getcontext().prec))
-            return p[0] * q[1]
+            return (p[0] * q[1] + q[0] * p[1]) / 2
         with CTX.working():
-            r = integrate_unit_square(Integrand2D(node, pair), CTX)
+            r = integrate_unit_square(node, pair, CTX)
         assert set(seen) == {((Decimal,) * 4,
                               min(CTX.working_digits, 45) + 10)}
         assert isinstance(r.value, mpf)
         assert abs(r.value - mpf(1) / 4) < mpf(10) ** -10
 
-    @pytest.mark.parametrize("symmetric, f, stride", [
+    @pytest.mark.parametrize("f, stride", [
         # a smooth product settles on the second level, h = 1/64; the
-        # kink of min(x, y) on the diagonal runs all three
-        (False, lambda x, xc, y, yc: x * yc, 4),
-        (True, lambda x, xc, y, yc: min(x, y), 2),
+        # ridge 1/(1/200 + (x - y)^2) along the diagonal runs all three
+        (lambda x, xc, y, yc: x * yc + xc * y, 4),
+        (lambda x, xc, y, yc: 200 / (1 + 200 * (x - y) ** 2), 2),
     ], ids=["two-levels", "three-levels-symmetric"])
     def test_nested_levels_evaluate_each_node_and_pair_once(
-            self, symmetric, f, stride):
+            self, f, stride):
         nodes, pairs = [], []
 
         def node(x, xc):
@@ -518,8 +513,7 @@ class TestUnitSquare:
             pairs.append(None)
             return f(*p, *q)
         with CTX.working():
-            r = integrate_unit_square(Integrand2D(node, pair, symmetric),
-                                      CTX)
+            r = integrate_unit_square(node, pair, CTX)
         dps = min(CTX.working_digits, 45)
         tab = _get_table("ts01", dps)
         index = {tab.node(i).x: i for i in range(len(tab.nodes))}
@@ -527,7 +521,8 @@ class TestUnitSquare:
         n = len(idxs)
         assert len(set(idxs)) == n
         assert idxs == list(range(idxs[0], idxs[-1] + 1, stride))
-        assert len(pairs) == (n * (n + 1) // 2 if symmetric else n * n)
+        # one triangle and the diagonal
+        assert len(pairs) == n * (n + 1) // 2
         assert r.nodes_used == len(pairs)
         with localcontext(Context(prec=2 * (dps + 10))):
             # every row of the full n x n grid in decimal at twice the
