@@ -26,7 +26,6 @@ from .precision import (DEFAULT_CONTEXT, PrecisionContext, expm1, log1p,
 from . import series
 from . import functions as F
 from .quadrature import (
-    exp_sinh_0inf,
     integrate_bose,
     integrate_laplace,
     integrate_unit_square,
@@ -176,6 +175,35 @@ def _binet_kernel_tail(t):
     if abs(x) > F._SEAM:
         return F.binet_kernel(t) - x / 12
     return F._binet_series(x, 2)
+
+
+def _kernel_moment(t, ctx):
+    """F(t) = int_0^inf K(y) (1 - e^(-t y))/y^2 dy, K the subtracted Binet
+    kernel, split at y = 1 so that no piece runs out along K's 1/y^2 tail
+    with its poles at y = +-2 pi i k near the quadrature map's strip:
+
+      (0,1):    tanh-sinh; the integrand is regular, tending to t/12;
+      (1,inf):  K = 1/(e^y - 1) + (1/2 - 1/y), and (1/2 - 1/y)/y^2
+                integrates to exactly 0 over (1,inf), so with y = 1 + x
+                what is left is two Laplace integrals on the exp-decay map,
+                e^-1 int e^-x expm1(-t y)/expm1(-y)/y^2 dx
+                - e^-t int e^(-t x) (1/2 - 1/y)/y^2 dx.
+    """
+    t = mpf(t)
+
+    def bose(x):
+        y = 1 + x
+        return expm1(-t * y) / expm1(-y) / (y * y)
+
+    def algebraic(x):
+        y = 1 + x
+        return (mpf(1) / 2 - 1 / y) / (y * y)
+
+    head = tanh_sinh_01(
+        lambda y, yc: F.binet_kernel(y) * -expm1(-t * y) / (y * y), ctx)
+    return (head.value
+            + integrate_laplace(bose, 1, ctx).value / mp.e
+            - integrate_laplace(algebraic, t, ctx).value * mp.exp(-t))
 
 
 def _psi_plus(x, xc):
@@ -383,10 +411,9 @@ def register_builtin_entries() -> None:
         description="Integral of the subtracted kernel against "
                     "(1-e^-t)/t^2 equals exactly 1/4.",
         paper_anchor="I-2.20",
-        lhs=lambda ctx: exp_sinh_0inf(
-            lambda t: -expm1(-t) / (t * t) * F.binet_kernel(t), ctx).value,
+        lhs=lambda ctx: _kernel_moment(1, ctx),
         rhs=lambda ctx: mpf(1) / 4,
-        lhs_route="exp_sinh_quadrature", rhs_route="exact_rational",
+        lhs_route="tanh_sinh_laplace_split", rhs_route="exact_rational",
         tags=Q))
 
     # --- cosine transform (corrected second kernel) -------------------
@@ -709,10 +736,7 @@ def register_builtin_entries() -> None:
             lt = mp.log(t)
             main = ((t * t - t) / 2 * lt - t * t / 4 + t / 2
                     - t * t / 2 + t / 2 * mp.log(2 * mp.pi))
-            intg = exp_sinh_0inf(
-                lambda y: F.binet_kernel(y) * (-expm1(-t * y)) / (y * y),
-                ctx).value
-            return main + intg
+            return main + _kernel_moment(t, ctx)
 
         def rhs_64(ctx, tv=tv):
             t = mpf(tv)
@@ -727,7 +751,8 @@ def register_builtin_entries() -> None:
                         "combination (t = %s)." % tv,
             paper_anchor="I-6.4",
             lhs=lhs_64, rhs=rhs_64,
-            lhs_route="laplace_quadrature", rhs_route="product_series_bose",
+            lhs_route="tanh_sinh_laplace_split",
+            rhs_route="product_series_bose",
             tags=Q))
 
     # --- Gosper/Vardi functional equation -----------------------------

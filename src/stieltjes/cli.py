@@ -6,7 +6,8 @@ Commands:
   table     gamma_0 .. gamma_{first-1} at u = 1 by two routes, with the
             number of digits on which the routes agree
   verify    run the identity catalog and render a report; json adds each
-            side's engines and the digits of margin against the tolerance
+            side's engines, the quadrature levels each engine computed and
+            the digits of margin against the tolerance
 
 Exit codes: 0 ok, 1 verification failure, 2 usage error, 3 a route cannot
 reach the requested precision (exhausted or not converging).  Output
@@ -209,6 +210,12 @@ def cmd_table(args: argparse.Namespace) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
+def _levels(record) -> dict:
+    """The <engine>_levels counts of a record, by engine."""
+    return {k[:-len("_levels")]: v for k, v in sorted(record.items())
+            if k.endswith("_levels")}
+
+
 def _report_payload(rep, ctx: PrecisionContext) -> dict:
     digits = ctx.target_digits
     floor = mpf(10) ** -ctx.working_digits      # for margin_digits' error
@@ -228,6 +235,8 @@ def _report_payload(rep, ctx: PrecisionContext) -> dict:
             "elapsed_ms": round(o.elapsed_ms, 3),
             "lhs_engines": sorted(engines(o.lhs_record)),
             "rhs_engines": sorted(engines(o.rhs_record)),
+            "lhs_levels": _levels(o.lhs_record),
+            "rhs_levels": _levels(o.rhs_record),
             "margin_digits": None if o.abs_error is None else round(float(
                 mp.log10(o.tolerance / max(o.abs_error, floor))), 3),
         }

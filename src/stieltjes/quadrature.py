@@ -3,7 +3,8 @@
 Three transforms cover everything in this package:
 
   * tanh-sinh on (0,1):     x(t) = 1/(1 + e^(-pi sinh t)),
-  * exp-sinh on (0,inf):    x(t) = e^((pi/2) sinh t), for algebraic decay,
+  * exp-sinh on (0,inf):    x(t) = e^((pi/2) sinh t), the map of the Bose
+                            rule's kernel route alone,
   * exp-decay on (0,inf):   x(t) = e^(t - e^(-t)), for e^(-u x) (Takahasi
                             and Mori 1974), the Laplace rule's map and,
                             in y = 2 pi x, the Bose rule's,
@@ -21,9 +22,11 @@ read, with the same formulas at every index, and kept, so a table costs
 only the nodes that walks reach and its t range costs nothing beyond
 them.  Every rule, 1-D and 2-D, hands one driver (_refine) its value on a
 stride sub-grid of the cached grid; the driver halves the stride until
-two levels agree and reports their difference as the error estimate, and
-raises NonConvergenceError when the finest level still disagrees, so no
-rule returns a value that did not settle.
+two levels agree and reports their difference as the error estimate and
+the number of levels it computed, and raises NonConvergenceError when the
+finest level still disagrees, so no rule returns a value that did not
+settle.  Each rule call tallies <engine>_nodes, <engine>_error and
+<engine>_levels into the open provenance record.
 Every rule reuses integrand values across levels; the 1-D rules truncate
 each level with one outward walk (_walk).  It stops a side after 3
 negligible terms past the last non-negligible one of the level before,
@@ -88,13 +91,14 @@ from .series import _bern_coef, _sum_terms
 
 @dataclass
 class QuadratureResult:
-    """A rule's value, its error estimate and how many integrand values it
-    took: pair calls for integrate_unit_square, distinct integrand
-    calls for the 1-D rules."""
+    """A rule's value, its error estimate, how many integrand values it
+    took (pair calls for integrate_unit_square, distinct integrand calls
+    for the 1-D rules) and how many levels the refinement computed."""
 
     value: object
     error_estimate: object
     nodes_used: int
+    levels: int
 
 
 # ---------------------------------------------------------------------------
@@ -270,18 +274,18 @@ def _refine(level, strides, tol):
     """Coarse-to-fine refinement shared by every rule.
 
     level(stride) is the rule's value on one stride sub-grid of a node
-    table; strides run coarse to fine.  Returns (value, error) for the
-    first level whose difference from the level before is below tol
-    (relative once |value| > 1); raises NonConvergenceError when no level
-    gets there.
+    table; strides run coarse to fine.  Returns (value, error, levels) for
+    the first level whose difference from the level before is below tol
+    (relative once |value| > 1), levels counting the levels computed up to
+    it; raises NonConvergenceError when no level gets there.
     """
     prev = err = None
-    for stride in strides:
+    for levels, stride in enumerate(strides, 1):
         val = level(stride)
         if prev is not None:
             err = abs(val - prev)
             if err < tol * max(1, abs(val)):
-                return val, err
+                return val, err, levels
         prev = val
     raise NonConvergenceError(
         "quadrature stalled: level difference %s above tol %s"
@@ -365,17 +369,17 @@ def _integrate_on_table(feval, tab: _NodeTable, tol, dps):
                     % ("right" if side > 0 else "left", tab.kind))
         return val
 
-    val, err = _refine(level, _strides(dps), tol)
-    return QuadratureResult(value=+val, error_estimate=+err,
-                            nodes_used=len(terms))
+    val, err, levels = _refine(level, _strides(dps), tol)
+    return QuadratureResult(+val, +err, len(terms), levels)
 
 
 def _tallied(engine: str, res: QuadratureResult,
              nodes_built: int) -> QuadratureResult:
-    """res, its nodes_used and error estimate tallied for the engine, with
-    the table nodes the call had to build."""
+    """res, its nodes_used, error estimate and levels tallied for the
+    engine, with the table nodes the call had to build."""
     tally(**{engine + "_nodes": res.nodes_used,
-             engine + "_error": float(res.error_estimate)},
+             engine + "_error": float(res.error_estimate),
+             engine + "_levels": res.levels},
           table_nodes_built=nodes_built)
     return res
 
@@ -414,13 +418,6 @@ def tanh_sinh_01(f, ctx: PrecisionContext = DEFAULT_CONTEXT
                  _on_nodes(lambda nd: f(nd.x, nd.xc)))
 
 
-def exp_sinh_0inf(f, ctx: PrecisionContext = DEFAULT_CONTEXT
-                  ) -> QuadratureResult:
-    """integral of f(x) over (0,inf); f must decay essentially
-    exponentially."""
-    return _rule("exp_sinh", "es0inf", ctx, _on_nodes(lambda nd: f(nd.x)))
-
-
 # ---------------------------------------------------------------------------
 # Bose-weight integrals over the Bose values kept per node
 # ---------------------------------------------------------------------------
@@ -449,9 +446,9 @@ def _bose_kernel(g, tab: _NodeTable, tol, dps):
             v = gvals[i] = g(tab.node(i).x)
         return v
 
-    val, err = _refine(_BoseKernelSums(cached, tab, tol).value,
-                       _strides(dps), tol)
-    return QuadratureResult(+val, +err, len(gvals))
+    val, err, levels = _refine(_BoseKernelSums(cached, tab, tol).value,
+                               _strides(dps), tol)
+    return QuadratureResult(+val, +err, len(gvals), levels)
 
 
 class _BoseKernelSums:
@@ -626,7 +623,8 @@ def integrate_unit_square(node, pair, ctx: PrecisionContext = DEFAULT_CONTEXT
             return mpf(str(total)) * hs * hs
 
         lvl_fin = _finest_level(dps)
-        val, err = _refine(
+        val, err, levels = _refine(
             level_value, [1 << (lvl_fin - s) for s in (5, 6, 7)], _TOL_2D)
-        return _tallied("unit_square", QuadratureResult(+val, +err, used),
+        return _tallied("unit_square",
+                        QuadratureResult(+val, +err, used, levels),
                         tab.built - built)

@@ -35,7 +35,7 @@ GAMMA2_STR = "-0.0096903631928723184845303860352125293590658061013"
 class TestClosedFormIntegrals:
     @pytest.mark.parametrize("entry_id,tol", [
         ("I-6.21", "1e-25"),
-        ("I-2.20", "1e-25"),
+        ("I-2.20", "1e-40"),
         ("I-3.6", "1e-23"),
         ("I-6.17", "1e-23"),
     ])

@@ -244,11 +244,14 @@ class TestVerify:
         assert set(entry) == {"id", "paper_anchor", "lhs", "rhs",
                               "abs_error", "tolerance", "pass",
                               "elapsed_ms", "lhs_engines", "rhs_engines",
-                              "margin_digits"}
+                              "lhs_levels", "rhs_levels", "margin_digits"}
         assert entry["id"] == "I-6.21"
         assert entry["pass"] is True
         assert entry["lhs_engines"] == ["bose"]
         assert entry["rhs_engines"] == []
+        # the quadrature levels per engine: rhs is a closed form
+        assert entry["lhs_levels"] == {"bose": 4}
+        assert entry["rhs_levels"] == {}
         with mp.workdps(40):
             assert abs(mpf(entry["lhs"]) - mpf(1) / 24) < mpf(10) ** -28
             assert mpf(entry["abs_error"]) <= mpf(entry["tolerance"])
