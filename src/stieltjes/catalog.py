@@ -1,10 +1,11 @@
 """Identity catalog: every entry states two independent evaluations of the
 same quantity and the runner checks they agree.
 
-Independence is enforced mechanically: an entry whose lhs and rhs carry the
-same route label is rejected at registration time.  The runner records each
-side on its own (EntryOutcome.lhs_record and rhs_record), so the engines a
-side ran can be compared as well.  Entries default to the context
+Independence is what each side's record shows: the runner records each
+side on its own (EntryOutcome.lhs_record and rhs_record), and the engines
+a side tallied into its record (precision.engines) are the routes it
+took.  The acceptance gate checks them, and `verify --format json` prints
+them as lhs_engines and rhs_engines.  Entries default to the context
 tolerance; anything looser must say why in `tolerance_note`.
 
 Entry ids are stable opaque tokens (suffix letters distinguish parameter
@@ -43,8 +44,6 @@ class IdentityEntry:
     paper_anchor: str
     lhs: Callable[[PrecisionContext], object]
     rhs: Callable[[PrecisionContext], object]
-    lhs_route: str
-    rhs_route: str
     tags: frozenset
     tolerance: Optional[str] = None     # decimal string; None = ctx default
     tolerance_note: str = ""
@@ -53,9 +52,6 @@ class IdentityEntry:
         if not self.tags <= ALLOWED_TAGS:
             raise ValueError("%s: unknown tags %s"
                              % (self.id, self.tags - ALLOWED_TAGS))
-        if self.lhs_route == self.rhs_route:
-            raise ValueError("%s: lhs and rhs share route label %r"
-                             % (self.id, self.lhs_route))
         if self.tolerance is not None and not self.tolerance_note:
             raise ValueError("%s: non-default tolerance needs a note"
                              % self.id)
@@ -349,7 +345,6 @@ def register_builtin_entries() -> None:
                     "1/n! reproduces log(2 pi)/2 - log Gamma(1) shifted by 1.",
         paper_anchor="I-2.2",
         lhs=lhs_22, rhs=rhs_22,
-        lhs_route="bose_quadrature", rhs_route="em_oracle_series",
         tags=S,
         tolerance="1e-28",
         tolerance_note="the rhs truncates the series after order 26, which "
@@ -371,8 +366,6 @@ def register_builtin_entries() -> None:
                         "subtracted coth kernel (y = %s)." % yv,
             paper_anchor="I-2.10",
             lhs=lhs_210, rhs=rhs_210,
-            lhs_route="bose_quadrature",
-            rhs_route="elementary_closed_form",
             tags=Q))
 
     # --- algebraic Bose moment vs Laplace-kernel form -----------------
@@ -391,7 +384,6 @@ def register_builtin_entries() -> None:
                         "transform of the subtracted kernel (u = %s)." % uv,
             paper_anchor="I-2.15",
             lhs=lhs_215, rhs=rhs_215,
-            lhs_route="bose_quadrature", rhs_route="laplace_quadrature",
             tags=Q))
 
     # --- log moment of the Bose weight --------------------------------
@@ -402,7 +394,6 @@ def register_builtin_entries() -> None:
         paper_anchor="I-2.18",
         lhs=lambda ctx: _bose(lambda x: x * mp.log(x), ctx),
         rhs=lambda ctx: _zeta(-1, ctx, 1) / 2,
-        lhs_route="bose_quadrature", rhs_route="em_zeta",
         tags=Q))
 
     # --- kernel average against (1-e^-t)/t^2 --------------------------
@@ -413,7 +404,6 @@ def register_builtin_entries() -> None:
         paper_anchor="I-2.20",
         lhs=lambda ctx: _kernel_moment(1, ctx),
         rhs=lambda ctx: mpf(1) / 4,
-        lhs_route="tanh_sinh_laplace_split", rhs_route="exact_rational",
         tags=Q))
 
     # --- cosine transform (corrected second kernel) -------------------
@@ -433,8 +423,6 @@ def register_builtin_entries() -> None:
                         "the x factor, restored here (y = %s)." % yv,
             paper_anchor="I-2.23",
             lhs=lhs_223, rhs=rhs_223,
-            lhs_route="bose_quadrature",
-            rhs_route="elementary_closed_form",
             tags=Q))
 
     # --- x log(1+x^2) moment vs Laplace of the square kernel ----------
@@ -448,7 +436,6 @@ def register_builtin_entries() -> None:
         lhs=lambda ctx: _bose(lambda x: x * log1p(x * x), ctx),
         rhs=lambda ctx: integrate_laplace(
             lambda y: F.exp_square_kernel(y) / y, mpf(1), ctx).value,
-        lhs_route="bose_quadrature", rhs_route="laplace_quadrature",
         tags=Q))
 
     # --- x log(u^2+x^2) moment at rational u --------------------------
@@ -485,7 +472,6 @@ def register_builtin_entries() -> None:
                         "confirmed by differentiating in u)." % uv,
             paper_anchor="I-3.5",
             lhs=lhs_35, rhs=rhs_35,
-            lhs_route="bose_quadrature", rhs_route="em_zeta_elementary",
             tags=Q))
 
     register(E(
@@ -496,7 +482,6 @@ def register_builtin_entries() -> None:
         lhs=lambda ctx: _bose(lambda x: x * log1p(x * x), ctx),
         rhs=lambda ctx: _zeta(-1, ctx, 1) - mpf(3) / 4
         + mp.log(2 * mp.pi) / 2,
-        lhs_route="bose_quadrature", rhs_route="em_zeta",
         tags=Q))
 
     def rhs_37(ctx):
@@ -513,7 +498,6 @@ def register_builtin_entries() -> None:
         paper_anchor="I-3.7",
         lhs=lambda ctx: 2 * _bose(lambda x: x * x * mp.atan(x), ctx),
         rhs=rhs_37,
-        lhs_route="bose_quadrature", rhs_route="em_zeta",
         tags=Q))
 
     # --- u-derivative of the first generalized constant ---------------
@@ -532,7 +516,6 @@ def register_builtin_entries() -> None:
                     "central difference of the reference evaluator).",
         paper_anchor="I-3.8",
         lhs=lhs_38, rhs=rhs_38,
-        lhs_route="fd_em_oracle", rhs_route="bose_quadrature",
         tags=L,
         tolerance="1e-18",
         tolerance_note="central difference at h = 1e-10 leaves an h^2 "
@@ -552,7 +535,6 @@ def register_builtin_entries() -> None:
                         "matches the Euler-Maclaurin value (u = %s)." % uv,
             paper_anchor="I-3.9",
             lhs=lhs_39, rhs=rhs_39,
-            lhs_route="em_zeta", rhs_route="bose_quadrature",
             tags=Q))
 
     # --- negative-integer values of the Hurwitz function --------------
@@ -571,7 +553,6 @@ def register_builtin_entries() -> None:
                             "value." % (m, ufr),
                 paper_anchor="I-3.10",
                 lhs=lhs_310, rhs=rhs_310,
-                lhs_route="bose_quadrature", rhs_route="exact_rational",
                 tags=Q))
 
     # --- alternating binomial machinery -------------------------------
@@ -582,7 +563,6 @@ def register_builtin_entries() -> None:
         paper_anchor="I-4.14",
         lhs=lambda ctx: series.alt_zeta_hasse(1, 1, 0, ctx)[0],
         rhs=lambda ctx: mp.log(2),
-        lhs_route="binomial_moments", rhs_route="elementary_closed_form",
         tags=S | L))
 
     register(E(
@@ -593,7 +573,6 @@ def register_builtin_entries() -> None:
         lhs=lambda ctx: mp.log(2) / 2
         - series.alt_zeta_hasse(1, 1, 1, ctx)[1] / mp.log(2),
         rhs=lambda ctx: _gam(0, 1, ctx),
-        lhs_route="binomial_moments", rhs_route="em_oracle",
         tags=S))
 
     def lhs_4162(ctx):
@@ -607,7 +586,6 @@ def register_builtin_entries() -> None:
         paper_anchor="I-4.16.2",
         lhs=lhs_4162,
         rhs=lambda ctx: _gam(1, 1, ctx),
-        lhs_route="binomial_moments", rhs_route="em_oracle",
         tags=S))
 
     for tag, n in (("a", 1), ("b", 2), ("c", 3)):
@@ -628,7 +606,6 @@ def register_builtin_entries() -> None:
                         "constants." % n,
             paper_anchor="I-4.20",
             lhs=lhs_420, rhs=rhs_420,
-            lhs_route="binomial_moments", rhs_route="em_oracle",
             tags=S))
 
     for tag, k in (("a", 1), ("b", 2)):
@@ -653,7 +630,6 @@ def register_builtin_entries() -> None:
                         "alternating log moment (Briggs/Chowla shape)." % k,
             paper_anchor="I-4.21",
             lhs=lhs_421, rhs=rhs_421,
-            lhs_route="binomial_moments", rhs_route="em_oracle",
             tags=S))
 
     for tag, n in (("a", 0), ("b", 1), ("c", 2)):
@@ -675,7 +651,6 @@ def register_builtin_entries() -> None:
                         "Stieltjes web at order %d." % n,
             paper_anchor="I-4.22",
             lhs=lhs_422, rhs=rhs_422,
-            lhs_route="em_oracle", rhs_route="binomial_moments_mixed",
             tags=S))
 
     # --- first generalized constant, integral vs reference ------------
@@ -696,7 +671,6 @@ def register_builtin_entries() -> None:
             paper_anchor="I-5.1",
             lhs=lambda ctx, uv=uv: _lhs_51(ctx, uv),
             rhs=lambda ctx, uv=uv: _gam(1, mpf(uv), ctx),
-            lhs_route="bose_quadrature", rhs_route="em_oracle",
             tags=Q))
 
     register(E(
@@ -707,7 +681,6 @@ def register_builtin_entries() -> None:
         paper_anchor="I-5.1",
         lhs=lambda ctx: _lhs_51(ctx, "2"),
         rhs=lambda ctx: series.hasse_stieltjes(1, mpf(2), ctx),
-        lhs_route="bose_quadrature", rhs_route="hasse_sum",
         tags=Q))
 
     # --- log * atan moment and the second s-derivative at 0 -----------
@@ -726,7 +699,6 @@ def register_builtin_entries() -> None:
         lhs=lambda ctx: _bose(
             lambda x: log1p(x * x) * mp.atan(x), ctx),
         rhs=rhs_53,
-        lhs_route="bose_quadrature", rhs_route="em_oracle",
         tags=Q))
 
     # --- integral of log Gamma ----------------------------------------
@@ -751,8 +723,6 @@ def register_builtin_entries() -> None:
                         "combination (t = %s)." % tv,
             paper_anchor="I-6.4",
             lhs=lhs_64, rhs=rhs_64,
-            lhs_route="tanh_sinh_laplace_split",
-            rhs_route="product_series_bose",
             tags=Q))
 
     # --- Gosper/Vardi functional equation -----------------------------
@@ -773,7 +743,6 @@ def register_builtin_entries() -> None:
                         "(t = %s)." % tv,
             paper_anchor="I-6.10",
             lhs=lhs_610, rhs=rhs_610,
-            lhs_route="product_series_laplace", rhs_route="em_zeta_bose",
             tags=Q))
 
     # --- Laplace representation of log G ------------------------------
@@ -795,7 +764,6 @@ def register_builtin_entries() -> None:
                     "v = 3/2 against the canonical product.",
         paper_anchor="I-6.11.1",
         lhs=lhs_6111, rhs=rhs_6111,
-        lhs_route="product_series", rhs_route="laplace_bose_mixed",
         tags=Q))
 
     # --- integral of the zeta s-derivative over (0,1) -----------------
@@ -817,7 +785,6 @@ def register_builtin_entries() -> None:
                     "evaluation.",
         paper_anchor="I-6.14",
         lhs=lhs_614, rhs=rhs_614,
-        lhs_route="bose_quadrature", rhs_route="em_zeta",
         tags=Q))
 
     register(E(
@@ -829,7 +796,6 @@ def register_builtin_entries() -> None:
         rhs=lambda ctx: (-mpf(11) / 36 + mp.log(2 * mp.pi) / 4
                          + _zeta(-1, ctx, 1)
                          + _zeta(3, ctx) / (8 * mp.pi ** 2)),
-        lhs_route="bose_quadrature", rhs_route="em_zeta",
         tags=Q))
 
     # --- even Bernoulli numbers as Bose moments -----------------------
@@ -847,7 +813,6 @@ def register_builtin_entries() -> None:
                         "Bernoulli number." % (2 * n - 1),
             paper_anchor="I-6.20",
             lhs=lhs_620, rhs=rhs_620,
-            lhs_route="bose_quadrature", rhs_route="exact_rational",
             tags=Q))
 
     register(E(
@@ -856,7 +821,6 @@ def register_builtin_entries() -> None:
         paper_anchor="I-6.21",
         lhs=lambda ctx: _bose(lambda x: x, ctx),
         rhs=lambda ctx: mpf(1) / 24,
-        lhs_route="bose_quadrature", rhs_route="exact_rational",
         tags=Q))
 
     # --- logarithmic derivative of G ----------------------------------
@@ -878,7 +842,6 @@ def register_builtin_entries() -> None:
                     "log(2 pi)/2 + 1/2 - t + t psi(t).",
         paper_anchor="I-6.24",
         lhs=lhs_624, rhs=rhs_624,
-        lhs_route="fd_bose_quadrature", rhs_route="laplace_quadrature",
         tags=L,
         tolerance="1e-12",
         tolerance_note="finite-difference probe; h^2 curvature plus "
@@ -904,7 +867,6 @@ def register_builtin_entries() -> None:
                     "evaluated at s = 3/2.",
         paper_anchor="I-7.2",
         lhs=lhs_72, rhs=rhs_72,
-        lhs_route="em_zeta", rhs_route="em_oracle",
         tags=S,
         tolerance="1e-15",
         tolerance_note="first omitted term of the truncated expansion "
@@ -918,7 +880,6 @@ def register_builtin_entries() -> None:
         paper_anchor="I-8.2",
         lhs=lambda ctx: F.log_gamma(mpf("0.25"), "bourguet", ctx).value,
         rhs=lambda ctx: F.log_gamma(mpf("0.25"), "binet2", ctx).value,
-        lhs_route="trig_series", rhs_route="bose_quadrature",
         tags=S))
 
     register(E(
@@ -929,7 +890,6 @@ def register_builtin_entries() -> None:
         paper_anchor="I-8.3",
         lhs=lambda ctx: 2 * _bose(lambda x: mp.atan(x), ctx),
         rhs=lambda ctx: F._aux_lattice_sum(0, 1, 2 * mp.pi, ctx) / mp.pi,
-        lhs_route="bose_quadrature", rhs_route="trig_series",
         tags=S))
 
     # --- cosine-integral series for the zeta s-derivative -------------
@@ -947,7 +907,6 @@ def register_builtin_entries() -> None:
         paper_anchor="I-8.5",
         lhs=lambda ctx: F.hurwitz_zeta_sderiv(1, -1, mpf("0.25"), ctx).value,
         rhs=rhs_85,
-        lhs_route="bose_quadrature", rhs_route="trig_series",
         tags=S))
 
     # --- digamma lattice sums ----------------------------------------
@@ -958,7 +917,6 @@ def register_builtin_entries() -> None:
         paper_anchor="I-8.6",
         lhs=lambda ctx: _psi_over_square_series(ctx, n_quad=12),
         rhs=lambda ctx: _zeta(3, ctx) - _gam(0, 1, ctx) * _zeta(2, ctx),
-        lhs_route="bose_series_em_tail", rhs_route="em_oracle",
         tags=S))
 
     register(E(
@@ -968,7 +926,6 @@ def register_builtin_entries() -> None:
         paper_anchor="I-8.P",
         lhs=lambda ctx: _zeta(3, ctx),
         rhs=lambda ctx: 7 * mp.pi ** 3 / 180 - 2 * F.polylog_bose(3, ctx),
-        lhs_route="em_zeta", rhs_route="lattice_sum",
         tags=S))
 
     # --- harmonic-number series and double integrals ------------------
@@ -985,7 +942,6 @@ def register_builtin_entries() -> None:
         paper_anchor="I-9.1",
         lhs=lambda ctx: _harmonic_log_series(ctx),
         rhs=rhs_91,
-        lhs_route="series_em_tail", rhs_route="em_oracle",
         tags=S))
 
     def lhs_92(ctx):
@@ -1011,7 +967,6 @@ def register_builtin_entries() -> None:
                     "symmetrized integrand over one triangle.",
         paper_anchor="I-9.2",
         lhs=lhs_92, rhs=rhs_91,
-        lhs_route="unit_square_quadrature", rhs_route="em_oracle",
         tags=D,
         tolerance="1e-24",
         tolerance_note="measured 1.7e-27 at 15, 30 and 60 digits: the "
@@ -1031,7 +986,6 @@ def register_builtin_entries() -> None:
                     "[1/log y + 1/(1-y)] log(1-y)/y.",
         paper_anchor="I-9.2",
         lhs=lhs_92b, rhs=rhs_91,
-        lhs_route="tanh_sinh_quadrature", rhs_route="em_oracle",
         tags=Q))
 
     def lhs_94a(ctx):
@@ -1057,7 +1011,6 @@ def register_builtin_entries() -> None:
         paper_anchor="I-9.4a",
         lhs=lhs_94a,
         rhs=lambda ctx: _gam(1, 1, ctx),
-        lhs_route="unit_square_quadrature", rhs_route="em_oracle",
         tags=D,
         tolerance="1e-28",
         tolerance_note="measured 1.1e-31 at 15, 30 and 60 digits: the "
@@ -1086,7 +1039,6 @@ def register_builtin_entries() -> None:
         paper_anchor="I-9.5a",
         lhs=lhs_95a,
         rhs=lambda ctx: _gam(0, 1, ctx),
-        lhs_route="unit_square_quadrature", rhs_route="em_oracle",
         tags=D,
         tolerance="1e-10",
         tolerance_note="double-integral verification target; measured "
@@ -1111,7 +1063,6 @@ def register_builtin_entries() -> None:
         paper_anchor="I-9.5b",
         lhs=lhs_95b,
         rhs=lambda ctx: 2 * _zeta(2, ctx) - 2 * _gam(1, 1, ctx),
-        lhs_route="series_node_quadrature", rhs_route="em_oracle",
         tags=Q))
 
     # --- psi-weighted lattice identities ------------------------------
@@ -1129,7 +1080,6 @@ def register_builtin_entries() -> None:
         paper_anchor="I-9.7",
         lhs=lhs_97,
         rhs=lambda ctx: _psi_over_square_series(ctx, n_quad=0),
-        lhs_route="bose_quadrature", rhs_route="asymptotic_series_em_tail",
         tags=S))
 
     register(E(
@@ -1138,5 +1088,4 @@ def register_builtin_entries() -> None:
         paper_anchor="I-9.E",
         lhs=lambda ctx: _harmonic_sum_over_squares(ctx),
         rhs=lambda ctx: 2 * _zeta(3, ctx),
-        lhs_route="series_em_tail", rhs_route="em_zeta",
         tags=S))

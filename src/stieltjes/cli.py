@@ -331,9 +331,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="gamma_n route, one of %s or a short alias "
                          "(hasse, coffey, oracle, altzeta); default "
                          "limit_euler_maclaurin, certified at any "
-                         "requested digits; hasse reaches the tolerance "
-                         "for low orders and refuses (exit 3) where its "
-                         "tail estimate does not"
+                         "requested digits; hasse is right to the "
+                         "requested digits for low orders and refuses "
+                         "(exit 3) where its tail estimate is not"
                          % (", ".join(F.STIELTJES_METHODS)))
     pc.add_argument("--route", default=None,
                     help="route override for digamma/log_gamma/barnes_g")

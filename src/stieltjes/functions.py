@@ -223,9 +223,9 @@ def stieltjes(n: int, u=1, method: str = "limit_euler_maclaurin",
 
     limit_euler_maclaurin is the reference; coffey_integral is the
     independent check; alt_zeta_recursion works at u = 1 only; hasse_sum
-    is Hasse's binomial double sum, shifted to u + M so that it reaches the
-    tolerance, and raises PrecisionExhaustedError when its tail estimate
-    does not (high orders for the digits, n = 60 at 30 digits say).
+    is Hasse's binomial double sum, shifted to u + M, and raises
+    PrecisionExhaustedError when its tail estimate exceeds 10^-digits
+    (orders past about 31 at 30 digits).
     """
     if method not in STIELTJES_METHODS:
         raise ValueError("unknown method %r" % method)
@@ -301,7 +301,7 @@ def log_gamma(u, route: str = "binet2",
                     from Hasse's binomial double sum, shifted to u + M
                     like the hasse_sum route; raises
                     PrecisionExhaustedError when its tail estimate
-                    exceeds the tolerance
+                    exceeds 10^-digits
     """
     if route not in LOG_GAMMA_ROUTES:
         raise ValueError("unknown log_gamma route %r" % route)

@@ -124,11 +124,12 @@ def positive(v, who: str, name: str = "u") -> mpf:
     return v
 
 
-#: The engines a value can come from.  Every tally key but _sum_terms'
+#: The engines a value can come from; a quadrature engine is named for its
+#: rule, not for the node table it reads.  Every tally key but _sum_terms'
 #: stop reasons (stop_small, stop_floor, stop_cap), the quadrature's
 #: table_nodes_built, binet_kernel's kernel_values_built and the series
 #: kernels' kernel_terms starts with one of these and an underscore.
-ENGINES = ("em", "bose", "exp_sinh", "tanh_sinh", "unit_square",
+ENGINES = ("em", "bose", "laplace", "tanh_sinh", "unit_square",
            "aux_lattice", "binomial", "stirling")
 
 _RECORD: ContextVar = ContextVar("stieltjes_record", default=None)

@@ -528,12 +528,12 @@ def integrate_bose(g, ctx: PrecisionContext = DEFAULT_CONTEXT,
 def integrate_laplace(h, u, ctx: PrecisionContext = DEFAULT_CONTEXT
                       ) -> QuadratureResult:
     """int_0^inf e^(-u t) h(t) dt for u > 0 on the exp-decay table, with
-    e^(-u t) in libmp; tallied as the exp_sinh engine."""
+    e^(-u t) in libmp; tallied as the laplace engine."""
     with ctx.working(10):
         uu = positive(u, "integrate_laplace")
         prec, rnd = mp._prec_rounding
         nu = (-uu)._mpf_
-        return _rule("exp_sinh", "ed0inf", ctx, _on_nodes(
+        return _rule("laplace", "ed0inf", ctx, _on_nodes(
             lambda nd: h(nd.x) * mp.make_mpf(mpf_exp(
                 mpf_mul(nu, nd.x._mpf_, prec, rnd), prec, rnd))))
 

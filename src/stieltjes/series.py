@@ -660,7 +660,8 @@ def _shifted_hasse_sum(g, head, u, ctx: PrecisionContext):
     like 1/(i^2 log i), a floor near 1/(I log I); at u+M they fall faster
     than geometrically.  The weights grow like 2^I/I, so the sum runs at
     working precision widened by 0.302 I + 10 digits.  The tail estimate
-    is |last outer term| * I.
+    is |last outer term| * I, held to 10^-target_digits, the digits the
+    caller trusts.
     """
     depth = _hasse_depth(ctx)
     with ctx.working(int(math.ceil(0.302 * depth)) + 10):
@@ -668,7 +669,8 @@ def _shifted_hasse_sum(g, head, u, ctx: PrecisionContext):
         heads = [head(uu + k) for k in range(depth)]
         rows = [[g(uu + depth + j)] for j in range(depth + 1)]
         return +_binomial_sums(_hasse_weights(depth), rows,
-                               mpf(depth) / (depth + 1), ctx.tolerance,
+                               mpf(depth) / (depth + 1),
+                               mpf(10) ** -ctx.target_digits,
                                sum(heads), max(abs(h) for h in heads))[0]
 
 
@@ -679,9 +681,9 @@ def hasse_stieltjes(n: int, u, ctx: PrecisionContext = DEFAULT_CONTEXT):
 
     run at u + M through _shifted_hasse_sum, with the recurrence
     gamma_n(u) = gamma_n(u+1) + log^n(u)/u supplying the first M terms.
-    Orders beyond ~25 at 15 digits (~40 at 30) outgrow the depth; the tail
-    estimate then exceeds the tolerance and PrecisionExhaustedError is
-    raised.
+    Orders past about 19, 23, 31 and 43 at u = 1 and 6, 15, 30 and 60 digits
+    outgrow the depth; the tail estimate then exceeds 10^-target_digits
+    and PrecisionExhaustedError is raised.
     """
     if n < 0:
         raise ValueError("hasse_stieltjes needs n >= 0")

@@ -154,11 +154,14 @@ class TestCatalogGate:
             if by_id[o.entry_id].tolerance is None)
         assert default_tol_passes >= 30
         assert catalog_30.elapsed < 600
-        # independence by engine, read from the same run
+        # independence by engine, read from the same run: the sides share
+        # no engine but where pinned, and no entry runs without one
         shared = {o.entry_id: engines(o.lhs_record) & engines(o.rhs_record)
                   for o in report.outcomes}
         assert {k: v for k, v in shared.items() if v} \
             == {k: {"em"} for k in SHARED_ENGINE}
+        assert [o.entry_id for o in report.outcomes
+                if not engines(o.lhs_record) | engines(o.rhs_record)] == []
 
     def test_slow_entries_pass_their_pinned_tolerances(self, catalog_30):
         # the three entries once tagged slow, now in every catalog run

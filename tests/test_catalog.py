@@ -54,7 +54,6 @@ class TestCensus:
     def test_tags_and_tolerances_validated(self):
         for e in all_entries():
             assert e.tags <= ALLOWED_TAGS
-            assert e.lhs_route != e.rhs_route
             if e.tolerance is not None:
                 assert e.tolerance_note
                 assert mpf(e.tolerance) > 0
@@ -76,25 +75,16 @@ def _dummy(ctx):
 
 
 class TestEntryValidation:
-    def test_shared_route_label_rejected(self):
-        with pytest.raises(ValueError, match="share route label"):
-            IdentityEntry(id="X-1", description="d", paper_anchor="X-1",
-                          lhs=_dummy, rhs=_dummy,
-                          lhs_route="same", rhs_route="same",
-                          tags=frozenset({"series"}))
-
     def test_unknown_tag_rejected(self):
         with pytest.raises(ValueError, match="unknown tags"):
             IdentityEntry(id="X-2", description="d", paper_anchor="X-2",
                           lhs=_dummy, rhs=_dummy,
-                          lhs_route="a", rhs_route="b",
                           tags=frozenset({"sneaky"}))
 
     def test_tolerance_without_note_rejected(self):
         with pytest.raises(ValueError, match="needs a note"):
             IdentityEntry(id="X-3", description="d", paper_anchor="X-3",
                           lhs=_dummy, rhs=_dummy,
-                          lhs_route="a", rhs_route="b",
                           tags=frozenset({"series"}),
                           tolerance="1e-10")
 
@@ -106,7 +96,6 @@ class TestEntryValidation:
                 register(IdentityEntry(
                     id="I-6.21", description="d", paper_anchor="I-6.21",
                     lhs=_dummy, rhs=_dummy,
-                    lhs_route="a", rhs_route="b",
                     tags=frozenset({"series"})))
         finally:
             catalog._REGISTRY[:] = snapshot
@@ -158,7 +147,6 @@ class TestRunner:
                 id="X-broken", description="raises on purpose",
                 paper_anchor="X-broken",
                 lhs=boom, rhs=_dummy,
-                lhs_route="a", rhs_route="b",
                 tags=frozenset({"series"})))
             report = run_catalog("X-broken", ctx=CTX)
         finally:
@@ -375,12 +363,12 @@ def test_kernel_moment_matches_mpmath(digits):
 def test_220_leaves_the_exp_sinh_map():
     # on the exp-sinh map I-2.20 took 6 levels and 1284 nodes at 30
     # digits; split at y = 1 it takes tanh-sinh on (0,1) and two Laplace
-    # calls of 4 levels each, tallied under exp_sinh
+    # calls of 4 levels each, tallied under laplace
     (out,) = run_catalog("I-2.20", ctx=CTX).outcomes
     assert out.passed and out.abs_error == 0
     rec = out.lhs_record
-    assert (rec["tanh_sinh_nodes"], rec["exp_sinh_nodes"]) == (283, 620)
-    assert (rec["tanh_sinh_levels"], rec["exp_sinh_levels"]) == (4, 8)
+    assert (rec["tanh_sinh_nodes"], rec["laplace_nodes"]) == (283, 620)
+    assert (rec["tanh_sinh_levels"], rec["laplace_levels"]) == (4, 8)
 
 
 # ---------------------------------------------------------------------------

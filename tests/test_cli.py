@@ -278,7 +278,7 @@ class TestVerify:
         wrong = catalog.IdentityEntry(
             id="X-false", description="deliberately false: 1 = 2",
             paper_anchor="X-false", lhs=lambda ctx: mpf(1),
-            rhs=lambda ctx: mpf(2), lhs_route="one", rhs_route="two",
+            rhs=lambda ctx: mpf(2),
             tags=frozenset({"series"}))
         monkeypatch.setattr(catalog, "_REGISTRY",
                             catalog._REGISTRY + [wrong])

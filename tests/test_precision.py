@@ -115,8 +115,8 @@ class TestRecord:
         assert inner == {"em_terms": 3, "binomial_depth": 7}
 
     def test_engines_are_read_from_key_prefixes(self):
-        assert engines({"exp_sinh_nodes": 1, "em_terms": 2, "stop_cap": 1,
-                        "aux_lattice_n": 4}) == {"exp_sinh", "em",
+        assert engines({"laplace_nodes": 1, "em_terms": 2, "stop_cap": 1,
+                        "aux_lattice_n": 4}) == {"laplace", "em",
                                                  "aux_lattice"}
         assert engines({"stop_small": 3}) == set()
 

@@ -188,11 +188,11 @@ class TestTanhSinh01:
             assert r.error_estimate < TOL
 
 
-# ids are the engines the rules tally as: the Laplace rule's is exp_sinh
+# ids are the engines the rules tally as
 @pytest.mark.parametrize("rule, f", [
     (tanh_sinh_01, lambda x, xc: mp.log(x) * mp.log(xc)),
     (lambda f, ctx: integrate_laplace(f, 1, ctx), lambda x: 1 / (1 + x)),
-], ids=["tanh_sinh", "exp_sinh"])
+], ids=["tanh_sinh", "laplace"])
 def test_nodes_used_counts_distinct_integrand_calls(rule, f):
     xs = []
 

@@ -404,6 +404,21 @@ class TestHasse:
                 assert "binomial_tail" in rec
                 assert abs(v - ref) <= 5 * mpf(rec["binomial_tail"])
 
+    @pytest.mark.parametrize("digits, n, u", [
+        (6, 25, "1"), (15, 30, "1"), (15, 33, "0.37"), (60, 50, "1")])
+    def test_right_to_its_digits_or_refuses(self, digits, n, u):
+        # near its depth limit the sum is held to 10^-digits, not to the
+        # catalog tolerance 10^-(digits-5): held to that, these cells came
+        # back wrong in the last digits with no error
+        ctx = PrecisionContext.for_digits(digits)
+        try:
+            v = series.hasse_stieltjes(n, u, ctx)
+        except PrecisionExhaustedError:
+            return
+        with mp.workdps(digits + 40):
+            ref = mp.stieltjes(n, mpf(u))
+            assert abs(v - ref) <= mpf(10) ** -digits * max(1, abs(ref))
+
     def test_reaches_target_minus_two_digits(self):
         # Contract check, kept in its stated form.  At the raw u the outer
         # terms decay like 1/(i^2 log i), a floor near 1/(I log I); the

@@ -6,6 +6,8 @@ import pathlib
 
 import pytest
 
+from stieltjes.precision import ENGINES
+
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "stieltjes"
 
 
@@ -192,3 +194,77 @@ def test_unset_default_is_reported():
               "C.make(1)\n"),
     }
     assert unset_defaults(sources) == [("a", "f", "k"), ("a", "step", "d")]
+
+
+def _strings(node) -> list:
+    """The string constants an expression can take: a constant, or either
+    branch of a conditional; [] for anything computed."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return [node.value]
+    if isinstance(node, ast.IfExp):
+        return _strings(node.body) + _strings(node.orelse)
+    return []
+
+
+def tallied_names(source: str) -> tuple:
+    """(keys, engines): the tally keys a module's tally(...) calls name,
+    as keywords or as constant keys of a ``**{...}`` dict, and the engine
+    strings its _rule(...) and _tallied(...) calls pass first.  Keys
+    computed from an engine string (``engine + "_nodes"``) are the
+    engine's, checked where the string is passed."""
+    keys, engines = [], []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "id", getattr(node.func, "attr", None))
+        if name == "tally":
+            for k in node.keywords:
+                if k.arg is not None:
+                    keys.append(k.arg)
+                elif isinstance(k.value, ast.Dict):
+                    keys += [s for key in k.value.keys for s in _strings(key)]
+        elif name in ("_rule", "_tallied") and node.args:
+            engines += _strings(node.args[0])
+    return keys, engines
+
+
+#: Tally keys that name no engine, each with what it counts.
+NON_ENGINE_KEYS = {
+    "stop_small": "_sum_terms: the terms fell below the tolerance",
+    "stop_floor": "_sum_terms: the terms grew past their smallest",
+    "stop_cap": "_sum_terms: the caller's terms ran out",
+    "table_nodes_built": "quadrature: the table nodes a call had to build",
+    "kernel_values_built": "binet_kernel: the kernel values it evaluated",
+    "kernel_terms": "the per-node series kernels: the terms they summed",
+}
+
+
+def test_every_tally_names_an_engine():
+    keys, engines = [], []
+    for p in sorted(SRC.glob("*.py")):
+        k, e = tallied_names(p.read_text())
+        keys += k
+        engines += e
+    prefixes = tuple(e + "_" for e in ENGINES)
+    assert sorted({k for k in keys if not k.startswith(prefixes)}
+                  - set(NON_ENGINE_KEYS)) == []
+    assert sorted(set(engines) - set(ENGINES)) == []
+    assert set(NON_ENGINE_KEYS) <= set(keys)
+    # and every engine is produced somewhere, so none names a dead route
+    produced = {e for e in ENGINES
+                if e in engines or any(k.startswith(e + "_") for k in keys)}
+    assert sorted(set(ENGINES) - produced) == []
+
+
+def test_tallied_names_are_read():
+    src = ("tally(em_terms=3, stop_cap=1)\n"
+           "tally(**{'stop_small' if t else 'stop_floor': 1})\n"
+           "tally(**{engine + '_nodes': 1}, table_nodes_built=2)\n"
+           "tally(**rec)\n"
+           "_rule('laplace', 'ed0inf', ctx, f)\n"
+           "quadrature._tallied('unit_square', res, 0)\n"
+           "_tallied(engine, res, 0)\n")
+    assert tallied_names(src) == (
+        ["em_terms", "stop_cap", "stop_small", "stop_floor",
+         "table_nodes_built"],
+        ["laplace", "unit_square"])
