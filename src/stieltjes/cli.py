@@ -320,7 +320,9 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--n", type=int, default=None,
                     help="order for gamma_n (default 0)")
     pc.add_argument("--u", default=None,
-                    help="argument u > 0 (default 1); barnes_g takes --t")
+                    help="argument u > 0 (default 1); barnes_g takes --t. "
+                         "Below u = 1 the quadrature routes run at u + 1 "
+                         "by their function's recurrence")
     pc.add_argument("--s", default=None,
                     help="s for hurwitz_zeta (default 2) or zeta_sderiv (0)")
     pc.add_argument("--t", default=None,
@@ -333,7 +335,9 @@ def build_parser() -> argparse.ArgumentParser:
                          "limit_euler_maclaurin, certified at any "
                          "requested digits; hasse is right to the "
                          "requested digits for low orders and refuses "
-                         "(exit 3) where its tail estimate is not"
+                         "(exit 3) where its tail estimate is not; "
+                         "altzeta refuses where its error bound through "
+                         "the triangular solve is not"
                          % (", ".join(F.STIELTJES_METHODS)))
     pc.add_argument("--route", default=None,
                     help="route override for digamma/log_gamma/barnes_g")

@@ -195,10 +195,12 @@ def _stieltjes_coffey(n: int, u, ctx: PrecisionContext) -> FunctionValue:
                    + 2 int_0^inf (u Q_n + x P_n)/((u^2+x^2) B(x)) dx,
 
     P_n + i Q_n = (A - i theta)^n, A = log(u^2+x^2)/2, theta = atan(x/u):
-    the conjugate of _log_power's (A + i theta)^n, in libmp.
+    the conjugate of _log_power's (A + i theta)^n, in libmp.  Below u = 1
+    at u + 1, by gamma_n(u) = gamma_n(u+1) + log^n(u)/u (series._up).
     """
     with ctx.working(10):
-        uu = positive(u, "coffey route")
+        uu, heads = series._up(positive(u, "coffey route"),
+                               lambda x: mp.log(x) ** n / x)
         prec, rnd = mp._prec_rounding
         um, u2 = uu._mpf_, (uu * uu)._mpf_
 
@@ -214,7 +216,8 @@ def _stieltjes_coffey(n: int, u, ctx: PrecisionContext) -> FunctionValue:
         res = integrate_bose(g, ctx)
         lu = mp.log(uu)
         main = lu ** n / (2 * uu) - lu ** (n + 1) / (n + 1)
-        return FunctionValue(+(main + 2 * res.value), "coffey_integral")
+        return FunctionValue(+(main + 2 * res.value + sum(heads)),
+                             "coffey_integral")
 
 
 def stieltjes(n: int, u=1, method: str = "limit_euler_maclaurin",
@@ -254,9 +257,10 @@ def digamma(u, ctx: PrecisionContext = DEFAULT_CONTEXT,
     bose:    psi(u) = log u - 1/(2u) - 2 int x/((u^2+x^2) B) dx
     laplace: psi(u) = log u - 1/(2u) - int e^(-u t) K(t) dt, K the
              subtracted Bose/Binet kernel.
+    Both run below u = 1 at u + 1, by psi(u) = psi(u+1) - 1/u (series._up).
     """
     with ctx.working(10):
-        uu = positive(u, "digamma")
+        uu, heads = series._up(positive(u, "digamma"), lambda x: -1 / x)
         if route == "bose":
             u2 = uu * uu
             res = integrate_bose(lambda x: x / (u2 + x * x), ctx)
@@ -266,17 +270,18 @@ def digamma(u, ctx: PrecisionContext = DEFAULT_CONTEXT,
             val = mp.log(uu) - 1 / (2 * uu) - res.value
         else:
             raise ValueError("digamma route must be bose or laplace")
-        return FunctionValue(+val, "digamma_" + route)
+        return FunctionValue(+(val + sum(heads)), "digamma_" + route)
 
 
 def trigamma(u, ctx: PrecisionContext = DEFAULT_CONTEXT) -> FunctionValue:
-    """psi'(u) = 1/u + 1/(2u^2) + 4u int x/((u^2+x^2)^2 B) dx, u > 0."""
+    """psi'(u) = 1/u + 1/(2u^2) + 4u int x/((u^2+x^2)^2 B) dx, u > 0;
+    below u = 1 at u + 1, by psi'(u) = psi'(u+1) + 1/u^2 (series._up)."""
     with ctx.working(10):
-        uu = positive(u, "trigamma")
+        uu, heads = series._up(positive(u, "trigamma"), lambda x: 1 / (x * x))
         u2 = uu * uu
         res = integrate_bose(lambda x: x / (u2 + x * x) ** 2, ctx)
         val = 1 / uu + 1 / (2 * u2) + 4 * uu * res.value
-        return FunctionValue(+val, "trigamma_bose")
+        return FunctionValue(+(val + sum(heads)), "trigamma_bose")
 
 
 # ---------------------------------------------------------------------------
@@ -295,40 +300,38 @@ def log_gamma(u, route: str = "binet2",
     binet1          Stirling main term + int e^(-ut) K(t)/t dt
     bourguet        Stirling main term + sum_n f(2 pi n u)/(pi n), f the
                     sine/cosine-integral auxiliary function: the lattice
-                    sum of _aux_lattice_sum, its length from the digits;
-                    below u = 1 at u + 1, less log u
+                    sum of _aux_lattice_sum, its length from the digits
     binomial_series Lerch form zeta'(0,u) + log(2pi)/2 with zeta'(0,u)
                     from Hasse's binomial double sum, shifted to u + M
                     like the hasse_sum route; raises
                     PrecisionExhaustedError when its tail estimate
                     exceeds 10^-digits
+
+    The first three run below u = 1 at u + 1, by log Gamma(u) =
+    log Gamma(u+1) - log u (series._up); so bourguet's lattice length is
+    at most its length at u = 1.
     """
     if route not in LOG_GAMMA_ROUTES:
         raise ValueError("unknown log_gamma route %r" % route)
     with ctx.working(10):
         uu = positive(u, "log_gamma")
+        if route == "binomial_series":
+            # Hasse's sum of x log x - x is zeta'(0,x), and
+            # zeta'(0,u) = zeta'(0,u+1) - log u
+            zeta_p0 = series._shifted_hasse_sum(
+                lambda x: x * (mp.log(x) - 1), lambda x: -mp.log(x), uu, ctx)
+            return FunctionValue(+(zeta_p0 + mp.log(2 * mp.pi) / 2), route)
+        v, heads = series._up(uu, lambda x: -mp.log(x))
         if route == "binet2":
-            res = integrate_bose(lambda x: mp.atan2(x, uu), ctx)
-            return FunctionValue(+(_stirling_main(uu) + 2 * res.value),
-                                 "binet2")
-        if route == "binet1":
-            res = integrate_laplace(lambda t: binet_kernel(t) / t, uu, ctx)
-            return FunctionValue(+(_stirling_main(uu) + res.value), "binet1")
-        if route == "bourguet":
-            # below u = 1 the lattice runs at u + 1, log Gamma(u) =
-            # log Gamma(u + 1) - log u, so N is at most its value at u = 1
-            v = uu + 1 if uu < 1 else uu
-            part = _aux_lattice_sum(0, 1, 2 * mp.pi * v, ctx) / mp.pi
-            val = _stirling_main(v) + part
-            if uu < 1:
-                val -= mp.log(uu)
-            return FunctionValue(+val, "bourguet")
-        # binomial_series: Hasse's sum of x log x - x is zeta'(0,x), and
-        # zeta'(0,u) = zeta'(0,u+1) - log u
-        zeta_p0 = series._shifted_hasse_sum(
-            lambda x: x * (mp.log(x) - 1), lambda x: -mp.log(x), uu, ctx)
-        return FunctionValue(+(zeta_p0 + mp.log(2 * mp.pi) / 2),
-                             "binomial_series")
+            res = integrate_bose(lambda x: mp.atan2(x, v), ctx)
+            val = _stirling_main(v) + 2 * res.value
+        elif route == "binet1":
+            res = integrate_laplace(lambda t: binet_kernel(t) / t, v, ctx)
+            val = _stirling_main(v) + res.value
+        else:
+            val = (_stirling_main(v)
+                   + _aux_lattice_sum(0, 1, 2 * mp.pi * v, ctx) / mp.pi)
+        return FunctionValue(+(val + sum(heads)), route)
 
 
 # ---------------------------------------------------------------------------
@@ -351,12 +354,16 @@ def _hermite(m: int, s, u, ctx: PrecisionContext):
     mp.sin; for m >= 1, log(u^2+x^2) is taken once at prec + 10 bits, R is
     mp.power's own e^(-(s/2) log(u^2+x^2)) from it, bit for bit, and L is
     it rounded to prec and halved; (L + i theta)^m is _log_power's.
+    Below u = 1 at u + 1, by zeta^(m)(s,u) = zeta^(m)(s,u+1)
+    + (-log u)^m u^-s (series._up).
     """
     with ctx.working(10):
         s = mpf(s)
         uu = positive(u, "hurwitz_zeta")
         if s == 1:
             raise ValueError("pole at s = 1")
+        uu, heads = series._up(
+            uu, lambda x: (-mp.log(x)) ** m * mp.power(x, -s))
         prec, rnd = mp._prec_rounding
         um, u2, sm = uu._mpf_, (uu * uu)._mpf_, s._mpf_
         t = (-s / 2)._mpf_
@@ -389,7 +396,7 @@ def _hermite(m: int, s, u, ctx: PrecisionContext):
         main = lu ** m * mp.power(uu, -s) / 2
         for j in range(m + 1):
             main += math.perm(m, j) * lu ** (m - j) * u1s / (s - 1) ** (j + 1)
-        return +((-1) ** m * main + 2 * res.value)
+        return +((-1) ** m * main + 2 * res.value + sum(heads))
 
 
 def hurwitz_zeta(s, u, ctx: PrecisionContext = DEFAULT_CONTEXT) -> FunctionValue:

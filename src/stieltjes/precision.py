@@ -127,8 +127,9 @@ def positive(v, who: str, name: str = "u") -> mpf:
 #: The engines a value can come from; a quadrature engine is named for its
 #: rule, not for the node table it reads.  Every tally key but _sum_terms'
 #: stop reasons (stop_small, stop_floor, stop_cap), the quadrature's
-#: table_nodes_built, binet_kernel's kernel_values_built and the series
-#: kernels' kernel_terms starts with one of these and an underscore.
+#: table_nodes_built, binet_kernel's kernel_values_built, the series
+#: kernels' kernel_terms and series._up's recurrence_steps starts with one
+#: of these and an underscore.
 ENGINES = ("em", "bose", "laplace", "tanh_sinh", "unit_square",
            "aux_lattice", "binomial", "stirling")
 

@@ -144,6 +144,19 @@ def _sum_terms(terms, acc, eps):
     return acc
 
 
+def _up(u, head, k=None):
+    """(u + k, [head(u + j), j < k]) for F(u) = head(u) + F(u + 1), so
+    that F(u) = sum(heads) + F(u + k).  k defaults to the fewest steps to
+    u + k >= 1: an integrand with singularities at x = +-iu needs finer
+    quadrature levels as u -> 0.  Tallies k as recurrence_steps if k > 0.
+    """
+    if k is None:
+        k = max(0, math.ceil(1 - u))
+    if k:
+        tally(recurrence_steps=k)
+    return u + k, [head(u + j) for j in range(k)]
+
+
 _ROWS: dict = {}       # (kernel, mp.prec) -> [coefficient _mpf_, ...]
 
 
@@ -589,7 +602,7 @@ def psi_asymptotic(x, ctx: PrecisionContext = DEFAULT_CONTEXT):
 # ---------------------------------------------------------------------------
 
 def _binomial_sums(weights: list, rows: list, tail_scale, tol,
-                   head=0, head_max=0) -> list:
+                   head=0, head_max=0, tails=None) -> list:
     """head + sum_{i<=D} c_i sum_{j<=i} C(i,j) (-1)^j v(j) for each column
     v of rows (rows[j][k] = v_k(j), j = 0..D), the finite sums swapped:
 
@@ -598,7 +611,8 @@ def _binomial_sums(weights: list, rows: list, tail_scale, tol,
     The tail estimate is tail_scale |sum_j (-1)^j C(D,j) v(j)|, a multiple
     of the last outer term.  Tallies each column's depth, the digits its
     largest summand (W_j |v(j)| or head_max) lost to cancellation and its
-    tail; raises PrecisionExhaustedError unless tol bounds the tail.
+    tail, and appends the tail to the list tails if one is given; raises
+    PrecisionExhaustedError unless tol bounds the tail.
     """
     D = len(weights) - 1
     totals = [mpf(head)] * len(rows[0])
@@ -619,6 +633,8 @@ def _binomial_sums(weights: list, rows: list, tail_scale, tol,
             if total and big else 0
         tally(binomial_depth=D, binomial_digits_lost=lost,
               binomial_tail=float(tail))
+        if tails is not None:
+            tails.append(tail)
         if not tail <= tol:
             raise PrecisionExhaustedError(
                 "binomial sum truncation ~%s exceeds tolerance %s"
@@ -655,19 +671,18 @@ def _shifted_hasse_sum(g, head, u, ctx: PrecisionContext):
         F(u) = sum_{k<M} head(u+k)
                + sum_{i<=I} (i+1)^-1 sum_j C(i,j) (-1)^j g(u+M+j)
 
-    with I = M from _hasse_depth, by _binomial_sums with the
-    _hasse_weights.  Unshifted, the outer terms of a log power decay only
-    like 1/(i^2 log i), a floor near 1/(I log I); at u+M they fall faster
-    than geometrically.  The weights grow like 2^I/I, so the sum runs at
-    working precision widened by 0.302 I + 10 digits.  The tail estimate
-    is |last outer term| * I, held to 10^-target_digits, the digits the
-    caller trusts.
+    with I = M from _hasse_depth (the heads from _up), by _binomial_sums
+    with the _hasse_weights.  Unshifted, the outer terms of a log power
+    decay only like 1/(i^2 log i), a floor near 1/(I log I); at u+M they
+    fall faster than geometrically.  The weights grow like 2^I/I, so the
+    sum runs at working precision widened by 0.302 I + 10 digits.  The
+    tail estimate is |last outer term| * I, held to 10^-target_digits,
+    the digits the caller trusts.
     """
     depth = _hasse_depth(ctx)
     with ctx.working(int(math.ceil(0.302 * depth)) + 10):
-        uu = positive(u, "Hasse's sum")
-        heads = [head(uu + k) for k in range(depth)]
-        rows = [[g(uu + depth + j)] for j in range(depth + 1)]
+        v, heads = _up(positive(u, "Hasse's sum"), head, depth)
+        rows = [[g(v + j)] for j in range(depth + 1)]
         return +_binomial_sums(_hasse_weights(depth), rows,
                                mpf(depth) / (depth + 1),
                                mpf(10) ** -ctx.target_digits,
@@ -703,8 +718,8 @@ def _altzeta_weights(D: int) -> list:
     return [mp.ldexp(t, -(D + 1)) for t in reversed(list(tails))]
 
 
-def alt_zeta_hasse(s, u, k_max: int,
-                   ctx: PrecisionContext = DEFAULT_CONTEXT) -> list:
+def alt_zeta_hasse(s, u, k_max: int, ctx: PrecisionContext = DEFAULT_CONTEXT,
+                   tails=None) -> list:
     """The moments S_0 .. S_kmax of the alternating zeta function,
 
         S_k = sum_i (-1)^i log^k(u+i) (u+i)^-s = (-1)^k d^k/ds^k zeta_a(s,u),
@@ -713,8 +728,9 @@ def alt_zeta_hasse(s, u, k_max: int,
     v_k(j) = log^k(u+j) (u+j)^-s, geometrically convergent for every real
     s (no pole at s = 1; S_0(1,1) = log 2).  One pass over j takes
     log(u+j) once and the powers by a running product into _binomial_sums
-    with the _altzeta_weights; the tail estimate is twice the last outer
-    term.
+    with the _altzeta_weights; the tail estimate is 2^-depth times the
+    last outer term, held to 10^-target_digits and appended to tails if
+    a list is given.
     """
     if k_max < 0:
         raise ValueError("alt_zeta_hasse needs k_max >= 0")
@@ -726,7 +742,8 @@ def alt_zeta_hasse(s, u, k_max: int,
             [mp.power(uu + j, -s)] + [mp.log(uu + j)] * k_max, mpf.__mul__))
             for j in range(depth + 1)]
         return _binomial_sums(_altzeta_weights(depth), rows,
-                              mp.ldexp(1, -depth), ctx.tolerance)
+                              mp.ldexp(1, -depth),
+                              mpf(10) ** -ctx.target_digits, tails=tails)
 
 
 def stieltjes_altzeta_table(n_max: int,
@@ -741,18 +758,40 @@ def stieltjes_altzeta_table(n_max: int,
     upward from m = 0; each step divides by (m+1) log 2.  The moments
     come from one alt_zeta_hasse pass, so callers that need several orders
     should ask for the whole range here rather than order by order.
+
+    The solve's exact inverse, from T(x) = G(x) (e^(x log 2) - 1) for the
+    exponential generating functions of T_n = log^(n+1) 2/(n+1) - S_n and
+    gamma_k, is
+
+      gamma_m = sum_{j<=m} C(m+1,j) B_j log^(j-1) 2 T_(m+1-j)/(m+1),
+
+    so the moments' tail estimates t_n bound gamma_m's error by the same
+    sum with |B_j| and t_(m+1-j); on orders 0..60 it lies 2 to 100 times
+    above the measured error.  Raises PrecisionExhaustedError when that
+    bound exceeds 10^-target_digits max(1, |gamma_m|).
     """
     if n_max < 0:
         raise ValueError("stieltjes_altzeta_table needs n_max >= 0")
-    S = alt_zeta_hasse(1, 1, n_max + 1, ctx)
+    tails: list = []
+    S = alt_zeta_hasse(1, 1, n_max + 1, ctx, tails)
     with ctx.working(10):
         l2 = mp.log(2)
+        eps = mpf(10) ** -ctx.target_digits
         gammas: list = []
+        bern: list = []         # |B_j| log^j 2
         for m in range(n_max + 1):
             rhs = l2 ** (m + 2) / (m + 2) - S[m + 1]
             for k in range(m):
                 rhs -= math.comb(m + 1, k) * gammas[k] * l2 ** (m + 1 - k)
             gammas.append(rhs / ((m + 1) * l2))
+            bern.append(abs(_bern_mpf(m)) * l2 ** m)
+            bound = sum(math.comb(m + 1, j) * bern[j] * tails[m + 1 - j]
+                        for j in range(m + 1)) / ((m + 1) * l2)
+            if bound > eps * max(1, abs(gammas[m])):
+                raise PrecisionExhaustedError(
+                    "gamma_%d from the alternating moments: error bound %s "
+                    "exceeds 10^-%d" % (m, mp.nstr(bound, 3),
+                                        ctx.target_digits))
         return gammas
 
 

@@ -94,12 +94,21 @@ class TestCompute:
             assert code == 2, argv
             assert err.startswith("error: "), argv
 
-    def test_laplace_past_its_table_exits_3(self, capsys):
+    def test_laplace_serves_u_1e_50_by_the_recurrence(self, capsys):
+        # psi(u) = psi(u + 1) - 1/u: the rule runs at u + 1, which rounds
+        # to 1, and the record says so.  The rule's own refusal past its
+        # table stays pinned by test_table_end_refuses in the quadrature
+        # tests, the exit-3 mapping by test_non_convergence_maps_to_exit_3
         code, out, err = run(capsys, ["compute", "digamma", "--u", "1e-50",
-                                      "--route", "laplace", "--digits", "15"])
-        assert code == 3
-        assert out == ""
-        assert "right end" in err
+                                      "--route", "laplace", "--digits", "15",
+                                      "--format", "json"])
+        assert code == 0, err
+        payload = json.loads(out)
+        assert payload["diagnostics"]["recurrence_steps"] == 1
+        assert payload["diagnostics"]["laplace_nodes"] <= 140
+        with mp.workdps(60):
+            ref = mp.psi(0, mpf("1e-50"))
+            assert abs(mpf(payload["value"]) - ref) <= abs(ref) * 10 ** -14
 
     def test_non_convergence_maps_to_exit_3(self, capsys, monkeypatch):
         def stall(*args, **kwargs):

@@ -305,8 +305,10 @@ class TestDigamma:
             assert abs(a.value - b.value) < TOL
 
     def test_recurrence(self):
+        # at u >= 1 both sides run the rule; below 1, digamma(u) itself
+        # steps to u + 1 by this recurrence
         with CTX.working():
-            u = mpf("0.75")
+            u = mpf("1.75")
             lhs = F.digamma(u + 1, CTX).value
             rhs = F.digamma(u, CTX).value + 1 / u
             assert abs(lhs - rhs) < TOL
@@ -466,7 +468,7 @@ class TestHurwitzZeta:
     def test_u_recurrence(self):
         with CTX.working():
             s = mpf("1.7")
-            u = mpf("0.8")
+            u = mpf("1.8")      # below 1, hurwitz_zeta steps to u + 1 itself
             lhs = F.hurwitz_zeta(s, u, CTX).value
             rhs = u ** (-s) + F.hurwitz_zeta(s, u + 1, CTX).value
             assert abs(lhs - rhs) < TOL
@@ -547,7 +549,8 @@ def test_hermite_grid_matches_mpmath(digits):
                 assert err <= mpf(10) ** -(digits + 17), (s, u, m, err)
 
 
-BOSE_SWEEP_U = ("2^-10", "2^-7", "3/8", "1", "4", "10", "1e3", "1e4")
+BOSE_SWEEP_U = ("1e-12", "1e-9", "2^-10", "2^-7", "3/8", "1", "4", "10",
+                "1e3", "1e4")
 
 
 def sweep_u(text):
@@ -559,9 +562,13 @@ def sweep_u(text):
 
 @pytest.mark.parametrize("digits", [15, 60])
 def test_bose_routes_sweep_matches_mpmath(digits):
-    # every route on the Bose rule, at binary-exact u over seven decades,
-    # against mpmath at digits + 20: relative error, absolute below 1.
-    # The worst measured are 4.9e-35 at 15 digits (zeta'(-1, 2^-10)) and
+    # every route on the Bose rule, at u over sixteen decades, against
+    # mpmath at digits + 40 (mp.stieltjes(3, 1e-12) at digits + 20 is off
+    # by 6.5e-32 relative): relative error, absolute below 1.  Below
+    # u = 1 each runs at u + 1 by its recurrence, but Barnes integral_6_7,
+    # whose recurrence would need log Gamma: its levels grow below t = 0.1
+    # and at 60 digits t = 1e-12 stalls, so it is swept from 2^-10 on.
+    # The worst measured are 3.4e-35 at 15 digits (Barnes, t = 2^-7) and
     # 1.2e-79 at 60 (trigamma, u = 1e4), each about 19 digits past the
     # target
     ctx = PrecisionContext.for_digits(digits)
@@ -583,11 +590,60 @@ def test_bose_routes_sweep_matches_mpmath(digits):
     for text in BOSE_SWEEP_U:
         u = sweep_u(text)
         for k, (route, ref) in enumerate(routes):
+            if k == len(routes) - 1 and u < 2 ** -10:
+                continue
             v = route(u).value
-            with mp.workdps(digits + 20):
+            with mp.workdps(digits + 40):
                 r = ref(u)
                 err = abs(v - r) / max(1, abs(r))
             assert err <= mpf(10) ** -(digits + 15), (text, k, err)
+
+
+@pytest.mark.parametrize("digits", [15, 60])
+def test_laplace_routes_sweep_matches_mpmath(digits):
+    # the Laplace rule's routes over the same u, against mpmath at
+    # digits + 40.  The worst measured are 6.0e-36 at 15 digits and
+    # 8.0e-81 at 60 (digamma, u = 1e3 and 1e4)
+    ctx = PrecisionContext.for_digits(digits)
+    routes = ((lambda u: F.digamma(u, ctx, "laplace"), lambda u: mp.psi(0, u)),
+              (lambda u: F.log_gamma(u, "binet1", ctx), mp.loggamma))
+    for text in BOSE_SWEEP_U:
+        u = sweep_u(text)
+        for k, (route, ref) in enumerate(routes):
+            v = route(u).value
+            with mp.workdps(digits + 40):
+                r = ref(u)
+                err = abs(v - r) / max(1, abs(r))
+            assert err <= mpf(10) ** -(digits + 15), (text, k, err)
+
+
+@pytest.mark.parametrize("digits", [15, 60])
+def test_small_u_reads_the_nodes_of_u_plus_1(digits):
+    # below u = 1 every Bose and Laplace route steps to u + 1 first, so it
+    # reads the nodes it reads there: before, digamma bose read 570 nodes
+    # at u = 2^-7 and 15 digits against 147 at u = 1, and every route
+    # stalled at u = 1e-12
+    ctx = PrecisionContext.for_digits(digits)
+    routes = (lambda u: F.digamma(u, ctx, "bose"),
+              lambda u: F.digamma(u, ctx, "laplace"),
+              lambda u: F.trigamma(u, ctx),
+              lambda u: F.log_gamma(u, "binet2", ctx),
+              lambda u: F.log_gamma(u, "binet1", ctx),
+              lambda u: F.hurwitz_zeta("2.5", u, ctx),
+              lambda u: F.hurwitz_zeta_sderiv(1, -1, u, ctx),
+              lambda u: F.hurwitz_zeta_sderiv(2, "3.9", u, ctx),
+              lambda u: F.stieltjes(3, u, "coffey_integral", ctx))
+
+    def nodes(route, u):
+        with recording() as rec:
+            route(u)
+        return rec.get("bose_nodes", 0) + rec.get("laplace_nodes", 0)
+
+    with ctx.working(10):
+        for u in (mpf(2) ** -7, mpf("1e-12")):
+            for k, route in enumerate(routes):
+                small, shifted = nodes(route, u), nodes(route, u + 1)
+                assert abs(small - shifted) <= shifted / 10, (u, k)
 
 
 def test_exp_sinh_range_follows_the_digits():

@@ -369,9 +369,9 @@ class TestAltZeta:
                 assert abs(S[k] - ref) < tol(40), k
 
     def test_short_depth_refuses_a_log_moment(self, monkeypatch):
-        # at depth 78 the tail estimate of S_0 (4.2e-26) is within the
-        # tolerance 1e-25 and that of S_2 (1.3e-25) is not
-        monkeypatch.setattr(series, "_altzeta_depth", lambda ctx: 78)
+        # at depth 94 the tail estimate of S_0 (5.3e-31) is within the
+        # tail bound 10^-30 and that of S_1 (1.2e-30) is not
+        monkeypatch.setattr(series, "_altzeta_depth", lambda ctx: 94)
         series.alt_zeta_hasse(1, 1, 0, CTX)
         with pytest.raises(PrecisionExhaustedError):
             series.alt_zeta_hasse(1, 1, 2, CTX)
@@ -392,6 +392,42 @@ class TestAltZeta:
     def test_rejects_bad_u(self):
         with pytest.raises(ValueError):
             series.alt_zeta_hasse(1, 0, 0, CTX)
+
+    def test_orders_are_right_to_their_digits_or_refused(self):
+        # the triangular solve from the moments amplifies their tails; held
+        # to ctx.tolerance and unbounded through the solve, gamma_45 to
+        # gamma_60 came back wrong with no error (gamma_54 at 15 digits
+        # off by 1.5e-8).  Each order is now right or refused, and the
+        # orders up to 42 are served at 6, 15 and 30 digits
+        with mp.workdps(70):
+            refs = {n: mp.stieltjes(n) for n in range(0, 61, 3)}
+        for digits in (6, 15, 30):
+            ctx = PrecisionContext.for_digits(digits)
+            served = []
+            for n, ref in refs.items():
+                try:
+                    v = series.stieltjes_from_altzeta(n, ctx)
+                except PrecisionExhaustedError:
+                    continue
+                served.append(n)
+                with mp.workdps(70):
+                    assert abs(v - ref) <= mpf(10) ** -digits \
+                        * max(1, abs(ref)), (digits, n)
+            assert max(served) >= 42, digits
+
+
+def test_up_steps_to_one_and_tallies_the_steps():
+    with mp.workdps(30):
+        for u, k in (("1e-50", 1), ("0.37", 1), ("1", 0), ("2.5", 0)):
+            u = mpf(u)
+            with recording() as rec:
+                v, heads = series._up(u, lambda x: 1 / x)
+            assert v == u + k and heads == [1 / u] * k
+            assert rec.get("recurrence_steps") == (k or None)
+        with recording() as rec:
+            v, heads = series._up(mpf("0.5"), lambda x: x, 3)
+        assert v == mpf("3.5") and heads == [mpf("0.5"), 1.5, 2.5]
+        assert rec["recurrence_steps"] == 3
 
 
 class TestHasse:

@@ -236,6 +236,7 @@ NON_ENGINE_KEYS = {
     "table_nodes_built": "quadrature: the table nodes a call had to build",
     "kernel_values_built": "binet_kernel: the kernel values it evaluated",
     "kernel_terms": "the per-node series kernels: the terms they summed",
+    "recurrence_steps": "series._up: the steps u -> u + 1 a route took",
 }
 
 
