@@ -22,11 +22,14 @@ read, with the same formulas at every index, and kept, so a table costs
 only the nodes that walks reach and its t range costs nothing beyond
 them.  Every rule, 1-D and 2-D, hands one driver (_refine) its value on a
 stride sub-grid of the cached grid; the driver halves the stride until
-two levels agree and reports their difference as the error estimate and
-the number of levels it computed, and raises NonConvergenceError when the
-finest level still disagrees, so no rule returns a value that did not
-settle.  Each rule call tallies <engine>_nodes, <engine>_error and
-<engine>_levels into the open provenance record.
+two levels agree, or, for a 1-D rule, until the digits of the last two
+level differences extrapolate past the working precision (the digits of
+a double-exponential rule about double per halving of h), and reports
+an error estimate and the number of levels it computed.  It raises
+NonConvergenceError when the finest level still disagrees, so no rule
+returns a value that did not settle.  Each rule call tallies
+<engine>_nodes, <engine>_error and <engine>_levels into the open
+provenance record.
 Every rule reuses integrand values across levels; the 1-D rules truncate
 each level with one outward walk (_walk).  It stops a side after 3
 negligible terms past the last non-negligible one of the level before,
@@ -270,22 +273,38 @@ def _bose_value(tab: _NodeTable, i: int, modes: bool = False):
 # refinement driver and outward walk
 # ---------------------------------------------------------------------------
 
-def _refine(level, strides, tol):
+def _refine(level, strides, tol, dps=None):
     """Coarse-to-fine refinement shared by every rule.
 
     level(stride) is the rule's value on one stride sub-grid of a node
     table; strides run coarse to fine.  Returns (value, error, levels) for
-    the first level whose difference from the level before is below tol
-    (relative once |value| > 1), levels counting the levels computed up to
-    it; raises NonConvergenceError when no level gets there.
+    the first level accepted, levels counting the levels computed up to
+    it; raises NonConvergenceError when no level is.  A level is accepted
+    when its difference from the level before, its error, is below tol
+    (relative once |value| > 1).
+
+    With dps, the working digits of a 1-D rule, a level L_k, k >= 3, is
+    also accepted when the digits a and b of its last two differences,
+    relative to s = max(1, |L_k|), grow as a double-exponential rule's
+    do, about doubling per halving of h: a > b > 0 and the difference
+    they extrapolate to, min(a^2/b, 2a) digits (mpmath's estimate), lies
+    past dps + 3.  No 1-D level is resolved past the terms its walk
+    drops, tol 10^-6 each, so a 1-D rule's error is never below
+    tol 10^-6 s, and a level accepted on the extrapolation reports that.
     """
     prev = err = None
+    a = 0
     for levels, stride in enumerate(strides, 1):
         val = level(stride)
         if prev is not None:
             err = abs(val - prev)
-            if err < tol * max(1, abs(val)):
-                return val, err, levels
+            scale = max(1, abs(val))
+            floor = tol * scale / 10 ** 6 if dps else 0
+            if err < tol * scale:
+                return val, max(err, floor), levels
+            b, a = a, float(-mp.log10(err / scale))
+            if dps and a > b > 0 and min(a * a / b, 2 * a) >= dps + 3:
+                return val, floor, levels
         prev = val
     raise NonConvergenceError(
         "quadrature stalled: level difference %s above tol %s"
@@ -369,7 +388,7 @@ def _integrate_on_table(feval, tab: _NodeTable, tol, dps):
                     % ("right" if side > 0 else "left", tab.kind))
         return val
 
-    val, err, levels = _refine(level, _strides(dps), tol)
+    val, err, levels = _refine(level, _strides(dps), tol, dps)
     return QuadratureResult(+val, +err, len(terms), levels)
 
 
@@ -447,7 +466,7 @@ def _bose_kernel(g, tab: _NodeTable, tol, dps):
         return v
 
     val, err, levels = _refine(_BoseKernelSums(cached, tab, tol).value,
-                               _strides(dps), tol)
+                               _strides(dps), tol, dps)
     return QuadratureResult(+val, +err, len(gvals), levels)
 
 

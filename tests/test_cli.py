@@ -259,7 +259,7 @@ class TestVerify:
         assert entry["lhs_engines"] == ["bose"]
         assert entry["rhs_engines"] == []
         # the quadrature levels per engine: rhs is a closed form
-        assert entry["lhs_levels"] == {"bose": 4}
+        assert entry["lhs_levels"] == {"bose": 3}
         assert entry["rhs_levels"] == {}
         with mp.workdps(40):
             assert abs(mpf(entry["lhs"]) - mpf(1) / 24) < mpf(10) ** -28

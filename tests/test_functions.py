@@ -560,7 +560,7 @@ def sweep_u(text):
     return mpf(a) / int(b or 1)
 
 
-@pytest.mark.parametrize("digits", [15, 60])
+@pytest.mark.parametrize("digits", [15, 30, 60, 120])
 def test_bose_routes_sweep_matches_mpmath(digits):
     # every route on the Bose rule, at u over sixteen decades, against
     # mpmath at digits + 40 (mp.stieltjes(3, 1e-12) at digits + 20 is off
@@ -568,9 +568,9 @@ def test_bose_routes_sweep_matches_mpmath(digits):
     # u = 1 each runs at u + 1 by its recurrence, but Barnes integral_6_7,
     # whose recurrence would need log Gamma: its levels grow below t = 0.1
     # and at 60 digits t = 1e-12 stalls, so it is swept from 2^-10 on.
-    # The worst measured are 3.4e-35 at 15 digits (Barnes, t = 2^-7) and
-    # 1.2e-79 at 60 (trigamma, u = 1e4), each about 19 digits past the
-    # target
+    # The worst measured are 1.6e-35 at 15 digits and 2.0e-49, 1.2e-79
+    # and 1.2e-139 at 30, 60 and 120, all trigamma at u = 1e4, each about
+    # 19 digits past the target
     ctx = PrecisionContext.for_digits(digits)
     routes = (
         (lambda u: F.digamma(u, ctx, "bose"), lambda u: mp.psi(0, u)),
@@ -599,11 +599,12 @@ def test_bose_routes_sweep_matches_mpmath(digits):
             assert err <= mpf(10) ** -(digits + 15), (text, k, err)
 
 
-@pytest.mark.parametrize("digits", [15, 60])
+@pytest.mark.parametrize("digits", [15, 30, 60, 120])
 def test_laplace_routes_sweep_matches_mpmath(digits):
     # the Laplace rule's routes over the same u, against mpmath at
-    # digits + 40.  The worst measured are 6.0e-36 at 15 digits and
-    # 8.0e-81 at 60 (digamma, u = 1e3 and 1e4)
+    # digits + 40.  The worst measured are 4.5e-36, 4.8e-52, 7.1e-82 and
+    # 8.8e-142 at 15, 30, 60 and 120 digits, all digamma at u = 1e3 or
+    # 1e4, each about 21 digits past the target
     ctx = PrecisionContext.for_digits(digits)
     routes = ((lambda u: F.digamma(u, ctx, "laplace"), lambda u: mp.psi(0, u)),
               (lambda u: F.log_gamma(u, "binet1", ctx), mp.loggamma))

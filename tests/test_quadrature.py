@@ -23,6 +23,7 @@ from stieltjes.quadrature import (
     _default_tol,
     _get_table,
     _on_nodes,
+    _refine,
     _rule,
     _walk,
     integrate_bose,
@@ -204,22 +205,22 @@ def test_nodes_used_counts_distinct_integrand_calls(rule, f):
     assert len(xs) == len(set(xs)) == r.nodes_used > 0
 
 
+def exp_sinh(f, ctx=CTX):
+    return _rule("exp_sinh", "es0inf", ctx, _on_nodes(lambda nd: f(nd.x)))
+
+
 class TestExpSinh:
     """The exp-sinh map, which only the Bose rule's kernel route reads,
     run as a plain rule over (0,inf) on integrands of known value."""
 
-    @staticmethod
-    def exp_sinh(f):
-        return _rule("exp_sinh", "es0inf", CTX, _on_nodes(lambda nd: f(nd.x)))
-
     def test_exponential(self):
         with CTX.working():
-            r = self.exp_sinh(lambda t: mp.exp(-t))
+            r = exp_sinh(lambda t: mp.exp(-t))
             assert abs(r.value - 1) < TOL
 
     def test_algebraic_decay(self):
         with CTX.working():
-            r = self.exp_sinh(lambda t: 1 / (1 + t * t))
+            r = exp_sinh(lambda t: 1 / (1 + t * t))
             assert abs(r.value - mp.pi / 2) < TOL
 
 
@@ -392,7 +393,8 @@ class TestBose:
 
     def test_direct_route_runs_on_the_exp_decay_map(self, monkeypatch):
         # digamma at u = 1 reads the exp-decay table alone; its node count
-        # at 30 and 200 digits is 311 and 1603 (419 and 7893 on exp-sinh)
+        # at 30 and 200 digits is 159 and 806 (311 and 1603 before the
+        # extrapolated stop, 419 and 7893 on exp-sinh)
         monkeypatch.setattr(quadrature, "_TABLES", {})
         for digits, most in ((30, 320), (200, 3300)):
             ctx = PrecisionContext.for_digits(digits)
@@ -571,3 +573,108 @@ def test_walk_counts_small_terms_only_past_the_coarser_reach():
         fine, fine_reach = level(1, reach)
         assert abs(fine - 1) < mpf("1e-30")
         assert all(f >= r for f, r in zip(fine_reach, reach))
+
+
+# ---------------------------------------------------------------------------
+# where each 1-D rule stops: the extrapolated acceptance
+# ---------------------------------------------------------------------------
+
+# every closed form of this file: a rule call on ctx and the exact value
+CLOSED_FORMS = {
+    "tanh_sinh-inv-sqrt": (
+        lambda c: tanh_sinh_01(lambda x, xc: 1 / mp.sqrt(x), c),
+        lambda: mpf(2)),
+    "tanh_sinh-log": (lambda c: tanh_sinh_01(lambda x, xc: mp.log(x), c),
+                      lambda: mpf(-1)),
+    "tanh_sinh-log-complement": (
+        lambda c: tanh_sinh_01(lambda x, xc: mp.log(xc), c),
+        lambda: mpf(-1)),
+    "tanh_sinh-square": (lambda c: tanh_sinh_01(lambda x, xc: x * x, c),
+                         lambda: mpf(1) / 3),
+    "tanh_sinh-log-log": (
+        lambda c: tanh_sinh_01(lambda x, xc: mp.log(x) * mp.log(xc), c),
+        lambda: 2 - mp.pi ** 2 / 6),
+    "exp_sinh-exp": (lambda c: exp_sinh(lambda t: mp.exp(-t), c),
+                     lambda: mpf(1)),
+    "exp_sinh-algebraic": (lambda c: exp_sinh(lambda t: 1 / (1 + t * t), c),
+                           lambda: mp.pi / 2),
+    **{"bose-" + name: (lambda c, g=g: integrate_bose(g, c), exact)
+       for name, (g, exact) in BOSE_G.items()},
+    "bose-sin": (lambda c: integrate_bose(mp.sin, c),
+                 lambda: (mp.coth(mpf(1) / 2) / 2 - 1) / 2),
+    "bose-kernel-atan": (
+        lambda c: integrate_bose(mp.atan, c, oscillatory=True),
+        BOSE_G["atan"][1]),
+    "laplace-one": (lambda c: integrate_laplace(lambda t: mpf(1), 2, c),
+                    lambda: mpf(1) / 2),
+    "laplace-square": (lambda c: integrate_laplace(lambda t: t * t, 1, c),
+                       lambda: mpf(2)),
+    "laplace-frullani": (
+        lambda c: integrate_laplace(lambda t: -mp.expm1(-t) / t, 1, c),
+        lambda: mp.log(2)),
+    # Binet's first formula for digamma at u = 1
+    "laplace-binet": (
+        lambda c: integrate_laplace(functions.binet_kernel, 1, c),
+        lambda: mp.euler - mpf(1) / 2),
+}
+
+
+@pytest.mark.parametrize("digits", [15, 30, 60, 120])
+@pytest.mark.parametrize("name", CLOSED_FORMS)
+def test_error_estimate_bounds_the_true_error(name, digits):
+    run, exact = CLOSED_FORMS[name]
+    ctx = PrecisionContext.for_digits(digits)
+    with ctx.working(10):
+        r = run(ctx)
+        assert abs(r.value - exact()) <= r.error_estimate
+
+
+@pytest.mark.parametrize("name", ["tanh_sinh-log-log", "bose-atan",
+                                  "laplace-binet"])
+def test_smooth_integrals_stop_a_level_early(name):
+    # the difference test alone took 3, 4, 5 and 6 levels: at 15 digits
+    # it accepts level 3 itself, past it the extrapolation accepts the
+    # level before the one the difference test would
+    levels = {}
+    for digits in (15, 30, 60, 120):
+        with recording() as rec:
+            CLOSED_FORMS[name][0](PrecisionContext.for_digits(digits))
+        (levels[digits],) = [v for k, v in rec.items()
+                             if k.endswith("_levels")]
+    assert levels == {15: 3, 30: 3, 60: 4, 120: 5}
+
+
+@pytest.mark.parametrize("digits", [15, 30, 60, 120])
+def test_interior_kink_refuses(digits):
+    # |x - 1/3| converges algebraically, its digits far from doubling
+    with pytest.raises(NonConvergenceError, match="quadrature stalled"):
+        tanh_sinh_01(lambda x, xc: abs(x - mpf(1) / 3),
+                     PrecisionContext.for_digits(digits))
+
+
+@pytest.mark.parametrize("diffs, dps, levels, err", [
+    # digits 20 then 38 extrapolate to min(72.2, 76) >= 53
+    ((20, 38), 50, 3, 46),
+    # without dps, the 2-D rule's case, only the difference test accepts
+    ((20, 38, 70), None, 4, 70),
+    # 9 then 23 would extrapolate to 58.8 digits, but 2 x 23 < 53
+    ((9, 23, 44), 50, 4, 44),
+])
+def test_refine_accepts_on_the_extrapolation(diffs, dps, levels, err):
+    # levels L_1 = 0, L_k = L_(k-1) + 10^-diffs[k-2], against tol 1e-40
+    with mp.workdps(80):
+        vals = [mpf(0)]
+        for d in diffs:
+            vals.append(vals[-1] + mpf(10) ** -d)
+        it = iter(vals)
+        got = _refine(lambda stride: next(it), range(len(vals)),
+                      mpf(10) ** -40, dps)
+        assert got[0] == vals[levels - 1] and got[2] == levels
+        assert abs(got[1] * mpf(10) ** err - 1) < mpf(10) ** -20
+
+
+def test_refine_never_accepts_on_two_levels():
+    with mp.workdps(80):
+        vals = iter([mpf(0), mpf(10) ** -30])
+        with pytest.raises(NonConvergenceError):
+            _refine(lambda stride: next(vals), range(2), mpf(10) ** -40, 50)
