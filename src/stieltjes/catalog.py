@@ -507,7 +507,7 @@ def register_builtin_entries() -> None:
 
     def rhs_38(ctx):
         return (F.trigamma(1, ctx).value
-                + F.hurwitz_zeta_sderiv(1, 2, 1, ctx).value)
+                + F.hurwitz_zeta_sderiv(1, 2, 1, ctx, "hermite").value)
 
     register(E(
         id="I-3.8",
@@ -541,7 +541,7 @@ def register_builtin_entries() -> None:
     for m in range(5):
         for utag, ufr in (("u1", Fraction(1)), ("u4", Fraction(1, 4))):
             def lhs_310(ctx, m=m, ufr=ufr):
-                return F.hurwitz_zeta(-m, _frac(ufr), ctx).value
+                return F.hurwitz_zeta(-m, _frac(ufr), ctx, "hermite").value
 
             def rhs_310(ctx, m=m, ufr=ufr):
                 return -_frac(series.bernoulli_poly(m + 1, ufr)) / (m + 1)
@@ -734,7 +734,8 @@ def register_builtin_entries() -> None:
 
         def rhs_610(ctx, tv=tv):
             return (_zeta(-1, ctx, 1)
-                    - F.hurwitz_zeta_sderiv(1, -1, mpf(tv), ctx).value)
+                    - F.hurwitz_zeta_sderiv(1, -1, mpf(tv), ctx,
+                                            "hermite").value)
 
         register(E(
             id="I-6.10" + tag,
@@ -905,7 +906,8 @@ def register_builtin_entries() -> None:
                     "Hurwitz function at -1, x = 1/4, against the direct "
                     "integral evaluation.",
         paper_anchor="I-8.5",
-        lhs=lambda ctx: F.hurwitz_zeta_sderiv(1, -1, mpf("0.25"), ctx).value,
+        lhs=lambda ctx: F.hurwitz_zeta_sderiv(1, -1, mpf("0.25"), ctx,
+                                              "hermite").value,
         rhs=rhs_85,
         tags=S))
 
@@ -1069,7 +1071,7 @@ def register_builtin_entries() -> None:
     def lhs_97(ctx):
         psi1 = F.digamma(1, ctx, "bose").value
         z2 = F.trigamma(1, ctx).value
-        z3 = F.hurwitz_zeta(3, 1, ctx).value
+        z3 = F.hurwitz_zeta(3, 1, ctx, "hermite").value
         return psi1 * z2 + z3
 
     register(E(

@@ -99,9 +99,9 @@ def cmd_compute(args: argparse.Namespace) -> int:
     ctx = PrecisionContext.for_digits(digits)
     what = args.what
     reads = {"gamma_n": ("u", "n", "method"), "digamma": ("u", "route"),
-             "log_gamma": ("u", "route"), "hurwitz_zeta": ("u", "s"),
-             "barnes_g": ("t", "route"),
-             "zeta_sderiv": ("u", "s", "order")}[what]
+             "log_gamma": ("u", "route"), "barnes_g": ("t", "route"),
+             "hurwitz_zeta": ("u", "s", "route"),
+             "zeta_sderiv": ("u", "s", "order", "route")}[what]
     for flag in ("u", "n", "s", "t", "order", "method", "route"):
         if getattr(args, flag) is not None and flag not in reads:
             return _usage_error("%s does not take --%s" % (what, flag))
@@ -121,7 +121,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
             params = {"u": _fmt(u, digits)}
         elif what == "hurwitz_zeta":
             s = _parse_number(args.s if args.s is not None else "2", "--s")
-            fv = F.hurwitz_zeta(s, u, ctx)
+            fv = F.hurwitz_zeta(s, u, ctx, args.route or "em")
             params = {"s": _fmt(s, digits), "u": _fmt(u, digits)}
         elif what == "barnes_g":
             t = _parse_number(args.t if args.t is not None else "1", "--t")
@@ -129,7 +129,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
             params = {"t": _fmt(t, digits)}
         else:   # zeta_sderiv; argparse admits only COMPUTE_CHOICES
             s = _parse_number(args.s if args.s is not None else "0", "--s")
-            fv = F.hurwitz_zeta_sderiv(order, s, u, ctx)
+            fv = F.hurwitz_zeta_sderiv(order, s, u, ctx, args.route or "em")
             params = {"order": order, "s": _fmt(s, digits),
                       "u": _fmt(u, digits)}
         value_str = _fmt(fv.value, digits)
@@ -340,7 +340,9 @@ def build_parser() -> argparse.ArgumentParser:
                          "the triangular solve is not"
                          % (", ".join(F.STIELTJES_METHODS)))
     pc.add_argument("--route", default=None,
-                    help="route override for digamma/log_gamma/barnes_g")
+                    help="route for digamma, log_gamma, barnes_g; for "
+                         "hurwitz_zeta and zeta_sderiv em (default) or "
+                         "hermite")
 
     pt = sub.add_parser("table", parents=[common],
                         help="tabulate gamma_0..gamma_{first-1} at u=1")

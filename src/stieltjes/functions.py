@@ -6,7 +6,7 @@ counts into the open provenance record (precision.recording).
 Route naming follows the representation used, not the symbol computed:
 "bose" routes integrate against 1/(e^(2 pi x)-1), "laplace" routes against
 e^(-u t), "series" routes sum something, "em" routes lean on the
-Euler-Maclaurin reference evaluators.
+Euler-Maclaurin reference evaluators; Hurwitz zeta has both kinds.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from mpmath.libmp import (fhalf, fone, from_int, from_man_exp, fzero,
 from .precision import (
     DEFAULT_CONTEXT,
     PrecisionContext,
+    PrecisionExhaustedError,
     expm1,
     log1p,
     positive,
@@ -36,6 +37,7 @@ STIELTJES_METHODS = ("coffey_integral", "hasse_sum", "limit_euler_maclaurin",
                      "alt_zeta_recursion")
 LOG_GAMMA_ROUTES = ("binet2", "binet1", "bourguet", "binomial_series")
 BARNES_G_ROUTES = ("integral_6_7", "weierstrass_6_5", "gosper_vardi_6_10")
+ZETA_ROUTES = {"em": "euler_maclaurin", "hermite": "hermite_bose"}
 
 
 @dataclass
@@ -335,8 +337,33 @@ def log_gamma(u, route: str = "binet2",
 
 
 # ---------------------------------------------------------------------------
-# Hurwitz zeta and s-derivatives (Hermite's integral)
+# Hurwitz zeta and s-derivatives (Euler-Maclaurin, Hermite's integral)
 # ---------------------------------------------------------------------------
+
+def _zeta_em(m: int, s, u, ctx: PrecisionContext):
+    """d^m/ds^m zeta(s,u) = (-1)^m [log^m(u) u^-s + sum_{k>=1} g(u+k)],
+    g(x) = log^m(x) x^-s, the sum by series._em_tail to 10^-(dps-3).  For
+    s < 1 its terms grow to about w0^(1-s) log^m(w0) at the closing point
+    w0 of the plan and cancel: the sum runs that many digits and 2 more
+    above the working precision (em_guard_digits), on the plan made at
+    the working precision.  s < 1 - 2 dps raises PrecisionExhaustedError:
+    the plan's (1-s)/2 and more closing terms would need Bernoulli numbers
+    past B_(2.5 dps), whose exact values take seconds to minutes.
+    """
+    with ctx.working(10):
+        if s < 1 - 2 * mp.dps:
+            raise PrecisionExhaustedError("zeta_em: s = %s < 1 - 2 dps" % s)
+        eps = mpf(10) ** (3 - mp.dps)
+        plan = series._em_plan(s, m, u, eps)
+        lw = math.log10(float(u) + plan[0])                 # log10 w0
+        extra = 0 if s >= 1 else math.ceil(
+            float(1 - s) * lw + m * math.log10(max(lw * math.log(10), 1))) + 2
+        tally(em_guard_digits=extra)
+        with mp.workdps(mp.dps + extra):
+            tail = series._em_tail(s, m, u, mp.log(u) ** m * mp.power(u, -s),
+                                   eps, plan)
+        return +((-1) ** m * tail)
+
 
 def _hermite(m: int, s, u, ctx: PrecisionContext):
     """d^m/ds^m zeta(s,u) for real s != 1, u > 0, from Hermite's integral
@@ -358,12 +385,8 @@ def _hermite(m: int, s, u, ctx: PrecisionContext):
     + (-log u)^m u^-s (series._up).
     """
     with ctx.working(10):
-        s = mpf(s)
-        uu = positive(u, "hurwitz_zeta")
-        if s == 1:
-            raise ValueError("pole at s = 1")
         uu, heads = series._up(
-            uu, lambda x: (-mp.log(x)) ** m * mp.power(x, -s))
+            u, lambda x: (-mp.log(x)) ** m * mp.power(x, -s))
         prec, rnd = mp._prec_rounding
         um, u2, sm = uu._mpf_, (uu * uu)._mpf_, s._mpf_
         t = (-s / 2)._mpf_
@@ -399,19 +422,34 @@ def _hermite(m: int, s, u, ctx: PrecisionContext):
         return +((-1) ** m * main + 2 * res.value + sum(heads))
 
 
-def hurwitz_zeta(s, u, ctx: PrecisionContext = DEFAULT_CONTEXT) -> FunctionValue:
-    """zeta(s,u) for real s != 1, u > 0, by Hermite's integral (_hermite)."""
-    return FunctionValue(_hermite(0, s, u, ctx), "hermite_bose")
+def hurwitz_zeta(s, u, ctx: PrecisionContext = DEFAULT_CONTEXT,
+                 route: str = "em") -> FunctionValue:
+    """zeta(s,u) for real s != 1, u > 0 by route: em, Euler-Maclaurin
+    (_zeta_em), or hermite, Hermite's integral (_hermite)."""
+    return _zeta(0, s, u, ctx, route)
 
 
 def hurwitz_zeta_sderiv(order: int, s, u,
-                        ctx: PrecisionContext = DEFAULT_CONTEXT) -> FunctionValue:
-    """d^order/ds^order zeta(s,u) for order in {1,2}: Hermite's integral
-    differentiated analytically in s (_hermite), no finite differences."""
+                        ctx: PrecisionContext = DEFAULT_CONTEXT,
+                        route: str = "em") -> FunctionValue:
+    """d^order/ds^order zeta(s,u) for order in {1,2}, by hurwitz_zeta's
+    routes, each differentiated analytically in s: no finite differences."""
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
-    return FunctionValue(_hermite(order, s, u, ctx),
-                         "hermite_bose_sderiv%d" % order)
+    return _zeta(order, s, u, ctx, route)
+
+
+def _zeta(m: int, s, u, ctx: PrecisionContext, route: str) -> FunctionValue:
+    """zeta^(m)(s,u) by route, labelled ZETA_ROUTES[route] + _sderiv<m>."""
+    if route not in ZETA_ROUTES:
+        raise ValueError("hurwitz_zeta route must be em or hermite")
+    with ctx.working(10):
+        s, u = mpf(s), positive(u, "hurwitz_zeta")
+        if s == 1:
+            raise ValueError("pole at s = 1")
+        f = _zeta_em if route == "em" else _hermite
+        return FunctionValue(f(m, s, u, ctx), ZETA_ROUTES[route]
+                             + ("_sderiv%d" % m if m else ""))
 
 
 # ---------------------------------------------------------------------------

@@ -56,10 +56,10 @@ The Bose-weight integrator's direct route sums
   int_0^inf g(x)/(e^(2 pi x) - 1) dx = int_0^inf g(y/2 pi)/(2 pi (e^y - 1)) dy
 
 on the exp-decay table, whose map is made for the e^(-y) decay of the
-Bose weight in y = 2 pi x.  Each node's record, 2 pi expm1(y), is built
-on first use and kept with the table for every later call at that
-precision; x = y/2 pi is rounded once per call.  So the 1/(2 pi) sits in
-every term and the refinement tests the integral in x itself.  Its kernel route, kept as the
+Bose weight in y = 2 pi x.  Each node's record, x = y/2 pi and
+2 pi expm1(y), is built on first use and kept with the table for every
+later call at that precision.  So the 1/(2 pi) sits in every term and the
+refinement tests the integral in x itself.  Its kernel route, kept as the
 tests' reference, stays on the exp-sinh table: it sums a mode expansion
 sum_n e^(-2 pi n x) whose tail over the mode index is closed by
 Euler-Maclaurin; on the same nodes that closure is the Bernoulli
@@ -136,7 +136,7 @@ class _NodeTable:
                                 # 2 pi (ed0inf, the Bose rule's y/x)
     nodes: list                 # _Node by index, None until first read
     built: int = 0
-    qs: Optional[dict] = None   # 2 pi expm1(y)'s _mpf_ by node index
+    qs: Optional[dict] = None   # (y/2 pi, 2 pi expm1(y)'s _mpf_) by index
     modes: Optional[dict] = None    # _BoseModes by node index, likewise
 
     def node(self, i: int) -> _Node:
@@ -233,9 +233,10 @@ class _BoseModes(NamedTuple):
 def _bose_qs(tab: _NodeTable, i: int, modes: bool = False):
     """Build node i's Bose record at the table's dps + 10 and keep it;
     tally bose_records_built.  For the direct route, on the exp-decay
-    table, whose node is y = 2 pi x, the record in tab.qs is the _mpf_ of
-    2 pi expm1(y).  With modes, on the exp-sinh table, it is the node's
-    _BoseModes for N = max(20, int(0.8 dps)) modes, in tab.modes.
+    table, whose node is y = 2 pi x, the record in tab.qs is x and the
+    _mpf_ of 2 pi expm1(y), at the precision the direct route runs at.
+    With modes, on the exp-sinh table, it is the node's _BoseModes for
+    N = max(20, int(0.8 dps)) modes, in tab.modes.
 
     The mode sum is split in binary: G(m) = 1 + q + ... + q^(m-1) and
     P(m) = q^m double as G(2m) = G(m)(1 + P(m)), P(2m) = P(m)^2 and step
@@ -250,7 +251,8 @@ def _bose_qs(tab: _NodeTable, i: int, modes: bool = False):
     with mp.workdps(tab.dps + 10):
         v = tab.node(i).x
         if not modes:
-            tab.qs[i] = rec = (mp.make_mpf(tab.c) * expm1(v))._mpf_
+            tab.qs[i] = rec = (v / mp.make_mpf(tab.c),
+                               (mp.make_mpf(tab.c) * expm1(v))._mpf_)
             return rec
         q = mp.exp(-2 * mp.pi * v)
         g, p = mpf(0), mpf(1)
@@ -263,7 +265,7 @@ def _bose_qs(tab: _NodeTable, i: int, modes: bool = False):
 
 
 def _bose_value(tab: _NodeTable, i: int, modes: bool = False):
-    """Node i's 2 pi expm1(y) as its _mpf_, or its _BoseModes, built on
+    """Node i's (x, 2 pi expm1(y)'s _mpf_), or its _BoseModes, built on
     first use."""
     v = ((tab.modes if modes else tab.qs) or {}).get(i)
     return v if v is not None else _bose_qs(tab, i, modes)
@@ -443,13 +445,13 @@ def tanh_sinh_01(f, ctx: PrecisionContext = DEFAULT_CONTEXT
 
 def _bose_direct(g, tab: _NodeTable, tol, dps):
     """The direct route on the exp-decay table: the transformed integral
-    of g(x_i)/(2 pi expm1(y_i)), with x_i = y_i/2 pi rounded once per
-    call and the divisions in libmp."""
+    of g(x_i)/(2 pi expm1(y_i)), x_i = y_i/2 pi and the divisor read from
+    the node's record, the division in libmp."""
     prec, rnd = mp._prec_rounding
 
     def feval(i):
-        x = mp.make_mpf(mpf_div(tab.node(i).x._mpf_, tab.c, prec, rnd))
-        return mpf_div(g(x)._mpf_, _bose_value(tab, i), prec, rnd)
+        x, q = _bose_value(tab, i)
+        return mpf_div(g(x)._mpf_, q, prec, rnd)
     return _integrate_on_table(feval, tab, tol, dps)
 
 

@@ -303,16 +303,19 @@ def _em_plan(s, r: int, w, eps):
     terms directly, then close at w0 = w+n with M terms of _em_terms, so
     that the _em_bound of the remainder is at most eps.
 
-    n takes Newton steps on log w0 until the bound with M = dps/2 terms
-    clears eps; M is then the fewest terms that do.  More than 16 dps
-    direct terms raise PrecisionExhaustedError.
+    n starts where w0 >= max(1, (1-s)/2 pi), past which the terms of
+    _em_terms, about |(s)_(2j-1)| (2 pi w0)^-2j w0^(1-s), only fall; it
+    takes Newton steps on log w0 until the bound with M = m_max terms
+    clears eps; M is then the fewest terms that do.  m_max is dps/2, or
+    dps/4 + (1-s)/2 where that is more: the bound needs a = s + 2M - 1 > 0.
+    More than 16 dps direct terms raise PrecisionExhaustedError.
     """
-    m_max = mp.dps // 2
+    sf = float(s)
+    m_max = max(mp.dps // 2, mp.dps // 4 + math.ceil((1 - sf) / 2))
     log_bound = _em_bound(s, r, m_max)
     log_eps = float(mp.log(eps))
-    sf = float(s)
     wf = float(w)
-    n = max(0, math.ceil(1 - wf))
+    n = max(0, math.ceil(max(1, (1 - sf) / (2 * math.pi)) - wf))
     while True:
         excess = log_bound(m_max, wf + n) - log_eps
         if excess <= 0:
@@ -329,12 +332,12 @@ def _em_plan(s, r: int, w, eps):
                    if log_bound(M, wf + n) <= log_eps)
 
 
-def _em_tail(s, r: int, w, acc, eps):
+def _em_tail(s, r: int, w, acc, eps, plan=None):
     """acc + sum_{k>=1} g(w+k) for g(x) = log^r(x) x^-s, within eps.
 
     The first n terms directly, then Euler-Maclaurin at w0 = w+n with M
-    terms, (n, M) from _em_plan: the integral of g over (w0, inf) in
-    closed form,
+    terms, (n, M) the plan passed or _em_plan's: the integral of g over
+    (w0, inf) in closed form,
 
         I = w0^-a sum_{i<=r} r!/(r-i)! A^(r-i) / a^(i+1),
         a = s-1,  A = log w0,
@@ -342,7 +345,7 @@ def _em_tail(s, r: int, w, acc, eps):
     which for s < 1 is its analytic continuation, then -g(w0)/2 and the
     _em_terms.
     """
-    n, M = _em_plan(s, r, w, eps)
+    n, M = plan or _em_plan(s, r, w, eps)
     tally(em_direct=n, em_terms=M)
     for k in range(1, n + 1):
         if r:

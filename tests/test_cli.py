@@ -125,7 +125,10 @@ class TestCompute:
         ["barnes_g", "--route", r] for r in F.BARNES_G_ROUTES] + [
         ["digamma", "--route", "bose"], ["digamma", "--route", "laplace"],
         ["hurwitz_zeta"], ["zeta_sderiv", "--order", "1"],
-        ["zeta_sderiv", "--order", "2"]], ids=" ".join)
+        ["zeta_sderiv", "--order", "2"]] + [
+        argv + ["--route", "hermite"] for argv in (
+            ["hurwitz_zeta"], ["zeta_sderiv", "--order", "1"],
+            ["zeta_sderiv", "--order", "2"])], ids=" ".join)
     def test_every_route_reports_a_flat_record(self, capsys, argv):
         code, out, err = run(capsys, ["compute"] + argv + [
             "--digits", "15", "--format", "json"])

@@ -456,7 +456,7 @@ class TestHurwitzZeta:
 
     def test_matches_em_on_the_critical_strip_edge(self):
         with CTX.working():
-            a = F.hurwitz_zeta(mpf("0.5"), 1, CTX).value
+            a = F.hurwitz_zeta(mpf("0.5"), 1, CTX, "hermite").value
             b = series.riemann_zeta_em(mpf("0.5"), 0, CTX)
             assert abs(a - b) < TOL
 
@@ -474,8 +474,22 @@ class TestHurwitzZeta:
             assert abs(lhs - rhs) < TOL
 
     def test_pole_rejected(self):
+        for route in F.ZETA_ROUTES:
+            with pytest.raises(ValueError):
+                F.hurwitz_zeta(1, 1, CTX, route)
+
+    def test_unknown_route_rejected(self):
         with pytest.raises(ValueError):
-            F.hurwitz_zeta(1, 1, CTX)
+            F.hurwitz_zeta(2, 1, CTX, "nonsense")
+        with pytest.raises(ValueError):
+            F.hurwitz_zeta_sderiv(1, 2, 1, CTX, "bose")
+
+    def test_route_labels(self):
+        labels = [(F.hurwitz_zeta(2, 1, CTX, r).route,
+                   F.hurwitz_zeta_sderiv(2, 2, 1, CTX, r).route)
+                  for r in F.ZETA_ROUTES]
+        assert labels == [("euler_maclaurin", "euler_maclaurin_sderiv2"),
+                          ("hermite_bose", "hermite_bose_sderiv2")]
 
 
 class TestSDerivatives:
@@ -529,24 +543,78 @@ class TestSDerivatives:
             F.hurwitz_zeta_sderiv(3, 0, 1, CTX)
 
 
-@pytest.mark.parametrize("digits", [15, 30, 60])
-def test_hermite_grid_matches_mpmath(digits):
-    # zeta(s,u) and its first two s-derivatives against mp.zeta(s, u, m)
-    # at digits + 30, across the continuation (s < 1) and u over six
-    # decades.  The worst relative errors measured are 4.4e-34, 2.3e-49
-    # and 2.1e-79 at 15, 30 and 60 digits: each within 10^-(digits+17).
+def zeta_error(route, m, s, u, digits):
+    """zeta^(m)(s,u) by route at digits, its error against mp.zeta(s, u, m)
+    at digits + 30, relative above 1 and absolute below."""
     ctx = PrecisionContext.for_digits(digits)
+    if m:
+        v = F.hurwitz_zeta_sderiv(m, s, u, ctx, route).value
+    else:
+        v = F.hurwitz_zeta(s, u, ctx, route).value
+    with mp.workdps(digits + 30):
+        ref = mp.zeta(mpf(s), mpf(u), m)
+        return abs(v - ref) / max(1, abs(ref))
+
+
+@pytest.mark.parametrize("digits", [6, 15, 30, 60])
+def test_hermite_grid_matches_mpmath(digits):
+    # Hermite's integral for zeta(s,u) and its first two s-derivatives
+    # against mpmath, across the continuation (s < 1) and u over six
+    # decades.  The worst relative errors measured are 6.3e-27, 4.4e-34,
+    # 2.3e-49 and 2.1e-79 at 6, 15, 30 and 60 digits: each within
+    # 10^-(digits+17).
     for s in ("-2.7", "-1", "0.3", "1.7", "3"):
         for u in ("1e-3", "0.25", "1", "1e3"):
             for m in (0, 1, 2):
-                if m:
-                    v = F.hurwitz_zeta_sderiv(m, s, u, ctx).value
-                else:
-                    v = F.hurwitz_zeta(s, u, ctx).value
-                with mp.workdps(digits + 30):
-                    ref = mp.zeta(mpf(s), mpf(u), m)
-                    err = abs(v - ref) / max(1, abs(ref))
+                err = zeta_error("hermite", m, s, u, digits)
                 assert err <= mpf(10) ** -(digits + 17), (s, u, m, err)
+
+
+EM_SWEEP_S = ("-40", "-25", "-10", "-3", "-1", "0", "0.5", "0.999",
+              "1.001", "2", "4")
+EM_SWEEP_U = ("1e-3", "0.37", "1", "4", "30", "1e3", "1e4")
+
+
+@pytest.mark.parametrize("digits", [6, 15, 30, 60, 120, 200])
+def test_em_zeta_sweep_matches_mpmath(digits):
+    # the Euler-Maclaurin route for zeta(s,u), zeta' and zeta'' against
+    # mpmath: every cell served and right to 10^-digits max(1, |ref|).
+    # u stops at 1e3 for s <= -10, where mp.zeta itself gets slow, and at
+    # 1e4: mp.zeta(-0.5, u) takes 8 s at u = 1e6.  At 120 and 200 digits
+    # the grid is thinned to every second and every third (s, u) cell.
+    # The terms of s < 1 grow before they cancel, and the route raises
+    # its digits by theirs: without that, zeta'(-25, 1) and
+    # zeta''(-25, 1) were off by 2e6 and 1e9 at 15 digits.  The smallest
+    # margin measured is 28.0 digits, the slowest cell 78 ms
+    thin = {120: 2, 200: 3}.get(digits, 1)
+    for i, s in enumerate(EM_SWEEP_S):
+        for j, u in enumerate(EM_SWEEP_U):
+            if (i + j) % thin or float(s) <= -10 and float(u) > 1e3:
+                continue
+            for m in (0, 1, 2):
+                err = zeta_error("em", m, s, u, digits)
+                assert err <= mpf(10) ** -digits, (s, u, m, err)
+
+
+def test_em_zeta_far_left_is_right_or_refused():
+    # the sum starts at u + n >= (1-s)/2 pi, past which the closing terms
+    # only fall: started at u = 1, zeta(-60, 1) = 0 came out as 2.8e-13 at
+    # 15 digits with exit 0.  zeta' there is right or refused (exit 3):
+    # today it needs more direct terms than the plan allows, and Hermite
+    # serves it.  Below s = 1 - 2 dps (-89 at 15 digits, -459 at 200) the
+    # route refuses at once: s = -1000 ran for minutes, on Bernoulli
+    # numbers to B_1000
+    for s in ("-60", "-80"):
+        assert zeta_error("em", 0, s, 1, 15) <= mpf(10) ** -15
+        try:
+            assert zeta_error("em", 1, s, 1, 15) <= mpf(10) ** -15
+        except PrecisionExhaustedError:
+            pass
+    for digits in (15, 200):
+        t0 = time.perf_counter()
+        with pytest.raises(PrecisionExhaustedError):
+            zeta_error("em", 0, -1000, 1, digits)
+        assert time.perf_counter() - t0 < 1
 
 
 BOSE_SWEEP_U = ("1e-12", "1e-9", "2^-10", "2^-7", "3/8", "1", "4", "10",
@@ -576,11 +644,11 @@ def test_bose_routes_sweep_matches_mpmath(digits):
         (lambda u: F.digamma(u, ctx, "bose"), lambda u: mp.psi(0, u)),
         (lambda u: F.trigamma(u, ctx), lambda u: mp.psi(1, u)),
         (lambda u: F.log_gamma(u, "binet2", ctx), mp.loggamma),
-        (lambda u: F.hurwitz_zeta("2.5", u, ctx),
+        (lambda u: F.hurwitz_zeta("2.5", u, ctx, "hermite"),
          lambda u: mp.zeta(mpf("2.5"), u)),
-        (lambda u: F.hurwitz_zeta_sderiv(1, -1, u, ctx),
+        (lambda u: F.hurwitz_zeta_sderiv(1, -1, u, ctx, "hermite"),
          lambda u: mp.zeta(-1, u, 1)),
-        (lambda u: F.hurwitz_zeta_sderiv(2, "-2.75", u, ctx),
+        (lambda u: F.hurwitz_zeta_sderiv(2, "-2.75", u, ctx, "hermite"),
          lambda u: mp.zeta(mpf("-2.75"), u, 2)),
         (lambda u: F.stieltjes(3, u, "coffey_integral", ctx),
          lambda u: mp.stieltjes(3, u)),
@@ -630,9 +698,9 @@ def test_small_u_reads_the_nodes_of_u_plus_1(digits):
               lambda u: F.trigamma(u, ctx),
               lambda u: F.log_gamma(u, "binet2", ctx),
               lambda u: F.log_gamma(u, "binet1", ctx),
-              lambda u: F.hurwitz_zeta("2.5", u, ctx),
-              lambda u: F.hurwitz_zeta_sderiv(1, -1, u, ctx),
-              lambda u: F.hurwitz_zeta_sderiv(2, "3.9", u, ctx),
+              lambda u: F.hurwitz_zeta("2.5", u, ctx, "hermite"),
+              lambda u: F.hurwitz_zeta_sderiv(1, -1, u, ctx, "hermite"),
+              lambda u: F.hurwitz_zeta_sderiv(2, "3.9", u, ctx, "hermite"),
               lambda u: F.stieltjes(3, u, "coffey_integral", ctx))
 
     def nodes(route, u):
@@ -662,7 +730,7 @@ def test_exp_sinh_range_follows_the_digits():
     assert tab.node(0).x < 2 * mpf(10) ** -(ctx.working_digits + 10)
     values = (F.digamma("0.37", ctx, "bose"),
               F.log_gamma("0.37", "binet1", ctx),
-              F.hurwitz_zeta_sderiv(2, 0, "0.37", ctx))
+              F.hurwitz_zeta_sderiv(2, 0, "0.37", ctx, "hermite"))
     with mp.workdps(150):
         u = mpf("0.37")
         refs = (mp.psi(0, u), mp.loggamma(u), mp.zeta(0, u, 2))
@@ -863,7 +931,9 @@ def test_non_finite_u_is_rejected_before_any_quadrature(monkeypatch):
         lambda u: F.digamma(u, CTX, "laplace"),
         lambda u: F.trigamma(u, CTX),
         lambda u: F.hurwitz_zeta(2, u, CTX),
+        lambda u: F.hurwitz_zeta(2, u, CTX, "hermite"),
         lambda u: F.hurwitz_zeta_sderiv(1, 0, u, CTX),
+        lambda u: F.hurwitz_zeta_sderiv(1, 0, u, CTX, "hermite"),
         lambda u: F.stieltjes(0, u, "coffey_integral", CTX),
         lambda u: series.alt_zeta_hasse(1, u, 0, CTX),
         lambda u: F.barnes_g_log(u, ctx=CTX),
@@ -882,7 +952,7 @@ def test_bose_closure_holds_at_60_digits():
     ctx = PrecisionContext.for_digits(60)
     half = mpf("0.5")
     psi = F.digamma(half, ctx, "bose").value
-    zeta = F.hurwitz_zeta(2, half, ctx).value
+    zeta = F.hurwitz_zeta(2, half, ctx, "hermite").value
     with mp.workdps(90):
         assert abs(psi - mp.psi(0, half)) <= ctx.tolerance
         ref = mp.zeta(2, half)

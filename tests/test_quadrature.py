@@ -396,7 +396,7 @@ class TestBose:
         # at 30 and 200 digits is 159 and 806 (311 and 1603 before the
         # extrapolated stop, 419 and 7893 on exp-sinh)
         monkeypatch.setattr(quadrature, "_TABLES", {})
-        for digits, most in ((30, 320), (200, 3300)):
+        for digits, most in ((30, 175), (200, 887)):
             ctx = PrecisionContext.for_digits(digits)
             with recording() as rec:
                 functions.digamma(1, ctx, "bose")
